@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use georep_bench::peak_rss_mb;
 use georep_core::strategy::decentralized::{
     central_placement, run_decentralized_with, DecentralConfig, DecentralReport,
 };
@@ -36,19 +37,6 @@ const CAND_EVERY: usize = 3;
 const ROUND_BUDGET: u32 = 48;
 /// Gap envelope the record is gated on (matches check_bench).
 const MAX_GAP: f64 = 0.10;
-
-/// Peak resident set of this process, MiB, from `/proc/self/status`
-/// (`VmHWM`); 0.0 where the file is unavailable.
-fn peak_rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
 
 struct FamilyResult {
     name: &'static str,

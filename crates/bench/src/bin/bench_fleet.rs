@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use georep_bench::peak_rss_mb;
 use georep_coord::rnp::Rnp;
 use georep_coord::{Coord, EmbeddingRunner};
 use georep_core::experiment::DIMS;
@@ -40,19 +41,6 @@ use georep_workload::Zipf;
 const PERIOD: usize = 100_000;
 /// Shards the workload generator splits the stream into.
 const SHARDS: usize = 64;
-
-/// Peak resident set of this process, MiB, from `/proc/self/status`
-/// (`VmHWM`); 0.0 where the file is unavailable.
-fn peak_rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
 
 struct FleetRun {
     wall_ms: f64,

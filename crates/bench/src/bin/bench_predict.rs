@@ -29,6 +29,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use georep_bench::peak_rss_mb;
 use georep_coord::rnp::Rnp;
 use georep_coord::{Coord, EmbeddingRunner};
 use georep_core::experiment::DIMS;
@@ -49,19 +50,6 @@ const DIURNAL_SEASON: usize = 24 / DIURNAL_PERIOD_HOURS;
 /// Replicas each mode maintains — fewer than the demand's regional peaks,
 /// so the placement has to chase the sun and pre-positioning can pay.
 const K: usize = 2;
-
-/// Peak resident set of this process, MiB, from `/proc/self/status`
-/// (`VmHWM`); 0.0 where the file is unavailable.
-fn peak_rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
 
 /// Buckets a generated event stream into per-period demand: one
 /// `(coordinate, accesses)` pair per active client per period, in client

@@ -31,6 +31,7 @@ use georep_net::sim::process::{NodeId, Process, ProcessCtx, ProcessNet};
 use georep_net::sim::{Network, SimDuration, SimTime};
 
 use crate::experiment::DIMS;
+use crate::hash::splitmix64_next;
 
 /// Parameters of a deployment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,11 +137,7 @@ struct DeployNode {
 
 impl DeployNode {
     fn rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.rng_state)
     }
 
     fn rand_f64(&mut self) -> f64 {

@@ -36,6 +36,8 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
+use crate::hash::splitmix64;
+
 /// Shape and per-level failure probabilities of a [`DomainTree`].
 ///
 /// Probabilities are *per draw*: each region (then each surviving DC,
@@ -236,9 +238,9 @@ impl DomainTree {
     /// different scenarios decorrelate fully.
     pub fn sample_outage(&self, seed: u64, scenario: u64) -> Outage {
         let coin = |level: u64, index: usize, p: f64| -> bool {
-            let h = splitmix(
-                seed ^ splitmix(level.wrapping_mul(0x9E37_79B9) ^ (index as u64))
-                    ^ splitmix(scenario.wrapping_mul(0xC2B2_AE35)),
+            let h = splitmix64(
+                seed ^ splitmix64(level.wrapping_mul(0x9E37_79B9) ^ (index as u64))
+                    ^ splitmix64(scenario.wrapping_mul(0xC2B2_AE35)),
             );
             let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
             unit < p
@@ -397,14 +399,6 @@ impl DomainTree {
         }
         Ok(1.0 - p_all_dead)
     }
-}
-
-/// SplitMix64 finalizer — the workspace's standard counter-based hash.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

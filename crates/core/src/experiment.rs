@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::manager::route_then_absorb;
 use crate::metrics::DelayStats;
 use crate::problem::{PlacementProblem, ProblemError};
 use crate::strategy::greedy::Greedy;
@@ -607,7 +608,20 @@ impl Experiment {
                 .iter()
                 .map(|_| OnlineClusterer::new(self.micro_clusters))
                 .collect();
-            summarize_batch(problem, &self.coords, &placement, accesses, &mut clusterers);
+            let slot_of = |&(client, _): &(usize, f64)| {
+                let replica = problem.closest_replica(client, &placement);
+                placement
+                    .iter()
+                    .position(|&r| r == replica)
+                    .expect("closest_replica returns a member")
+            };
+            route_then_absorb(
+                accesses,
+                crate::threads::available_parallelism(),
+                &mut clusterers,
+                slot_of,
+                |&(client, weight)| (self.coords[client], weight),
+            );
 
             let summaries: Vec<AccessSummary> = placement
                 .iter()
@@ -636,75 +650,6 @@ impl Experiment {
         }
         Ok(placement)
     }
-}
-
-/// Batch size below which [`summarize_batch`] stays serial — same rationale
-/// as the manager's ingest threshold.
-const SUMMARIZE_PARALLEL_THRESHOLD: usize = 8192;
-
-/// One summarization pass: routes every `(client, weight)` access to its
-/// serving replica's slot and lets each clusterer absorb its accesses in
-/// stream order. Bit-identical to the serial route-then-observe loop
-/// whatever the thread count — routing is a pure function of the frozen
-/// placement and the pre-densified cost table, and per-slot order is the
-/// stream order — mirroring `ReplicaManager::ingest_period`'s contract.
-fn summarize_batch<const D: usize>(
-    problem: &PlacementProblem<'_>,
-    coords: &[Coord<D>],
-    placement: &[usize],
-    accesses: &[(usize, f64)],
-    clusterers: &mut [OnlineClusterer<D>],
-) {
-    let slot_of = |client: usize| {
-        let replica = problem.closest_replica(client, placement);
-        placement
-            .iter()
-            .position(|&r| r == replica)
-            .expect("closest_replica returns a member")
-    };
-    let threads = crate::threads::available_parallelism().min(accesses.len().max(1));
-    if threads == 1 || accesses.len() < SUMMARIZE_PARALLEL_THRESHOLD {
-        for &(client, weight) in accesses {
-            clusterers[slot_of(client)].observe(coords[client], weight);
-        }
-        return;
-    }
-
-    // Phase 1: pure parallel routing.
-    let mut assigned = vec![0u32; accesses.len()];
-    let chunk = accesses.len().div_ceil(threads);
-    let slot_of = &slot_of;
-    std::thread::scope(|scope| {
-        for (a_chunk, out_chunk) in accesses.chunks(chunk).zip(assigned.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&(client, _), out) in a_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *out = slot_of(client) as u32;
-                }
-            });
-        }
-    });
-
-    // Phase 2: each clusterer absorbs its own accesses, in stream order.
-    let mut refs: Vec<(u32, &mut OnlineClusterer<D>)> = clusterers
-        .iter_mut()
-        .enumerate()
-        .map(|(i, c)| (i as u32, c))
-        .collect();
-    let per = refs.len().div_ceil(threads.min(refs.len()));
-    let assigned = &assigned;
-    std::thread::scope(|scope| {
-        for group in refs.chunks_mut(per) {
-            scope.spawn(move || {
-                for (slot, clusterer) in group.iter_mut() {
-                    for (i, &(client, weight)) in accesses.iter().enumerate() {
-                        if assigned[i] == *slot {
-                            clusterer.observe(coords[client], weight);
-                        }
-                    }
-                }
-            });
-        }
-    });
 }
 
 /// Embeds all nodes with GNP: the leading nodes are landmarks, everyone

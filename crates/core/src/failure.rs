@@ -129,13 +129,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
+        use crate::hash::splitmix64_next;
 
         /// A symmetric pseudo-random RTT matrix, entries in [10, 510) ms.
         fn random_matrix(n: usize, seed: u64) -> RttMatrix {
@@ -145,7 +139,7 @@ mod tests {
                 } else {
                     let (lo, hi) = (i.min(j) as u64, i.max(j) as u64);
                     let mut s = seed ^ (lo * 1001 + hi);
-                    10.0 + (splitmix(&mut s) % 500) as f64
+                    10.0 + (splitmix64_next(&mut s) % 500) as f64
                 }
             })
             .expect("symmetric non-negative matrix is valid")

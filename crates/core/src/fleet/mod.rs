@@ -47,7 +47,7 @@ use std::sync::Arc;
 use georep_coord::Coord;
 
 use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError};
-use crate::manager::{ManagerConfig, ManagerError, ReplicaManager};
+use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::migration::MigrationDecision;
 use crate::objective::{CoordDelay, CostTable};
 use crate::telemetry::Recorder;
@@ -161,6 +161,10 @@ impl FleetStats {
     }
 }
 
+/// One optional demand override per owner, as
+/// [`FleetManager::rebalance_on`] takes them.
+type Overrides<const D: usize> = [Option<Vec<(Coord<D>, f64)>>];
+
 /// A fleet of logical objects sharded across per-object replica managers.
 ///
 /// # Example
@@ -260,17 +264,10 @@ impl<const D: usize> FleetManager<D> {
 
     /// The exact [`ManagerConfig`] owner `owner` runs with: the base
     /// config with the seed offset by the owner id — the same derivation
-    /// an equivalence harness must use for its independent managers —
-    /// plus, for cold groups, a pinned serial ingest path (they are fanned
-    /// out *across* worker threads; internal thread spawns would be pure
-    /// overhead at aggregation granularity). Both knobs are wall-clock
-    /// only; results never depend on them.
+    /// an equivalence harness must use for its independent managers.
     pub fn owner_config(config: &FleetConfig, owner: usize) -> ManagerConfig {
         let mut cfg = config.manager;
         cfg.seed = config.manager.seed.wrapping_add(owner as u64);
-        if (owner as u64) >= config.hot_objects {
-            cfg.ingest_serial_threshold = usize::MAX;
-        }
         cfg
     }
 
@@ -357,7 +354,9 @@ impl<const D: usize> FleetManager<D> {
 
         // Phase 3: owners absorb their buckets — parallel across disjoint
         // `&mut` owner chunks. Leftover threads go to *within*-owner
-        // parallelism, so a near-single-owner fleet still saturates.
+        // parallelism of the hot tier, so a near-single-owner fleet still
+        // saturates; cold groups are fanned out *across* workers only
+        // (internal spawns are pure overhead at aggregation granularity).
         let active = self.buckets[..owner_count]
             .iter()
             .filter(|b| !b.is_empty())
@@ -368,20 +367,25 @@ impl<const D: usize> FleetManager<D> {
         let per = owner_count.div_ceil(workers);
         let buckets = &self.buckets[..owner_count];
         std::thread::scope(|scope| {
-            for ((mgr_chunk, bucket_chunk), served_chunk) in self
+            for (chunk, ((mgr_chunk, bucket_chunk), served_chunk)) in self
                 .owners
                 .chunks_mut(per)
                 .zip(buckets.chunks(per))
                 .zip(served.chunks_mut(per))
+                .enumerate()
             {
                 scope.spawn(move || {
-                    for ((mgr, bucket), out) in
-                        mgr_chunk.iter_mut().zip(bucket_chunk).zip(served_chunk)
+                    for (((mgr, bucket), out), owner) in mgr_chunk
+                        .iter_mut()
+                        .zip(bucket_chunk)
+                        .zip(served_chunk)
+                        .zip(chunk * per..)
                     {
                         if bucket.is_empty() {
                             continue;
                         }
-                        let per_replica = mgr.ingest_period_with_threads(bucket, inner);
+                        let threads = if owner < hot_owners { inner } else { 1 };
+                        let per_replica = mgr.ingest_period_with_threads(bucket, threads);
                         *out = per_replica.iter().sum();
                     }
                 });
@@ -402,6 +406,37 @@ impl<const D: usize> FleetManager<D> {
     /// [`FleetError::Manager`] when an owner's macro-clustering fails; the
     /// error of the lowest-numbered failing owner is reported.
     pub fn rebalance(&mut self) -> Result<FleetRound, FleetError> {
+        self.round(None)
+    }
+
+    /// [`FleetManager::rebalance`] with per-owner demand overrides: owner
+    /// `i` proposes on [`Plan::Demand`]`(predicted[i])` when it is `Some`
+    /// (the forecast path) and on [`Plan::Recorded`] otherwise. Budget
+    /// batching and the period lifecycle are those of the reactive round,
+    /// so a call with all-`None` overrides is [`FleetManager::rebalance`]
+    /// bit for bit. [`FleetPredictor::predict_gated`] produces the override
+    /// vector from per-owner histories, already confidence-gated.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::InvalidSetup`] when `predicted` is not one entry per
+    /// owner; [`FleetError::Manager`] as [`FleetManager::rebalance`], or
+    /// when an override holds a non-finite weight or coordinate.
+    pub fn rebalance_on(
+        &mut self,
+        predicted: &[Option<Vec<(Coord<D>, f64)>>],
+    ) -> Result<FleetRound, FleetError> {
+        if predicted.len() != self.owners.len() {
+            return Err(FleetError::InvalidSetup(
+                "rebalance_on needs one (optional) demand override per owner",
+            ));
+        }
+        self.round(Some(predicted))
+    }
+
+    /// The round behind both entry points: propose fan-out → schedule →
+    /// commit or defer. `overrides`, when given, is one entry per owner.
+    fn round(&mut self, overrides: Option<&Overrides<D>>) -> Result<FleetRound, FleetError> {
         let owner_count = self.owners.len();
         let threads = self.resolve_threads().min(owner_count).max(1);
 
@@ -411,11 +446,18 @@ impl<const D: usize> FleetManager<D> {
         proposals.resize_with(owner_count, || None);
         let per = owner_count.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (mgr_chunk, out_chunk) in self.owners.chunks_mut(per).zip(proposals.chunks_mut(per))
+            for (chunk, (mgr_chunk, out_chunk)) in self
+                .owners
+                .chunks_mut(per)
+                .zip(proposals.chunks_mut(per))
+                .enumerate()
             {
                 scope.spawn(move || {
-                    for (mgr, out) in mgr_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                        *out = Some(mgr.propose_rebalance());
+                    for ((mgr, out), owner) in
+                        mgr_chunk.iter_mut().zip(out_chunk).zip(chunk * per..)
+                    {
+                        let demand = overrides.and_then(|o| o[owner].as_deref());
+                        *out = Some(mgr.propose(demand.map_or(Plan::Recorded, Plan::Demand)));
                     }
                 });
             }
@@ -426,93 +468,6 @@ impl<const D: usize> FleetManager<D> {
         }
 
         // Batch under the budget, then finish every owner's period.
-        let decision_refs: Vec<&MigrationDecision> = pendings.iter().map(|p| &p.decision).collect();
-        let (actions, spent) = scheduler::schedule(&decision_refs, self.budget_usd);
-        let mut decisions = Vec::with_capacity(owner_count);
-        let (mut committed, mut deferred, mut moved) = (0usize, 0usize, 0u64);
-        for ((mgr, pending), action) in self.owners.iter_mut().zip(pendings).zip(&actions) {
-            let decision = match action {
-                scheduler::Action::Commit => mgr.commit_rebalance(pending),
-                scheduler::Action::Defer => {
-                    deferred += 1;
-                    mgr.defer_rebalance(pending)
-                }
-            };
-            if decision.applied {
-                committed += 1;
-                moved += decision.moved as u64;
-            }
-            decisions.push(decision);
-        }
-
-        self.stats.rounds += 1;
-        self.stats.committed += committed as u64;
-        self.stats.deferred += deferred as u64;
-        self.stats.replicas_moved += moved;
-        self.stats.spent_usd += spent;
-        Ok(FleetRound {
-            decisions,
-            committed,
-            deferred,
-            moved_replicas: moved,
-            spent_usd: spent,
-        })
-    }
-
-    /// [`FleetManager::rebalance`] with per-owner demand overrides: owner
-    /// `i` proposes on `predicted[i]` when it is `Some` (via
-    /// [`ReplicaManager::propose_rebalance_on`] — the forecast path) and
-    /// reactively on its recorded summaries otherwise. Budget batching and
-    /// the period lifecycle are identical to the reactive round, so a call
-    /// with all-`None` overrides is [`FleetManager::rebalance`] bit for
-    /// bit. [`FleetPredictor::predict_gated`] produces the override vector
-    /// from per-owner histories, already confidence-gated.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidSetup`] when `predicted` is not one entry per
-    /// owner; [`FleetError::Manager`] as [`FleetManager::rebalance`].
-    pub fn rebalance_on(
-        &mut self,
-        predicted: &[Option<Vec<(Coord<D>, f64)>>],
-    ) -> Result<FleetRound, FleetError> {
-        let owner_count = self.owners.len();
-        if predicted.len() != owner_count {
-            return Err(FleetError::InvalidSetup(
-                "rebalance_on needs one (optional) demand override per owner",
-            ));
-        }
-        let threads = self.resolve_threads().min(owner_count).max(1);
-
-        let mut proposals: Vec<Option<Result<_, ManagerError>>> = Vec::new();
-        proposals.resize_with(owner_count, || None);
-        let per = owner_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((mgr_chunk, demand_chunk), out_chunk) in self
-                .owners
-                .chunks_mut(per)
-                .zip(predicted.chunks(per))
-                .zip(proposals.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for ((mgr, demand), out) in mgr_chunk
-                        .iter_mut()
-                        .zip(demand_chunk)
-                        .zip(out_chunk.iter_mut())
-                    {
-                        *out = Some(match demand {
-                            Some(d) => mgr.propose_rebalance_on(d),
-                            None => mgr.propose_rebalance(),
-                        });
-                    }
-                });
-            }
-        });
-        let mut pendings = Vec::with_capacity(owner_count);
-        for proposal in proposals {
-            pendings.push(proposal.expect("every owner proposed")?);
-        }
-
         let decision_refs: Vec<&MigrationDecision> = pendings.iter().map(|p| &p.decision).collect();
         let (actions, spent) = scheduler::schedule(&decision_refs, self.budget_usd);
         let mut decisions = Vec::with_capacity(owner_count);
@@ -841,13 +796,8 @@ mod tests {
         let config = fleet_config(100, 4, 2);
         let hot = FleetManager::<1>::owner_config(&config, 2);
         assert_eq!(hot.seed, 0xF1EE7 + 2);
-        assert_eq!(
-            hot.ingest_serial_threshold,
-            config.manager.ingest_serial_threshold
-        );
         let cold = FleetManager::<1>::owner_config(&config, 5);
         assert_eq!(cold.seed, 0xF1EE7 + 5);
-        assert_eq!(cold.ingest_serial_threshold, usize::MAX);
     }
 
     #[test]
@@ -932,6 +882,19 @@ mod tests {
             fleet.rebalance_on(&short),
             Err(FleetError::InvalidSetup(_))
         ));
+    }
+
+    #[test]
+    fn rebalance_on_rejects_non_finite_demand_instead_of_panicking() {
+        let mut fleet = small_fleet();
+        fleet.ingest_period(&keyed_stream(2_000, 100, 0xBAD));
+        let mut overrides = vec![None; fleet.owner_count()];
+        overrides[1] = Some(vec![(Coord::new([48.0]), f64::INFINITY)]);
+        assert!(matches!(
+            fleet.rebalance_on(&overrides),
+            Err(FleetError::Manager(ManagerError::InvalidSetup(_)))
+        ));
+        assert_eq!(fleet.owner(1).stats().rounds, 0);
     }
 
     #[test]

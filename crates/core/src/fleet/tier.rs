@@ -19,14 +19,7 @@
 //! bit-identity contract (the same trace must route to the same owners
 //! forever).
 
-/// SplitMix64 finalizer — the pinned cold-object → group hash.
-#[inline]
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::hash::splitmix64;
 
 /// The object → owner map: exact managers for the hot head, hashed
 /// aggregated groups for the cold tail.
@@ -83,7 +76,7 @@ impl Tiering {
         if object < self.hot {
             object as usize
         } else {
-            (self.hot + mix(object) % self.cold_groups) as usize
+            (self.hot + splitmix64(object) % self.cold_groups) as usize
         }
     }
 
@@ -171,7 +164,7 @@ mod tests {
     fn the_cold_hash_is_pinned() {
         // The SplitMix64 finalizer is part of the bit-identity contract:
         // these values may never change.
-        assert_eq!(mix(0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(mix(1), 0x910A_2DEC_8902_5CC1);
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
     }
 }

@@ -32,6 +32,7 @@ use georep_net::sim::process::{NetStats, NodeId, Process, ProcessCtx, ProcessNet
 use georep_net::sim::{FaultPlan, Network, SimDuration, SimTime};
 
 use crate::experiment::DIMS;
+use crate::hash::splitmix64_next;
 
 /// Parameters of a gossip embedding run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,12 +143,7 @@ impl GossipNode {
     }
 
     fn draw(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        z
+        splitmix64_next(&mut self.rng_state)
     }
 
     /// Picks the next probe target: a uniform non-self peer, skipping

@@ -69,6 +69,7 @@ pub mod fleet;
 pub mod forecast;
 pub mod gossip;
 pub mod group;
+mod hash;
 pub mod manager;
 pub mod metrics;
 pub mod migration;
@@ -85,7 +86,7 @@ pub use domains::{DomainConfig, DomainError, DomainTree, Outage};
 pub use experiment::{Experiment, RunSummary, StrategyKind};
 pub use fleet::{FleetConfig, FleetError, FleetManager, FleetPredictor, FleetRound, FleetStats};
 pub use forecast::{DemandHistory, ForecastConfig, ForecastError, GateDecision};
-pub use manager::{ManagerConfig, ReplicaManager};
+pub use manager::{ManagerConfig, Plan, ReplicaManager};
 pub use objective::{CostTable, DelayOracle, IncrementalEval};
 pub use problem::{PlacementProblem, ProblemError};
 pub use scenario::{run_scenario, run_scenario_with_recorder, ScenarioKind, ScenarioReport};

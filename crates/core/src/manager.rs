@@ -29,7 +29,7 @@ use crate::strategy::nearest_distinct_candidates;
 /// Error produced by [`ReplicaManager`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ManagerError {
-    /// The constructor inputs were inconsistent.
+    /// The constructor inputs, or an external [`Plan`], were inconsistent.
     InvalidSetup(&'static str),
     /// Macro-clustering failed during a rebalance.
     Cluster(ClusterError),
@@ -95,14 +95,6 @@ pub struct ManagerConfig {
     /// this only affects wall-clock time — never the placement. The
     /// robustness suite exercises 1/2/8 to prove it.
     pub restart_threads: usize,
-    /// Batch size below which [`ReplicaManager::ingest_period`] stays
-    /// serial: spawning scoped threads and allocating the assignment table
-    /// costs more than routing a few thousand accesses does. The serial and
-    /// parallel paths are bit-identical, so this only moves wall-clock
-    /// time. Tiered drivers (the fleet layer) tune it per object class —
-    /// e.g. force owners that are fanned out *across* worker threads to
-    /// stay serial *internally*.
-    pub ingest_serial_threshold: usize,
 }
 
 impl ManagerConfig {
@@ -119,14 +111,9 @@ impl ManagerConfig {
             period_decay: 0.0,
             seed: 0x6E0,
             restart_threads: 0,
-            ingest_serial_threshold: DEFAULT_INGEST_SERIAL_THRESHOLD,
         }
     }
 }
-
-/// Default for [`ManagerConfig::ingest_serial_threshold`] — the historical
-/// hardcoded serial-fallback point of the batched ingest path.
-pub const DEFAULT_INGEST_SERIAL_THRESHOLD: usize = 8192;
 
 /// Cumulative manager statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -143,10 +130,29 @@ pub struct ManagerStats {
     pub failures: u64,
 }
 
+/// What one re-placement round solves on — the *demand source* and *solver*
+/// stages of [`ReplicaManager::propose`]. Every variant goes through the
+/// same accounting, empty-period no-op and gain-vs-cost gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Plan<'a, const D: usize> {
+    /// Solve and gate on this period's recorded micro-cluster pseudo
+    /// points — the paper's reactive Algorithm 1.
+    Recorded,
+    /// Solve and gate on an external demand estimate (a forecast, or an
+    /// oracle's actual next period) instead of the recorded points; zero-
+    /// and negative-weight entries are dropped. Gains are estimated against
+    /// the demand the round optimizes for, so a wrong forecast can buy a
+    /// migration the realized demand never pays back.
+    Demand(&'a [(Coord<D>, f64)]),
+    /// Skip the solver: the slice *is* the proposal (e.g. a gossip-converged
+    /// consensus), gated on the recorded pseudo points.
+    Placement(&'a [usize]),
+}
+
 /// A proposed-but-not-yet-applied rebalance round: everything
 /// [`ReplicaManager::rebalance`] computes up to (and including) the
 /// decision, with the apply and period-reset steps still pending. Produced
-/// by [`ReplicaManager::propose_rebalance`]; finished by
+/// by [`ReplicaManager::propose`]; finished by
 /// [`ReplicaManager::commit_rebalance`] (honour the decision) or
 /// [`ReplicaManager::defer_rebalance`] (a scheduler ran out of migration
 /// budget — keep the old placement, end the period anyway).
@@ -331,35 +337,12 @@ impl<const D: usize> ReplicaManager<D> {
     /// replica with a high accuracy although it has never accessed the
     /// replicas before".
     pub fn route(&self, coord: &Coord<D>) -> usize {
-        *self
-            .placement
-            .iter()
-            .min_by(|&&a, &&b| {
-                self.coords[a]
-                    .distance(coord)
-                    .total_cmp(&self.coords[b].distance(coord))
-            })
-            .expect("placement is non-empty")
+        self.placement[self.slot_for(coord)]
     }
 
-    /// The clusterer slot (index into `placement`) serving `coord` — one
-    /// pass finds both the serving replica and its summarizer,
-    /// [`ReplicaManager::route`] plus its `position` rescan folded
-    /// together. `total_cmp` with a strict `Less` keeps the first of ties,
-    /// exactly like `min_by`. Pure: reads only `placement` and `coords`,
-    /// which is what lets [`ReplicaManager::ingest_period`] evaluate it
-    /// for millions of accesses in parallel without changing any result.
+    /// The clusterer slot (index into `placement`) serving `coord`.
     fn slot_for(&self, coord: &Coord<D>) -> usize {
-        let mut idx = 0usize;
-        let mut best = f64::INFINITY;
-        for (i, &r) in self.placement.iter().enumerate() {
-            let d = self.coords[r].distance(coord);
-            if d.total_cmp(&best) == std::cmp::Ordering::Less {
-                idx = i;
-                best = d;
-            }
-        }
-        idx
+        nearest_slot(&self.coords, &self.placement, coord)
     }
 
     /// Routes an access and records it in the serving replica's summary.
@@ -393,69 +376,20 @@ impl<const D: usize> ReplicaManager<D> {
     /// then lets each summarizer absorb *its own* accesses in the original
     /// stream order — summarizers are independent, and per-slot order is
     /// exactly what a serial [`ReplicaManager::record_access`] loop would
-    /// produce. Below [`ManagerConfig::ingest_serial_threshold`] accesses
-    /// (or with one thread) it simply runs the serial loop.
+    /// produce. Small batches (or one thread) simply run the serial loop.
     pub fn ingest_period_with_threads(
         &mut self,
         accesses: &[(Coord<D>, f64)],
         threads: usize,
     ) -> Vec<u64> {
-        let mut served = vec![0u64; self.placement.len()];
-        if accesses.is_empty() {
-            return served;
-        }
-        let threads = threads.max(1).min(accesses.len());
-        if threads == 1 || accesses.len() < self.config.ingest_serial_threshold {
-            for &(coord, weight) in accesses {
-                let idx = self.slot_for(&coord);
-                self.clusterers[idx].observe(coord, weight);
-                served[idx] += 1;
-            }
-            self.stats.accesses += accesses.len() as u64;
-            return served;
-        }
-
-        // Phase 1: pure parallel routing into a pre-sized assignment table.
-        let mut assigned = vec![0u32; accesses.len()];
-        let chunk = accesses.len().div_ceil(threads);
-        let this = &*self;
-        std::thread::scope(|scope| {
-            for (a_chunk, out_chunk) in accesses.chunks(chunk).zip(assigned.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((coord, _), out) in a_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = this.slot_for(coord) as u32;
-                    }
-                });
-            }
-        });
-        for &slot in &assigned {
-            served[slot as usize] += 1;
-        }
-
-        // Phase 2: each summarizer absorbs its accesses in stream order.
-        // Disjoint `&mut` groups of clusterers go to the workers; every
-        // worker replays the stream and picks out its slots' accesses.
-        let mut refs: Vec<(u32, &mut OnlineClusterer<D>)> = self
-            .clusterers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| (i as u32, c))
-            .collect();
-        let per = refs.len().div_ceil(threads.min(refs.len()));
-        let assigned = &assigned;
-        std::thread::scope(|scope| {
-            for group in refs.chunks_mut(per) {
-                scope.spawn(move || {
-                    for (slot, clusterer) in group.iter_mut() {
-                        for (i, &(coord, weight)) in accesses.iter().enumerate() {
-                            if assigned[i] == *slot {
-                                clusterer.observe(coord, weight);
-                            }
-                        }
-                    }
-                });
-            }
-        });
+        let (coords, placement) = (&self.coords[..], &self.placement[..]);
+        let served = route_then_absorb(
+            accesses,
+            threads,
+            &mut self.clusterers,
+            |(coord, _)| nearest_slot(coords, placement, coord),
+            |&access| access,
+        );
         self.stats.accesses += accesses.len() as u64;
         served
     }
@@ -618,20 +552,79 @@ impl<const D: usize> ReplicaManager<D> {
         Ok(self.commit_rebalance(pending))
     }
 
-    /// The first half of a rebalance round: collect summaries (accounting
-    /// their wire bytes), macro-cluster, and *decide* — without touching the
-    /// placement or the summarization period. The returned
-    /// [`PendingRebalance`] carries the decision an independent manager
-    /// would have taken; hand it back via
-    /// [`ReplicaManager::commit_rebalance`] or
-    /// [`ReplicaManager::defer_rebalance`] to end the period.
+    /// [`ReplicaManager::propose`] on [`Plan::Recorded`].
     ///
     /// # Errors
     ///
     /// [`ManagerError::Cluster`] if the weighted K-means fails.
     pub fn propose_rebalance(&mut self) -> Result<PendingRebalance, ManagerError> {
-        self.stats.rounds += 1;
+        self.propose(Plan::Recorded)
+    }
 
+    /// The first half of a rebalance round, for any [`Plan`]: *demand
+    /// source → solver → gain-vs-cost gate*, without touching the placement
+    /// or the summarization period. The returned [`PendingRebalance`]
+    /// carries the decision an independent manager would have taken; hand
+    /// it back via [`ReplicaManager::commit_rebalance`] or
+    /// [`ReplicaManager::defer_rebalance`] to end the period.
+    ///
+    /// The order of effects is the same for every plan, and pinned:
+    ///
+    /// 1. an external plan is validated *before* anything is accounted — a
+    ///    rejected plan leaves [`ReplicaManager::stats`] untouched;
+    /// 2. the round and the summaries' wire bytes are accounted (summaries
+    ///    are collected and shipped whatever the solver will optimize for);
+    /// 3. an empty demand (nothing recorded; or, for [`Plan::Demand`], no
+    ///    positive-weight entry) is the no-op round;
+    /// 4. the solver — [`ReplicaManager::adapt_k`] on the observed load,
+    ///    seeded weighted k-means, centroid → candidate snapping — runs and
+    ///    accumulates [`ReplicaManager::kmeans_stats`], except under
+    ///    [`Plan::Placement`];
+    /// 5. the gate compares old and proposed placements on the plan's
+    ///    demand: a resize applies unconditionally, a same-size proposal
+    ///    must clear `gain_per_dollar × cost_usd`.
+    ///
+    /// So [`Plan::Demand`] over the manager's own pseudo points decides
+    /// bit-identically to [`Plan::Recorded`], and [`Plan::Placement`] of the
+    /// current placement is a quiet reactive round.
+    ///
+    /// # Errors
+    ///
+    /// [`ManagerError::InvalidSetup`] when a [`Plan::Placement`] is empty,
+    /// repeats a node or strays outside the current candidate set, or a
+    /// [`Plan::Demand`] holds a non-finite weight or coordinate;
+    /// [`ManagerError::Cluster`] if the weighted K-means fails.
+    pub fn propose(&mut self, plan: Plan<'_, D>) -> Result<PendingRebalance, ManagerError> {
+        match plan {
+            Plan::Recorded => {}
+            Plan::Demand(demand) => {
+                if demand
+                    .iter()
+                    .any(|(coord, w)| !w.is_finite() || !coord.is_finite())
+                {
+                    return Err(ManagerError::InvalidSetup(
+                        "demand holds a non-finite weight or coordinate",
+                    ));
+                }
+            }
+            Plan::Placement(target) => {
+                if target.is_empty() {
+                    return Err(ManagerError::InvalidSetup("target placement is empty"));
+                }
+                if (1..target.len()).any(|i| target[..i].contains(&target[i])) {
+                    return Err(ManagerError::InvalidSetup(
+                        "target placement repeats a node",
+                    ));
+                }
+                if target.iter().any(|r| !self.candidates.contains(r)) {
+                    return Err(ManagerError::InvalidSetup(
+                        "target placement must be a subset of candidates",
+                    ));
+                }
+            }
+        }
+
+        self.stats.rounds += 1;
         // "The micro-clusters are sent to a central server": account for
         // the wire bytes (Table II's bandwidth). The size is a pure
         // function of each summarizer's cluster count, so no summary is
@@ -643,13 +636,19 @@ impl<const D: usize> ReplicaManager<D> {
             .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
             .sum::<u64>();
 
-        let pseudo: Vec<WeightedPoint<D>> = self
-            .clusterers
-            .iter()
-            .flat_map(|c| c.pseudo_points())
-            .collect();
-
-        if pseudo.is_empty() {
+        let demand: Vec<WeightedPoint<D>> = match plan {
+            Plan::Demand(demand) => demand
+                .iter()
+                .filter(|&&(_, w)| w > 0.0)
+                .map(|&(coord, w)| WeightedPoint::new(coord, w))
+                .collect(),
+            Plan::Recorded | Plan::Placement(_) => self
+                .clusterers
+                .iter()
+                .flat_map(|c| c.pseudo_points())
+                .collect(),
+        };
+        if demand.is_empty() {
             return Ok(PendingRebalance {
                 decision: MigrationDecision {
                     old: self.placement.clone(),
@@ -664,294 +663,57 @@ impl<const D: usize> ReplicaManager<D> {
             });
         }
 
-        let k = self.adapt_k();
-        let kcfg = KMeansConfig::new(k.min(pseudo.len())).with_seed(self.config.seed);
-        // The `_with_stats` variants return bit-for-bit the same clustering
-        // as their plain counterparts; the counters are a pure side channel.
-        let (clustering, kstats) = if self.config.restart_threads > 0 {
-            georep_cluster::kmeans::lloyd_with_threads_stats(
-                &pseudo,
-                kcfg,
-                self.config.restart_threads,
-            )?
-        } else {
-            weighted_kmeans_with_stats(&pseudo, kcfg)?
+        let proposed = match plan {
+            Plan::Placement(target) => target.to_vec(),
+            Plan::Recorded | Plan::Demand(_) => {
+                let k = self.adapt_k();
+                let kcfg = KMeansConfig::new(k.min(demand.len())).with_seed(self.config.seed);
+                // The `_with_stats` variants return bit-for-bit the same
+                // clustering as their plain counterparts; the counters are
+                // a pure side channel.
+                let (clustering, kstats) = if self.config.restart_threads > 0 {
+                    georep_cluster::kmeans::lloyd_with_threads_stats(
+                        &demand,
+                        kcfg,
+                        self.config.restart_threads,
+                    )?
+                } else {
+                    weighted_kmeans_with_stats(&demand, kcfg)?
+                };
+                self.kmeans.restarts += kstats.restarts;
+                self.kmeans.iterations += kstats.iterations;
+                self.kmeans.pruned_upper += kstats.pruned_upper;
+                self.kmeans.pruned_tightened += kstats.pruned_tightened;
+                self.kmeans.full_scans += kstats.full_scans;
+                self.kmeans.winner_restart = kstats.winner_restart;
+                nearest_distinct_candidates(
+                    &clustering.centroids,
+                    &self.candidates,
+                    &self.coords,
+                    k,
+                )
+            }
         };
-        self.kmeans.restarts += kstats.restarts;
-        self.kmeans.iterations += kstats.iterations;
-        self.kmeans.pruned_upper += kstats.pruned_upper;
-        self.kmeans.pruned_tightened += kstats.pruned_tightened;
-        self.kmeans.full_scans += kstats.full_scans;
-        self.kmeans.winner_restart = kstats.winner_restart;
-        let proposed =
-            nearest_distinct_candidates(&clustering.centroids, &self.candidates, &self.coords, k);
 
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
         let moved = moved_replicas(&self.placement, &proposed);
-        let cost_usd = self.config.cost.cost_usd(moved);
-
-        let relative_gain = if old_est > 0.0 {
-            (old_est - new_est) / old_est
-        } else {
-            0.0
+        let mut decision = MigrationDecision {
+            old_est_ms: self.estimate_mean_delay(&self.placement, &demand),
+            new_est_ms: self.estimate_mean_delay(&proposed, &demand),
+            moved,
+            cost_usd: self.config.cost.cost_usd(moved),
+            applied: false,
+            old: self.placement.clone(),
+            proposed,
         };
         // A change in replica *count* is demand-driven (adapt_k) and applies
         // unconditionally — the paper varies k "as the demand of an object
         // increases [or] decreases". Same-size proposals must pay for their
         // migration: the relative gain has to clear the per-dollar bar.
-        let resized = proposed.len() != self.placement.len();
-        let applied = if resized {
-            true
-        } else {
-            moved > 0 && relative_gain >= self.config.gain_per_dollar * cost_usd
-        };
-
+        decision.applied = decision.proposed.len() != decision.old.len()
+            || (moved > 0
+                && decision.relative_gain() >= self.config.gain_per_dollar * decision.cost_usd);
         Ok(PendingRebalance {
-            decision: MigrationDecision {
-                old: self.placement.clone(),
-                proposed,
-                old_est_ms: old_est,
-                new_est_ms: new_est,
-                moved,
-                cost_usd,
-                applied,
-            },
-            empty: false,
-        })
-    }
-
-    /// A full rebalance round driven by an *external* demand estimate —
-    /// [`ReplicaManager::propose_rebalance_on`] followed by
-    /// [`ReplicaManager::commit_rebalance`]. The predictive placement path
-    /// ([`crate::strategy::predictive`]) feeds it forecast next-period
-    /// demand so migrations land before the shift does; an oracle feeds it
-    /// the actual next period.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::Cluster`] if the weighted K-means fails.
-    pub fn rebalance_on(
-        &mut self,
-        demand: &[(Coord<D>, f64)],
-    ) -> Result<MigrationDecision, ManagerError> {
-        let pending = self.propose_rebalance_on(demand)?;
-        Ok(self.commit_rebalance(pending))
-    }
-
-    /// [`ReplicaManager::propose_rebalance`] with the solver input swapped:
-    /// instead of this period's recorded micro-cluster pseudo points, the
-    /// macro-clustering runs over the supplied `demand` (zero- and
-    /// negative-weight points are dropped). Everything else is identical —
-    /// the same round / summary-byte accounting (summaries are still
-    /// collected and shipped; the forecast only replaces what the solver
-    /// *optimizes for*), the same [`ReplicaManager::adapt_k`] driven by
-    /// observed load, the same k-means seed, candidate snapping, and
-    /// gain-vs-cost migration gate — so a round fed the recorded pseudo
-    /// points themselves decides bit-identically to
-    /// [`ReplicaManager::propose_rebalance`]. Commit the result via
-    /// [`ReplicaManager::commit_rebalance`] or
-    /// [`ReplicaManager::defer_rebalance`] exactly as a reactive proposal.
-    ///
-    /// An empty (or all-weightless) `demand` is the no-op round, matching
-    /// the reactive empty-period behavior.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::Cluster`] if the weighted K-means fails.
-    pub fn propose_rebalance_on(
-        &mut self,
-        demand: &[(Coord<D>, f64)],
-    ) -> Result<PendingRebalance, ManagerError> {
-        self.stats.rounds += 1;
-        self.stats.summary_bytes += self
-            .clusterers
-            .iter()
-            .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
-            .sum::<u64>();
-
-        let pseudo: Vec<WeightedPoint<D>> = demand
-            .iter()
-            .filter(|&&(_, w)| w > 0.0)
-            .map(|&(coord, w)| WeightedPoint::new(coord, w))
-            .collect();
-
-        if pseudo.is_empty() {
-            return Ok(PendingRebalance {
-                decision: MigrationDecision {
-                    old: self.placement.clone(),
-                    proposed: self.placement.clone(),
-                    old_est_ms: 0.0,
-                    new_est_ms: 0.0,
-                    moved: 0,
-                    cost_usd: 0.0,
-                    applied: false,
-                },
-                empty: true,
-            });
-        }
-
-        let k = self.adapt_k();
-        let kcfg = KMeansConfig::new(k.min(pseudo.len())).with_seed(self.config.seed);
-        let (clustering, kstats) = if self.config.restart_threads > 0 {
-            georep_cluster::kmeans::lloyd_with_threads_stats(
-                &pseudo,
-                kcfg,
-                self.config.restart_threads,
-            )?
-        } else {
-            weighted_kmeans_with_stats(&pseudo, kcfg)?
-        };
-        self.kmeans.restarts += kstats.restarts;
-        self.kmeans.iterations += kstats.iterations;
-        self.kmeans.pruned_upper += kstats.pruned_upper;
-        self.kmeans.pruned_tightened += kstats.pruned_tightened;
-        self.kmeans.full_scans += kstats.full_scans;
-        self.kmeans.winner_restart = kstats.winner_restart;
-        let proposed =
-            nearest_distinct_candidates(&clustering.centroids, &self.candidates, &self.coords, k);
-
-        // Gains are estimated against the demand the round optimizes for:
-        // the forecast. A wrong forecast can therefore buy a migration the
-        // realized demand never pays back — that regret is exactly what
-        // `bench_predict` measures and the confidence gate bounds.
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
-        let moved = moved_replicas(&self.placement, &proposed);
-        let cost_usd = self.config.cost.cost_usd(moved);
-
-        let relative_gain = if old_est > 0.0 {
-            (old_est - new_est) / old_est
-        } else {
-            0.0
-        };
-        let resized = proposed.len() != self.placement.len();
-        let applied = if resized {
-            true
-        } else {
-            moved > 0 && relative_gain >= self.config.gain_per_dollar * cost_usd
-        };
-
-        Ok(PendingRebalance {
-            decision: MigrationDecision {
-                old: self.placement.clone(),
-                proposed,
-                old_est_ms: old_est,
-                new_est_ms: new_est,
-                moved,
-                cost_usd,
-                applied,
-            },
-            empty: false,
-        })
-    }
-
-    /// A full rebalance round toward an *externally computed* placement —
-    /// [`ReplicaManager::propose_placement`] followed by
-    /// [`ReplicaManager::commit_rebalance`]. The decentralized strategy
-    /// ([`crate::strategy::decentralized`]) feeds it the gossip-converged
-    /// consensus so the manager's migration gate, cost accounting and
-    /// period bookkeeping stay authoritative even when the *solver* moved
-    /// out of the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::InvalidSetup`] when `target` is unusable (see
-    /// [`ReplicaManager::propose_placement`]).
-    pub fn rebalance_to(&mut self, target: &[usize]) -> Result<MigrationDecision, ManagerError> {
-        let pending = self.propose_placement(target)?;
-        Ok(self.commit_rebalance(pending))
-    }
-
-    /// [`ReplicaManager::propose_rebalance`] with the solver replaced by a
-    /// caller-supplied placement: no macro-clustering runs, `target` *is*
-    /// the proposal. Everything around it is identical — the same round and
-    /// summary-byte accounting (summaries were still collected and shipped
-    /// this period; an external solver only replaces the central k-means),
-    /// the same gain estimate over this period's recorded pseudo points,
-    /// and the same gain-vs-cost migration gate, so a caller handing back
-    /// the manager's own placement decides a no-op bit-identically to a
-    /// quiet reactive round. An empty summarization period is the usual
-    /// no-op round.
-    ///
-    /// # Errors
-    ///
-    /// [`ManagerError::InvalidSetup`] when `target` is empty, repeats a
-    /// node, or strays outside the current candidate set.
-    pub fn propose_placement(
-        &mut self,
-        target: &[usize],
-    ) -> Result<PendingRebalance, ManagerError> {
-        if target.is_empty() {
-            return Err(ManagerError::InvalidSetup("target placement is empty"));
-        }
-        if (1..target.len()).any(|i| target[..i].contains(&target[i])) {
-            return Err(ManagerError::InvalidSetup(
-                "target placement repeats a node",
-            ));
-        }
-        if target.iter().any(|r| !self.candidates.contains(r)) {
-            return Err(ManagerError::InvalidSetup(
-                "target placement must be a subset of candidates",
-            ));
-        }
-
-        self.stats.rounds += 1;
-        self.stats.summary_bytes += self
-            .clusterers
-            .iter()
-            .map(|c| AccessSummary::encoded_len_for(D, c.clusters().len()) as u64)
-            .sum::<u64>();
-
-        let pseudo: Vec<WeightedPoint<D>> = self
-            .clusterers
-            .iter()
-            .flat_map(|c| c.pseudo_points())
-            .collect();
-
-        if pseudo.is_empty() {
-            return Ok(PendingRebalance {
-                decision: MigrationDecision {
-                    old: self.placement.clone(),
-                    proposed: self.placement.clone(),
-                    old_est_ms: 0.0,
-                    new_est_ms: 0.0,
-                    moved: 0,
-                    cost_usd: 0.0,
-                    applied: false,
-                },
-                empty: true,
-            });
-        }
-
-        let proposed = target.to_vec();
-        let old_est = self.estimate_mean_delay(&self.placement, &pseudo);
-        let new_est = self.estimate_mean_delay(&proposed, &pseudo);
-        let moved = moved_replicas(&self.placement, &proposed);
-        let cost_usd = self.config.cost.cost_usd(moved);
-
-        let relative_gain = if old_est > 0.0 {
-            (old_est - new_est) / old_est
-        } else {
-            0.0
-        };
-        let resized = proposed.len() != self.placement.len();
-        let applied = if resized {
-            true
-        } else {
-            moved > 0 && relative_gain >= self.config.gain_per_dollar * cost_usd
-        };
-
-        Ok(PendingRebalance {
-            decision: MigrationDecision {
-                old: self.placement.clone(),
-                proposed,
-                old_est_ms: old_est,
-                new_est_ms: new_est,
-                moved,
-                cost_usd,
-                applied,
-            },
+            decision,
             empty: false,
         })
     }
@@ -990,18 +752,7 @@ impl<const D: usize> ReplicaManager<D> {
                     .collect();
                 self.reset_clusterers();
                 for mc in retained {
-                    let centroid = mc.centroid();
-                    let idx = self
-                        .placement
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, &a), (_, &b)| {
-                            self.coords[a]
-                                .distance(&centroid)
-                                .total_cmp(&self.coords[b].distance(&centroid))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("placement is non-empty");
+                    let idx = self.slot_for(&mc.centroid());
                     self.clusterers[idx].absorb_cluster(mc);
                 }
             }
@@ -1021,6 +772,100 @@ impl<const D: usize> ReplicaManager<D> {
     }
 }
 
+/// The index into `placement` of the replica nearest `coord` by coordinate
+/// distance. `total_cmp` with a strict `Less` keeps the first of ties,
+/// exactly like `min_by`. Pure, which is what lets [`route_then_absorb`]
+/// evaluate it for millions of accesses in parallel without changing any
+/// result.
+fn nearest_slot<const D: usize>(
+    coords: &[Coord<D>],
+    placement: &[usize],
+    coord: &Coord<D>,
+) -> usize {
+    let mut idx = 0usize;
+    let mut best = f64::INFINITY;
+    for (i, &r) in placement.iter().enumerate() {
+        let d = coords[r].distance(coord);
+        if d.total_cmp(&best) == std::cmp::Ordering::Less {
+            idx = i;
+            best = d;
+        }
+    }
+    idx
+}
+
+/// Batch size below which [`route_then_absorb`] stays serial: spawning
+/// scoped threads and allocating the assignment table costs more than
+/// routing a few thousand accesses does.
+const INGEST_SERIAL_THRESHOLD: usize = 8192;
+
+/// One batched summarization pass: routes every access to a clusterer slot
+/// (`slot_of`) and lets each clusterer observe its accesses' samples
+/// (`sample_of`) in stream order; returns how many accesses each slot
+/// served. Bit-identical to the serial route-then-observe loop whatever
+/// the thread count: `slot_of` must be pure, so phase 1 routes in parallel
+/// shards, and phase 2 hands disjoint `&mut` groups of clusterers to the
+/// workers, each replaying the stream for its own slots.
+pub(crate) fn route_then_absorb<const D: usize, T: Sync>(
+    accesses: &[T],
+    threads: usize,
+    clusterers: &mut [OnlineClusterer<D>],
+    slot_of: impl Fn(&T) -> usize + Sync,
+    sample_of: impl Fn(&T) -> (Coord<D>, f64) + Sync,
+) -> Vec<u64> {
+    let mut served = vec![0u64; clusterers.len()];
+    if accesses.is_empty() {
+        return served;
+    }
+    let threads = threads.max(1).min(accesses.len());
+    if threads == 1 || accesses.len() < INGEST_SERIAL_THRESHOLD {
+        for access in accesses {
+            let idx = slot_of(access);
+            let (coord, weight) = sample_of(access);
+            clusterers[idx].observe(coord, weight);
+            served[idx] += 1;
+        }
+        return served;
+    }
+
+    let mut assigned = vec![0u32; accesses.len()];
+    let chunk = accesses.len().div_ceil(threads);
+    let (slot_of, sample_of) = (&slot_of, &sample_of);
+    std::thread::scope(|scope| {
+        for (a_chunk, out_chunk) in accesses.chunks(chunk).zip(assigned.chunks_mut(chunk)) {
+            scope.spawn(move || {
+                for (access, out) in a_chunk.iter().zip(out_chunk.iter_mut()) {
+                    *out = slot_of(access) as u32;
+                }
+            });
+        }
+    });
+    for &slot in &assigned {
+        served[slot as usize] += 1;
+    }
+
+    let mut refs: Vec<(u32, &mut OnlineClusterer<D>)> = clusterers
+        .iter_mut()
+        .enumerate()
+        .map(|(i, c)| (i as u32, c))
+        .collect();
+    let per = refs.len().div_ceil(threads.min(refs.len()));
+    let assigned = &assigned;
+    std::thread::scope(|scope| {
+        for group in refs.chunks_mut(per) {
+            scope.spawn(move || {
+                for (slot, clusterer) in group.iter_mut() {
+                    for (access, _) in accesses.iter().zip(assigned).filter(|(_, a)| *a == slot) {
+                        let (coord, weight) = sample_of(access);
+                        clusterer.observe(coord, weight);
+                    }
+                }
+            });
+        }
+    });
+    served
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,6 +882,12 @@ mod tests {
             ManagerConfig::new(k, 4),
         )
         .unwrap()
+    }
+
+    /// Propose on `plan`, then commit — `rebalance()` for any plan.
+    fn propose_and_commit(mgr: &mut ReplicaManager<1>, plan: Plan<'_, 1>) -> MigrationDecision {
+        let pending = mgr.propose(plan).unwrap();
+        mgr.commit_rebalance(pending)
     }
 
     #[test]
@@ -1118,7 +969,7 @@ mod tests {
         for _ in 0..100 {
             mgr.record_access(Coord::new([50.0]), 1.0);
         }
-        let d = mgr.rebalance_to(&[5]).unwrap();
+        let d = propose_and_commit(&mut mgr, Plan::Placement(&[5]));
         assert!(d.applied, "{d:?}");
         assert_eq!(d.moved, 1);
         assert!(d.new_est_ms < d.old_est_ms);
@@ -1133,7 +984,7 @@ mod tests {
         for _ in 0..50 {
             mgr.record_access(Coord::new([0.0]), 1.0);
         }
-        let d = mgr.rebalance_to(&[0, 3]).unwrap();
+        let d = propose_and_commit(&mut mgr, Plan::Placement(&[0, 3]));
         assert!(!d.applied, "no move proposed means nothing to pay for");
         assert_eq!(d.moved, 0);
         assert_eq!(mgr.placement(), &[0, 3]);
@@ -1142,7 +993,7 @@ mod tests {
     #[test]
     fn external_placement_on_an_empty_period_is_noop() {
         let mut mgr = manager(2);
-        let d = mgr.rebalance_to(&[3, 5]).unwrap();
+        let d = propose_and_commit(&mut mgr, Plan::Placement(&[3, 5]));
         assert!(!d.applied);
         assert_eq!(d.moved, 0);
         assert_eq!(mgr.placement(), &[0, 3], "empty evidence moves nothing");
@@ -1154,7 +1005,7 @@ mod tests {
         for bad in [vec![], vec![3, 3], vec![0, 4], vec![0, 99]] {
             assert!(
                 matches!(
-                    mgr.propose_placement(&bad),
+                    mgr.propose(Plan::Placement(&bad)),
                     Err(ManagerError::InvalidSetup(_))
                 ),
                 "target {bad:?} must be rejected"
@@ -1162,6 +1013,36 @@ mod tests {
         }
         // A rejected proposal must not have consumed the period.
         assert_eq!(mgr.stats().rounds, 0);
+    }
+
+    #[test]
+    fn external_demand_is_validated() {
+        let mut mgr = manager(2);
+        mgr.record_access(Coord::new([1.0]), 1.0);
+        let before = mgr.stats();
+        for bad in [
+            (Coord::new([48.0]), f64::INFINITY),
+            (Coord::new([48.0]), f64::NAN),
+            (Coord::new([f64::NAN]), 1.0),
+            (Coord::new([f64::INFINITY]), 0.0),
+        ] {
+            let demand = [(Coord::new([2.0]), 1.0), bad];
+            assert!(
+                matches!(
+                    mgr.propose(Plan::Demand(&demand)),
+                    Err(ManagerError::InvalidSetup(_))
+                ),
+                "demand entry {bad:?} must be rejected, not panic"
+            );
+        }
+        assert_eq!(mgr.stats(), before, "a rejected plan accounts nothing");
+        // Zero and negative weights are not errors: they are dropped.
+        let d = propose_and_commit(
+            &mut mgr,
+            Plan::Demand(&[(Coord::new([48.0]), 0.0), (Coord::new([48.0]), -1.0)]),
+        );
+        assert!(!d.applied);
+        assert_eq!(mgr.stats().rounds, 1);
     }
 
     #[test]
@@ -1479,31 +1360,6 @@ mod tests {
         let d = mgr.rebalance().unwrap();
         assert!(d.applied, "{d:?}");
         assert!(mgr.placement().contains(&5));
-    }
-
-    #[test]
-    fn ingest_serial_threshold_is_tunable_and_neutral() {
-        let accesses = synthetic_accesses(2_000);
-        // Below the default threshold this batch takes the serial path; a
-        // tiny threshold forces the two-phase parallel path. Both must
-        // produce the identical manager state.
-        let mut serial = manager(2);
-        serial.ingest_period_with_threads(&accesses, 4);
-        let mut cfg = ManagerConfig::new(2, 4);
-        assert_eq!(cfg.ingest_serial_threshold, DEFAULT_INGEST_SERIAL_THRESHOLD);
-        cfg.ingest_serial_threshold = 1;
-        let mut parallel =
-            ReplicaManager::new(line_coords(), vec![0, 3, 5], vec![0, 3], cfg).unwrap();
-        parallel.ingest_period_with_threads(&accesses, 4);
-        assert_eq!(parallel.summaries(), serial.summaries());
-        assert_eq!(parallel.stream_stats(), serial.stream_stats());
-        // And a threshold above every batch size pins the serial loop
-        // (observable only through identical results — that is the point).
-        cfg.ingest_serial_threshold = usize::MAX;
-        let mut pinned =
-            ReplicaManager::new(line_coords(), vec![0, 3, 5], vec![0, 3], cfg).unwrap();
-        pinned.ingest_period_with_threads(&accesses, 4);
-        assert_eq!(pinned.summaries(), serial.summaries());
     }
 
     #[test]

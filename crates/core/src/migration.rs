@@ -118,17 +118,11 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
+        use crate::hash::splitmix64_next;
 
         fn shuffled(mut v: Vec<usize>, mut seed: u64) -> Vec<usize> {
             for i in (1..v.len()).rev() {
-                let j = (splitmix(&mut seed) % (i as u64 + 1)) as usize;
+                let j = (splitmix64_next(&mut seed) % (i as u64 + 1)) as usize;
                 v.swap(i, j);
             }
             v

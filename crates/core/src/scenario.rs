@@ -46,8 +46,8 @@ use georep_net::sim::{FaultPlan, SimDuration, SimTime};
 use crate::failure::degraded_mean_delay;
 use crate::forecast::ForecastConfig;
 use crate::gossip::{detected_failures, embed_via_simulation, embed_with_faults, GossipConfig};
-use crate::manager::{ManagerConfig, ManagerError, ReplicaManager};
-use crate::migration::MigrationDecision;
+use crate::hash::{fnv1a, FNV_OFFSET};
+use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::problem::{PlacementProblem, ProblemError};
 use crate::strategy::decentralized::{run_decentralized_with, DecentralConfig};
 use crate::strategy::predictive::{PlacementMode, Predictor};
@@ -253,16 +253,6 @@ impl From<ProblemError> for ScenarioError {
     fn from(e: ProblemError) -> Self {
         ScenarioError::Problem(e)
     }
-}
-
-/// FNV-1a over the debug rendering of the trace.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The scenario's faults, expressed twice: absolute windows on the tick
@@ -546,6 +536,15 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                 &[("tick", tick.into()), ("phase", "recovery".into())],
             );
         }
+        let ctx = TickCtx {
+            matrix,
+            clients: &clients,
+            coords: &embed.coords,
+            plan: &scoring_plan,
+            coordinator,
+            cfg: &cfg,
+            tick,
+        };
 
         // Failure detection: rerun gossip under the current fault state
         // whenever the crash/partition signature changes, plus once at
@@ -645,45 +644,21 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                 }
                 // The degradation loop responds immediately: re-placement,
                 // still gated by migration cost.
-                let oracle_next = oracle_demand(
-                    &clients,
-                    &scoring_plan,
-                    coordinator,
-                    &embed.coords,
-                    &cfg,
-                    tick,
-                );
-                let dctx = DecentralCtx {
-                    matrix,
-                    clients: &clients,
-                    plan: &scoring_plan,
-                    coordinator,
-                    cfg: &cfg,
-                    tick,
-                };
-                let d = mode_rebalance(
+                rebalance_round(
                     &mut mgr,
-                    cfg.mode,
                     &predictor,
-                    oracle_next.as_deref(),
-                    &dctx,
+                    &ctx,
+                    &mut trace,
+                    &mut replacements,
                     rec,
                 )?;
-                record_rebalance(d, tick, &mut trace, &mut replacements, tick >= p, rec);
             }
         }
 
         // Demand: every client the coordinator can currently hear from,
         // ingested as one batch. `ingest_period` is bit-identical to the
         // serial `record_access` loop, so the determinism contract holds.
-        let demand = demand_at(
-            &clients,
-            &scoring_plan,
-            coordinator,
-            &embed.coords,
-            &cfg,
-            tick,
-        );
+        let demand = ctx.demand_at(tick);
         mgr.ingest_period(&demand);
         predictor.observe(&demand);
 
@@ -702,31 +677,14 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         }
 
         if (tick + 1) % cfg.rebalance_every == 0 {
-            let oracle_next = oracle_demand(
-                &clients,
-                &scoring_plan,
-                coordinator,
-                &embed.coords,
-                &cfg,
-                tick,
-            );
-            let dctx = DecentralCtx {
-                matrix,
-                clients: &clients,
-                plan: &scoring_plan,
-                coordinator,
-                cfg: &cfg,
-                tick,
-            };
-            let d = mode_rebalance(
+            rebalance_round(
                 &mut mgr,
-                cfg.mode,
                 &predictor,
-                oracle_next.as_deref(),
-                &dctx,
+                &ctx,
+                &mut trace,
+                &mut replacements,
                 rec,
             )?;
-            record_rebalance(d, tick, &mut trace, &mut replacements, tick >= p, rec);
         }
     }
 
@@ -738,7 +696,7 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         .filter(|t| t.tick >= p)
         .filter_map(|t| t.mean_delay_ms)
         .fold(0.0, f64::max);
-    let trace_hash = fnv1a(format!("{trace:?}").as_bytes());
+    let trace_hash = fnv1a(FNV_OFFSET, format!("{trace:?}").as_bytes());
 
     // Flush the lower layers' always-on tallies into the recorder once per
     // run (the hot paths themselves never pay recorder dispatch).
@@ -786,144 +744,70 @@ pub fn run_scenario_with_recorder<R: Recorder>(
     })
 }
 
-/// The reachable-client demand of one tick, as both the ingest path and
-/// the oracle's foresight compute it — one function so they cannot drift.
-fn demand_at<const D: usize>(
-    clients: &[usize],
-    plan: &FaultPlan,
-    coordinator: usize,
-    coords: &[Coord<D>],
-    cfg: &ScenarioConfig,
-    tick: u32,
-) -> Vec<(Coord<D>, f64)> {
-    let now = SimTime::ZERO + cfg.tick.mul(tick as u64);
-    clients
-        .iter()
-        .filter(|&&c| !plan.node_down(c, now) && !plan.partitioned(c, coordinator, now))
-        .map(|&c| (coords[c], 1.0))
-        .collect()
-}
-
-/// What the oracle will be asked to pre-position for: the *next* tick's
-/// demand under the scoring plan as currently built (the fault plan itself
-/// is only constructed at fault onset — foresight does not extend to
-/// faults that have not been planned yet). `None` past the last tick or in
-/// non-oracle modes.
-fn oracle_demand<const D: usize>(
-    clients: &[usize],
-    plan: &FaultPlan,
-    coordinator: usize,
-    coords: &[Coord<D>],
-    cfg: &ScenarioConfig,
-    tick: u32,
-) -> Option<Vec<(Coord<D>, f64)>> {
-    if cfg.mode != PlacementMode::Oracle || tick + 1 >= 3 * cfg.phase_ticks {
-        return None;
-    }
-    Some(demand_at(clients, plan, coordinator, coords, cfg, tick + 1))
-}
-
-/// What the decentralized arm of [`mode_rebalance`] solves over: the true
-/// matrix, the demand population and the fault state of the current tick.
-struct DecentralCtx<'a> {
+/// What one tick's demand and re-placement read: the population, the fault
+/// state as currently planned, and the clock.
+struct TickCtx<'a, const D: usize> {
     matrix: &'a RttMatrix,
     clients: &'a [usize],
+    coords: &'a [Coord<D>],
     plan: &'a FaultPlan,
     coordinator: usize,
     cfg: &'a ScenarioConfig,
     tick: u32,
 }
 
-/// One re-placement decision under the configured mode: reactive on the
-/// recorded summaries, predictive on the forecast when the gate engages
-/// (reactive fallback otherwise), oracle on the supplied next-tick demand,
-/// decentralized on a gossip solve over the live candidates (reactive
-/// fallback when no solve is possible, e.g. every candidate quarantined
-/// away). The decentralized consensus is handed to
-/// [`ReplicaManager::rebalance_to`], so the migration cost gate applies to
-/// it exactly as to any centrally computed proposal.
-fn mode_rebalance<const D: usize, R: Recorder>(
-    mgr: &mut ReplicaManager<D>,
-    mode: PlacementMode,
-    predictor: &Predictor<D>,
-    oracle_next: Option<&[(Coord<D>, f64)]>,
-    dctx: &DecentralCtx<'_>,
-    rec: &R,
-) -> Result<MigrationDecision, ScenarioError> {
-    Ok(match mode {
-        PlacementMode::Reactive => mgr.rebalance()?,
-        PlacementMode::Predictive => {
-            if predictor.gate().engaged() {
-                let predicted = predictor
-                    .predict_next()
-                    .map_err(|_| ScenarioError::Setup("forecast on empty history"))?;
-                mgr.rebalance_on(&predicted)?
-            } else {
-                mgr.rebalance()?
-            }
-        }
-        PlacementMode::Oracle => match oracle_next {
-            Some(next) => mgr.rebalance_on(&predictor.aggregate(next))?,
-            None => mgr.rebalance()?,
-        },
-        PlacementMode::Decentralized => {
-            let live = mgr.candidates().to_vec();
-            let k = mgr.placement().len().min(live.len());
-            if k == 0 {
-                return Ok(mgr.rebalance()?);
-            }
-            // Demand the protocol shards: the same reachability predicate
-            // the ingest path uses, as weights over the full client list so
-            // the cost-table rows stay stable across fault states.
-            let now = SimTime::ZERO + dctx.cfg.tick.mul(dctx.tick as u64);
-            let weights: Vec<f64> = dctx
-                .clients
-                .iter()
-                .map(|&c| {
-                    let reachable = !dctx.plan.node_down(c, now)
-                        && !dctx.plan.partitioned(c, dctx.coordinator, now);
-                    if reachable {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let dcfg = DecentralConfig {
-                quiet_rounds: 2,
-                refine_round: 1,
-                max_rounds: 24,
-                jitter_sigma: 0.0,
-                seed: dctx.cfg.seed ^ 0xDECE_0000 ^ dctx.tick as u64,
-                threads: dctx.cfg.threads,
-                ..DecentralConfig::new(k)
-            };
-            let solve = run_decentralized_with(
-                dctx.matrix,
-                &live,
-                dctx.clients,
-                &weights,
-                &dcfg,
-                FaultPlan::new(dcfg.seed),
-                rec,
-            );
-            match solve {
-                Ok(report) => mgr.rebalance_to(&report.placement)?,
-                Err(_) => mgr.rebalance()?,
-            }
-        }
-    })
+impl<const D: usize> TickCtx<'_, D> {
+    /// Whether the coordinator can hear from client `c` at `tick` — one
+    /// predicate for the ingest path, the oracle's foresight and the
+    /// decentralized demand weights, so they cannot drift.
+    fn reachable(&self, c: usize, tick: u32) -> bool {
+        let now = SimTime::ZERO + self.cfg.tick.mul(tick as u64);
+        !self.plan.node_down(c, now) && !self.plan.partitioned(c, self.coordinator, now)
+    }
+
+    /// The reachable-client demand of `tick`.
+    fn demand_at(&self, tick: u32) -> Vec<(Coord<D>, f64)> {
+        let reachable = self.clients.iter().filter(|&&c| self.reachable(c, tick));
+        reachable.map(|&c| (self.coords[c], 1.0)).collect()
+    }
 }
 
-fn record_rebalance<R: Recorder>(
-    d: MigrationDecision,
-    tick: u32,
+/// One re-placement of the run under the configured mode, committed and
+/// logged. The demand comes from [`Predictor::demand_for`]; the oracle's
+/// foresight is the *next* tick's demand under the scoring plan as
+/// currently built (the fault plan itself is only constructed at fault
+/// onset — foresight does not extend to faults that have not been planned
+/// yet), and nothing past the last tick. Decentralized mode swaps the
+/// solver instead: the gossip consensus goes through
+/// [`Plan::Placement`], so the migration cost gate applies to it exactly
+/// as to any centrally computed proposal (reactive fallback when no solve
+/// is possible).
+fn rebalance_round<const D: usize, R: Recorder>(
+    mgr: &mut ReplicaManager<D>,
+    predictor: &Predictor<D>,
+    ctx: &TickCtx<'_, D>,
     trace: &mut Vec<TraceEvent>,
     replacements: &mut u64,
-    after_fault_onset: bool,
     rec: &R,
-) {
-    if d.applied && d.moved > 0 && after_fault_onset {
+) -> Result<(), ScenarioError> {
+    let (mode, tick) = (ctx.cfg.mode, ctx.tick);
+    let next = (tick + 1 < 3 * ctx.cfg.phase_ticks).then(|| ctx.demand_at(tick + 1));
+    let demand = predictor
+        .demand_for(mode, next.as_deref())
+        .map_err(|_| ScenarioError::Setup("forecast on empty history"))?;
+    let consensus = match mode {
+        PlacementMode::Decentralized => decentralized_consensus(mgr, ctx, rec),
+        _ => None,
+    };
+    let plan = match (&consensus, &demand) {
+        (Some(placement), _) => Plan::Placement(placement),
+        (None, Some(demand)) => Plan::Demand(demand),
+        (None, None) => Plan::Recorded,
+    };
+    let pending = mgr.propose(plan)?;
+    let d = mgr.commit_rebalance(pending);
+
+    if d.applied && d.moved > 0 && tick >= ctx.cfg.phase_ticks {
         *replacements += 1;
     }
     trace.push(TraceEvent::Rebalance {
@@ -949,6 +833,39 @@ fn record_rebalance<R: Recorder>(
             ],
         );
     }
+    Ok(())
+}
+
+/// The placement a peer-to-peer gossip solve over the live candidates
+/// converges to on the current tick's true matrix and fault state; `None`
+/// when no solve is possible (e.g. every candidate quarantined away).
+fn decentralized_consensus<const D: usize, R: Recorder>(
+    mgr: &ReplicaManager<D>,
+    ctx: &TickCtx<'_, D>,
+    rec: &R,
+) -> Option<Vec<usize>> {
+    let live = mgr.candidates();
+    let k = mgr.placement().len().min(live.len());
+    if k == 0 {
+        return None;
+    }
+    // Demand the protocol shards: reachability as weights over the full
+    // client list, so the cost-table rows stay stable across fault states.
+    let weight = |&c: &usize| if ctx.reachable(c, ctx.tick) { 1.0 } else { 0.0 };
+    let weights: Vec<f64> = ctx.clients.iter().map(weight).collect();
+    let dcfg = DecentralConfig {
+        quiet_rounds: 2,
+        refine_round: 1,
+        max_rounds: 24,
+        jitter_sigma: 0.0,
+        seed: ctx.cfg.seed ^ 0xDECE_0000 ^ ctx.tick as u64,
+        threads: ctx.cfg.threads,
+        ..DecentralConfig::new(k)
+    };
+    let plan = FaultPlan::new(dcfg.seed);
+    run_decentralized_with(ctx.matrix, live, ctx.clients, &weights, &dcfg, plan, rec)
+        .ok()
+        .map(|report| report.placement)
 }
 
 /// Chooses fault targets from the pre-fault placement. The coordinator is

@@ -43,6 +43,7 @@ use georep_net::sim::{
     FaultPlan, Network, NodeId, Process, ProcessCtx, ProcessNet, SimDuration, VersionedView,
 };
 
+use crate::hash::{fnv1a, mix64, splitmix64_next, FNV_OFFSET};
 use crate::objective::{CostTable, IncrementalEval, MatrixDelay};
 use crate::strategy::greedy::greedy_fill;
 use crate::strategy::PlaceError;
@@ -195,11 +196,7 @@ struct PlaceNode {
 
 impl PlaceNode {
     fn rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.rng_state)
     }
 
     fn merge_entries(&mut self, entries: Vec<(u32, u64, ShardSummary)>) {
@@ -556,10 +553,7 @@ pub fn run_decentralized_with<R: Recorder>(
         .map(|slot| {
             let mut view = VersionedView::new(m);
             view.publish(slot, coarse[slot].clone());
-            let mut mix = stagger_salt ^ (slot as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            mix = (mix ^ (mix >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            mix = (mix ^ (mix >> 27)).wrapping_mul(0x94D049BB133111EB);
-            mix ^= mix >> 31;
+            let mix = mix64(stagger_salt ^ (slot as u64).wrapping_mul(0x9E3779B97F4A7C15));
             PlaceNode {
                 slot,
                 cfg: *cfg,
@@ -665,21 +659,14 @@ pub fn run_decentralized_with<R: Recorder>(
         tally.moves += p.tally.moves;
     }
 
-    let mut fingerprint: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut fold = |byte: u8| {
-        fingerprint ^= byte as u64;
-        fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut fingerprint = FNV_OFFSET;
     for p in &procs {
         for &slot in &p.placement_slots {
-            for byte in (table.site_of(slot) as u64).to_le_bytes() {
-                fold(byte);
-            }
+            fingerprint = fnv1a(fingerprint, &(table.site_of(slot) as u64).to_le_bytes());
         }
-        for byte in p.converged_round.unwrap_or(u32::MAX).to_le_bytes() {
-            fold(byte);
-        }
-        fold(0xFF);
+        let converged = p.converged_round.unwrap_or(u32::MAX);
+        fingerprint = fnv1a(fingerprint, &converged.to_le_bytes());
+        fingerprint = fnv1a(fingerprint, &[0xFF]);
     }
 
     if rec.enabled() {

@@ -7,8 +7,8 @@
 //! loop (ROADMAP item 1, after Pfandzelter & Bermbach): a [`Predictor`]
 //! folds each period's demand into a [`DemandHistory`], and when the
 //! [`forecast::gate`] engages, the next rebalance runs on the *predicted*
-//! next-period demand via [`crate::manager::ReplicaManager::rebalance_on`]
-//! — the migration lands before the shift does.
+//! next-period demand via [`crate::manager::Plan::Demand`] — the migration
+//! lands before the shift does.
 //!
 //! Three [`PlacementMode`]s share one driver, [`run_mode`]:
 //!
@@ -17,7 +17,7 @@
 //! * [`PlacementMode::Predictive`] — forecast when the gate engages,
 //!   reactive fallback otherwise (so stationary workloads are served
 //!   **bit-identically** to the reactive baseline: the gate declines with
-//!   [`GateDecision::Stationary`] and the same `rebalance()` runs);
+//!   [`GateDecision::Stationary`] and the same recorded plan runs);
 //! * [`PlacementMode::Oracle`] — perfect foresight: the rebalance runs on
 //!   the *actual* next-period demand, aggregated onto the same region set
 //!   a forecast would use. Oracle regret is the floor any forecaster can
@@ -38,7 +38,8 @@
 use georep_coord::Coord;
 
 use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError, GateDecision};
-use crate::manager::{ManagerConfig, ManagerError, ManagerStats, ReplicaManager};
+use crate::hash::{fnv1a, FNV_OFFSET};
+use crate::manager::{ManagerConfig, ManagerError, ManagerStats, Plan, ReplicaManager};
 
 /// Which loop drives re-placement in [`run_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,6 +180,29 @@ impl<const D: usize> Predictor<D> {
     pub fn periods(&self) -> usize {
         self.history.periods()
     }
+
+    /// The demand `mode` solves the next round on; `None` means the
+    /// manager's own recorded summaries ([`Plan::Recorded`]). Predictive is
+    /// the forecast when the gate engages and recorded otherwise (so a
+    /// declined gate *is* the reactive round); the oracle is `next` — the
+    /// actual next period, when there is one — aggregated onto the region
+    /// set; decentralized swaps the solver, not the demand.
+    ///
+    /// # Errors
+    ///
+    /// As [`Predictor::predict_next`].
+    pub fn demand_for(
+        &self,
+        mode: PlacementMode,
+        next: Option<&[(Coord<D>, f64)]>,
+    ) -> Result<Option<Vec<(Coord<D>, f64)>>, ForecastError> {
+        Ok(match mode {
+            PlacementMode::Reactive | PlacementMode::Decentralized => None,
+            PlacementMode::Predictive if self.gate().engaged() => Some(self.predict_next()?),
+            PlacementMode::Predictive => None,
+            PlacementMode::Oracle => next.map(|next| self.aggregate(next)),
+        })
+    }
 }
 
 /// Weighted mean distance from each demand point to its nearest replica —
@@ -248,14 +272,6 @@ impl ModeReport {
     }
 }
 
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 /// Serves `periods` of demand through a fresh [`ReplicaManager`] under
 /// `mode`, re-placing after every period. Per period `t`:
 ///
@@ -267,10 +283,9 @@ fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
 ///    dollars were wasted;
 /// 3. ingest the period into the manager's summarizers and the predictor's
 ///    history;
-/// 4. re-place: reactive on the recorded summaries; predictive on the
-///    forecast when the gate engages (reactive fallback otherwise); oracle
-///    on the actual period `t + 1` (reactive on the last period — there is
-///    no next period to foresee).
+/// 4. re-place on [`Predictor::demand_for`]'s answer for `mode` (the
+///    oracle is reactive on the last period — there is no next period to
+///    foresee).
 ///
 /// `regions` fixes the forecast/oracle aggregation grid (typically the
 /// candidate coordinates). The demand slices are borrowed per period so
@@ -278,7 +293,8 @@ fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
 ///
 /// # Errors
 ///
-/// [`ForecastError`]-derived setup failures surface as
+/// [`ForecastError`]-derived setup failures and
+/// [`PlacementMode::Decentralized`] surface as
 /// [`ManagerError::InvalidSetup`]; clustering failures as
 /// [`ManagerError::Cluster`].
 pub fn run_mode<const D: usize>(
@@ -290,6 +306,11 @@ pub fn run_mode<const D: usize>(
     mode: PlacementMode,
     cfg: &ModeConfig,
 ) -> Result<ModeReport, ManagerError> {
+    if mode == PlacementMode::Decentralized {
+        return Err(ManagerError::InvalidSetup(
+            "decentralized placement needs an RTT matrix; drive it via run_scenario",
+        ));
+    }
     let mut mgr = ReplicaManager::new(
         coords.to_vec(),
         candidates.to_vec(),
@@ -306,7 +327,7 @@ pub fn run_mode<const D: usize>(
     let mut wasted_usd = 0.0f64;
     let mut gate_engaged = 0usize;
     let mut gate_declined = 0usize;
-    let mut fingerprint = 0xcbf29ce484222325u64;
+    let mut fingerprint = FNV_OFFSET;
     // The previous period's committed migration, still awaiting its
     // realized verdict: (placement it replaced, dollars it cost).
     let mut open_bill: Option<(Vec<usize>, f64)> = None;
@@ -317,9 +338,9 @@ pub fn run_mode<const D: usize>(
         weighted_delay += mean_delay(coords, &live, demand) * period_weight(demand);
         total_weight += period_weight(demand);
         for &r in &live {
-            fingerprint = fnv1a_fold(fingerprint, &(r as u64).to_le_bytes());
+            fingerprint = fnv1a(fingerprint, &(r as u64).to_le_bytes());
         }
-        fingerprint = fnv1a_fold(fingerprint, &[0xff]);
+        fingerprint = fnv1a(fingerprint, &[0xff]);
 
         // 2. Settle the previous round's migration against what actually
         // happened.
@@ -334,30 +355,17 @@ pub fn run_mode<const D: usize>(
         predictor.observe(demand);
 
         // 4. Re-place for the next period.
-        let decision = match mode {
-            PlacementMode::Reactive => mgr.rebalance()?,
-            PlacementMode::Predictive => {
-                if predictor.gate().engaged() {
-                    gate_engaged += 1;
-                    let predicted = predictor
-                        .predict_next()
-                        .map_err(|_| ManagerError::InvalidSetup("forecast on empty history"))?;
-                    mgr.rebalance_on(&predicted)?
-                } else {
-                    gate_declined += 1;
-                    mgr.rebalance()?
-                }
+        let solve_on = predictor
+            .demand_for(mode, periods.get(t + 1).map(Vec::as_slice))
+            .map_err(|_| ManagerError::InvalidSetup("forecast on empty history"))?;
+        if mode == PlacementMode::Predictive {
+            match solve_on {
+                Some(_) => gate_engaged += 1,
+                None => gate_declined += 1,
             }
-            PlacementMode::Oracle => match periods.get(t + 1) {
-                Some(next) => mgr.rebalance_on(&predictor.aggregate(next))?,
-                None => mgr.rebalance()?,
-            },
-            PlacementMode::Decentralized => {
-                return Err(ManagerError::InvalidSetup(
-                    "decentralized placement needs an RTT matrix; drive it via run_scenario",
-                ))
-            }
-        };
+        }
+        let pending = mgr.propose(solve_on.as_deref().map_or(Plan::Recorded, Plan::Demand))?;
+        let decision = mgr.commit_rebalance(pending);
         if decision.applied && decision.moved > 0 {
             migrations += 1;
             migration_usd += decision.cost_usd;

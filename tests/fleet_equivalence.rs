@@ -14,11 +14,14 @@
 //!   its isolated twin does, for all-hot and mixed hot/cold tierings;
 //! * **fault transparency** — a deterministic fault schedule derived from
 //!   a [`FaultPlan`] (crash windows sampled at period boundaries) leaves
-//!   the fleet and its twins in identical states, at every thread count.
+//!   the fleet and its twins in identical states, at every thread count;
+//! * **override transparency** — `rebalance_on` with a mixed `Some`/`None`
+//!   override vector is its twins calling `propose` with the matching
+//!   [`Plan`], with and without a binding migration budget.
 
 use georep_coord::Coord;
 use georep_core::fleet::{FleetConfig, FleetManager, FleetRound};
-use georep_core::manager::{ManagerConfig, ReplicaManager};
+use georep_core::manager::{ManagerConfig, Plan, ReplicaManager};
 use georep_core::migration::MigrationDecision;
 use georep_net::sim::time::SimTime;
 use georep_net::sim::FaultPlan;
@@ -294,6 +297,100 @@ fn fleets_stay_equivalent_under_a_fault_plan() {
     let config = fleet_config(48, 3, 2, 0xF417);
     let trace = keyed_trace(48, 0xC0FFEE, 8_000);
     assert_equivalent(&trace, config, periods, &schedule);
+}
+
+#[test]
+fn mixed_overrides_match_independent_managers_proposing_the_same_plans() {
+    type Demand = Vec<(Coord<D>, f64)>;
+    let periods = 4;
+    let trace = keyed_trace(64, 0x0F0F, 8_000);
+    let per = trace.len() / periods;
+    let initial: Vec<usize> = candidates()[..2].to_vec();
+    let base = fleet_config(64, 6, 2, 0x0DD5);
+    let tiering = georep_core::fleet::Tiering::new(64, 6, 2).unwrap();
+    // Each period's owner-routed sub-traces.
+    let recorded: Vec<Vec<Demand>> = trace
+        .chunks(per)
+        .map(|chunk| {
+            let mut buckets = vec![Demand::new(); tiering.owner_count()];
+            for &(object, coord, weight) in chunk {
+                buckets[tiering.owner_of(object)].push((coord, weight));
+            }
+            buckets
+        })
+        .collect();
+    // Even owners pre-position on their actual next period (an oracle
+    // forecast), owner 1 is handed an empty forecast (the no-op round),
+    // every other owner stays reactive.
+    let overrides_for = |p: usize| -> Vec<Option<Demand>> {
+        let next = recorded[(p + 1) % periods].iter().cloned().enumerate();
+        next.map(|(owner, bucket)| match owner {
+            1 => Some(Demand::new()),
+            o if o % 2 == 0 => Some(bucket),
+            _ => None,
+        })
+        .collect()
+    };
+
+    for budget in [f64::INFINITY, 0.25] {
+        let mut reference: Option<Vec<FleetRound>> = None;
+        for threads in [1usize, 2, 8] {
+            let config = FleetConfig {
+                migration_budget_usd: budget,
+                threads,
+                ..base
+            };
+            let mut fleet =
+                FleetManager::new(coords(), candidates(), initial.clone(), config).unwrap();
+            let mut solo: Vec<ReplicaManager<D>> = (0..fleet.owner_count())
+                .map(|owner| {
+                    let cfg = FleetManager::<D>::owner_config(&config, owner);
+                    ReplicaManager::new(coords(), candidates(), initial.clone(), cfg).unwrap()
+                })
+                .collect();
+
+            let mut rounds = Vec::new();
+            for (p, chunk) in trace.chunks(per).enumerate() {
+                let overrides = overrides_for(p);
+                fleet.ingest_period(chunk);
+                let round = fleet.rebalance_on(&overrides).unwrap();
+                let mut deferred = 0;
+                for (owner, mgr) in solo.iter_mut().enumerate() {
+                    mgr.ingest_period(&recorded[p][owner]);
+                    let plan = overrides[owner]
+                        .as_deref()
+                        .map_or(Plan::Recorded, Plan::Demand);
+                    let pending = mgr.propose(plan).unwrap();
+                    // The twin takes the scheduler's verdict, nothing else.
+                    let decision = if round.decisions[owner].applied == pending.decision.applied {
+                        mgr.commit_rebalance(pending)
+                    } else {
+                        deferred += 1;
+                        mgr.defer_rebalance(pending)
+                    };
+                    let in_fleet = fleet.owner(owner);
+                    assert_eq!(decision, round.decisions[owner], "owner {owner} period {p}");
+                    assert_eq!(mgr.placement(), in_fleet.placement());
+                    assert_eq!(mgr.stats(), in_fleet.stats());
+                    assert_eq!(mgr.kmeans_stats(), in_fleet.kmeans_stats());
+                    assert_eq!(mgr.summaries(), in_fleet.summaries());
+                }
+                assert_eq!(deferred, round.deferred);
+                assert!(round.spent_usd <= budget);
+                rounds.push(round);
+            }
+            assert!(rounds.iter().any(|r| r.committed > 0));
+            assert_eq!(
+                rounds.iter().any(|r| r.deferred > 0),
+                budget.is_finite(),
+                "the finite budget must bind, the infinite one never"
+            );
+            match &reference {
+                None => reference = Some(rounds),
+                Some(first) => assert_eq!(first, &rounds, "threads={threads}"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use georep::coord::rnp::Rnp;
 use georep::coord::{Coord, EmbeddingRunner};
 use georep::core::experiment::DIMS;
 use georep::core::failure::{degraded_mean_delay, single_failure_impact};
-use georep::core::manager::{ManagerConfig, ReplicaManager};
+use georep::core::manager::{ManagerConfig, Plan, ReplicaManager};
 use georep::core::problem::PlacementProblem;
 use georep::core::quorum::quorum_mean_delay;
 use georep::net::sim::{SimDuration, SimTime, Simulation};
@@ -340,5 +340,67 @@ fn routing_quality_estimated_vs_true() {
     assert!(
         est_total <= true_total * 1.25,
         "coordinate routing cost {est_total:.0} should be within 25% of perfect {true_total:.0}"
+    );
+}
+
+/// Every [`Plan`] goes through the one pipeline: over four periods of
+/// demand that shifts every other period (and a trailing empty one), a
+/// manager solving on its *own* pseudo points via `Plan::Demand`, and one
+/// handed the reactive twin's proposal via `Plan::Placement`, decide
+/// exactly what `Plan::Recorded` decides.
+#[test]
+fn every_plan_decides_what_the_recorded_plan_decides() {
+    let fx = fixture();
+    let mut cfg = ManagerConfig::new(3, 6);
+    cfg.gain_per_dollar = 0.5;
+    let fresh = || {
+        let initial = fx.candidates[..3].to_vec();
+        ReplicaManager::new(fx.coords.clone(), fx.candidates.clone(), initial, cfg).unwrap()
+    };
+    let (mut recorded, mut on_demand, mut on_placement) = (fresh(), fresh(), fresh());
+    let quarter = fx.clients.len() / 4;
+    let mut applied = 0;
+    for period in 0..5 {
+        // Every other period the demand moves to another quarter of the clients.
+        let accesses: Vec<(Coord<DIMS>, f64)> = fx.clients[(period / 2) * quarter..][..quarter]
+            .iter()
+            .filter(|_| period < 4)
+            .map(|&c| (fx.coords[c], 1.0 + (c % 5) as f64))
+            .collect();
+        for mgr in [&mut recorded, &mut on_demand, &mut on_placement] {
+            mgr.ingest_period(&accesses);
+        }
+        let pending = recorded.propose(Plan::Recorded).unwrap();
+        assert_eq!(pending.is_empty_period(), period == 4);
+
+        // (a) The manager's own pseudo points, read back off its summaries.
+        let own: Vec<(Coord<DIMS>, f64)> = on_demand
+            .summaries()
+            .iter()
+            .flat_map(|s| s.to_micro_clusters::<DIMS>().expect("own summary"))
+            .map(|mc| (mc.centroid(), mc.weight()))
+            .collect();
+        assert_eq!(on_demand.propose(Plan::Demand(&own)).unwrap(), pending);
+        // (b) The twin's proposal, handed back as an external placement:
+        // the same decision, without the solver having run.
+        let target = Plan::Placement(&pending.decision.proposed);
+        assert_eq!(on_placement.propose(target).unwrap(), pending);
+        assert_eq!(on_placement.kmeans_stats(), Default::default());
+
+        applied += usize::from(pending.decision.applied);
+        for mgr in [&mut recorded, &mut on_demand, &mut on_placement] {
+            mgr.commit_rebalance(pending.clone());
+        }
+        assert_eq!(on_demand.placement(), recorded.placement());
+        assert_eq!(on_demand.stats(), recorded.stats());
+        assert_eq!(on_demand.kmeans_stats(), recorded.kmeans_stats());
+        assert_eq!(on_demand.summaries(), recorded.summaries());
+        assert_eq!(on_placement.placement(), recorded.placement());
+        assert_eq!(on_placement.stats(), recorded.stats());
+        assert_eq!(on_placement.summaries(), recorded.summaries());
+    }
+    assert!(
+        (1..4).contains(&applied),
+        "gate must both pass and block: {applied}"
     );
 }

@@ -225,19 +225,6 @@ pub fn report_checks(checks: &[ShapeCheck]) -> usize {
     failed
 }
 
-/// Peak resident set of this process, MiB, from `/proc/self/status`
-/// (`VmHWM`); 0.0 where the file is unavailable.
-pub fn peak_rss_mb() -> f64 {
-    let Ok(status) = fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

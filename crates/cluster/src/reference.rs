@@ -6,9 +6,10 @@
 //! down to the last `f64` bit. This module preserves the straightforward
 //! originals — full nearest-centroid scans, serial restarts, centroids
 //! recomputed from `sum / count` on every read, a fresh O(m²) sweep per
-//! overflow merge — so the equivalence suite and the `bench_streaming`
-//! harness can hold the refactor to that claim against the real pre-PR
-//! cost, not a strawman.
+//! overflow merge — so the equivalence suites
+//! (`tests/streaming_equivalence.rs`, and the whole-manager trajectory in
+//! `tests/manager_pipeline.rs`) can hold the refactor to that claim against
+//! the real pre-PR code, not a strawman.
 //!
 //! Nothing here is part of the supported API.
 

@@ -36,7 +36,7 @@
 //!   ready to regenerate every figure;
 //! * [`telemetry`] — zero-cost-when-disabled run instrumentation: the
 //!   [`telemetry::Recorder`] trait, in-memory aggregation, JSONL traces and
-//!   the [`telemetry::RunReport`] the bench binaries emit;
+//!   the [`telemetry::RunReport`] aggregate of a finished run;
 //! * [`metrics`], [`combin`] — supporting statistics and combinatorics.
 //!
 //! # Example: one evaluation point of Figure 2

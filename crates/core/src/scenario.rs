@@ -69,7 +69,7 @@ pub enum ScenarioKind {
 }
 
 impl ScenarioKind {
-    /// Stable machine-readable name (used in `BENCH_robustness.json`).
+    /// Stable machine-readable name (report labels, trace events).
     pub fn name(&self) -> &'static str {
         match self {
             ScenarioKind::SingleDcCrash => "single_dc_crash",
@@ -344,9 +344,8 @@ impl Faults {
 ///
 /// Returns `(mean_delay_ms, unreachable_clients)`; the mean is `None` when
 /// no client could be served at all. Public so correlated-failure scoring
-/// (compiled [`crate::domains`] outages in `bench_robustness` and the
-/// domain-scenario suite) goes through the exact same delay accounting as
-/// the scenario driver itself.
+/// (compiled [`crate::domains`] outages in the domain-scenario suite) goes
+/// through the exact same delay accounting as the scenario driver itself.
 pub fn fault_aware_delay(
     matrix: &RttMatrix,
     placement: &[usize],

@@ -715,8 +715,8 @@ pub fn run_decentralized_with<R: Recorder>(
 }
 
 /// The central comparator on the same inputs, exposed so callers (the
-/// differential suite, `bench_decentral`) score gaps through exactly the
-/// machinery the protocol nodes run.
+/// differential suite, the repo benchmark's `decide_mesh` verification)
+/// score gaps through exactly the machinery the protocol nodes run.
 ///
 /// # Errors
 ///

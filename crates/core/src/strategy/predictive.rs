@@ -27,7 +27,8 @@
 //! [`ModeReport`] scores each run with the **delay regret** (mean realized
 //! delay above the oracle's) and the **wasted-migration USD** (dollars
 //! spent on committed migrations the realized next period did not pay
-//! back). `bench_predict` emits both for the diurnal and drift workloads.
+//! back). `tests/predictive_placement.rs` prints both for the diurnal and
+//! drift workloads.
 //!
 //! Determinism: the driver is a serial loop; the only parallelism lives in
 //! the manager's ingest/k-means paths, both of which are bit-identical

@@ -19,7 +19,8 @@
 //! Because only survival-improving swaps are ever accepted, the outcome's
 //! survival is ≥ the baseline's *by construction*, and its delay is within
 //! `1 + delay_slack` of delay-optimal — the two sides of the
-//! (delay, survival) front `bench_robustness` sweeps per topology family.
+//! (delay, survival) front `tests/domain_scenarios.rs` checks per topology
+//! family.
 
 use super::greedy::greedy_fill;
 use super::PlaceError;

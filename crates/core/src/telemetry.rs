@@ -24,16 +24,19 @@
 //!   memory *and* stream to a trace file).
 //!
 //! A finished [`InMemoryRecorder`] collapses into a [`RunReport`] — the
-//! aggregate the bench binaries emit next to their JSON output and which
-//! `check_bench` validates in CI.
+//! JSON aggregate `examples/fleet.rs` prints and `tests/trace_roundtrip.rs`
+//! compares replays by.
 //!
 //! # Overhead contract
 //!
 //! Instrumented code must stay bit-identical with any recorder attached:
 //! recorder calls never touch an RNG stream, never feed back into `f64`
 //! arithmetic that reaches a report, and only ever *read* the values they
-//! record. With [`NullRecorder`] the measured overhead on the streaming
-//! ingest path is ≤ 1 % (recorded in `BENCH_streaming.json`).
+//! record (pinned by the recorder-attached tests of
+//! `tests/streaming_equivalence.rs` and `tests/robustness_scenarios.rs`).
+//! [`NullRecorder`] is empty `#[inline(always)]` bodies with
+//! `enabled() == false`, so guarded call sites compile away; the cost of a
+//! *live* recorder is not measured anywhere yet.
 //!
 //! # Trace schema
 //!
@@ -46,7 +49,7 @@
 //! ```
 //!
 //! Set `GEOREP_TRACE=out.jsonl` to make [`TraceWriter::from_env`] return a
-//! writer; the scenario/bench drivers check that variable.
+//! writer; `georep compare` checks that variable.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -529,8 +532,7 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<'_, A, B> {
 }
 
 /// Aggregate of one run: the counters and histogram summaries of an
-/// [`InMemoryRecorder`], serializable as the JSON document the bench
-/// binaries emit next to their results (and `check_bench` validates).
+/// [`InMemoryRecorder`], serializable as one JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the run (e.g. the emitting binary).

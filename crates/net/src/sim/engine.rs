@@ -59,9 +59,10 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// uses ~1; batching a few dozen beats that on real hardware — the ring
 /// shrinks by the same factor (so rotations stay in L2), and each visited
 /// bucket issues a batch of independent arena reads the CPU can overlap
-/// instead of one dependent miss per rotation. Measured on the `bench_scale`
-/// hold workload, 16–64 all sit on a plateau ~2× faster than 4; the front
-/// heap stays ≤ ~2× this size, so pops stay cheap.
+/// instead of one dependent miss per rotation. Measured on a hold-model
+/// workload (the shape of the repo benchmark's `net.sim.hold_events_per_s`
+/// probe), 16–64 all sit on a plateau ~2× faster than 4; the front heap
+/// stays ≤ ~2× this size, so pops stay cheap.
 const TARGET_OCCUPANCY: usize = 32;
 
 /// Handle to a scheduled event, for [`Simulation::cancel`] /

@@ -3,8 +3,8 @@
 //! [`super::engine`] replaced this scheduler with a calendar queue; this
 //! module preserves the heap-based algorithm — O(log n) push/pop over a
 //! single `BinaryHeap`, earliest `(at, seq)` first — so the differential
-//! suite (`tests/sim_equivalence.rs`) and `bench_scale` can prove the fast
-//! engine produces bit-identical execution order, timestamps and statistics.
+//! suite (`tests/sim_equivalence.rs`) can prove the fast engine produces
+//! bit-identical execution order, timestamps and statistics.
 //! The same pattern as `georep_cluster::reference`: never optimised, only
 //! trusted.
 //!

@@ -70,7 +70,7 @@ pub enum GraphFamily {
 }
 
 impl GraphFamily {
-    /// Stable machine-readable name (used in `BENCH_robustness.json`).
+    /// Stable machine-readable name (report labels, test output).
     pub fn name(&self) -> &'static str {
         match self {
             GraphFamily::BarabasiAlbert { .. } => "ba",

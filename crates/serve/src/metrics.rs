@@ -21,6 +21,10 @@ use georep_core::telemetry::{bucket_bound, InMemoryRecorder, HISTOGRAM_BUCKETS};
 
 use crate::service::ShardProducer;
 
+/// Largest `POST /ingest` body accepted; a larger `Content-Length` is
+/// answered `413` before anything is allocated for it.
+const MAX_INGEST_BODY: usize = 1 << 20;
+
 /// Renders a recorder snapshot in the Prometheus text exposition format.
 ///
 /// Metric names are the recorder names with `.` mapped to `_` and a
@@ -145,6 +149,12 @@ impl MetricsExporter {
                     &body,
                 )
             }
+            ("POST", "/ingest") if content_length > MAX_INGEST_BODY => respond(
+                reader.into_inner(),
+                "413 Payload Too Large",
+                "text/plain",
+                &format!("body exceeds {MAX_INGEST_BODY} bytes\n"),
+            ),
             ("POST", "/ingest") => {
                 let mut body = vec![0u8; content_length];
                 reader.read_exact(&mut body)?;
@@ -221,6 +231,11 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::MockClock;
+    use crate::service::{IngestService, ServeConfig};
+    use georep_coord::Coord;
+    use georep_core::fleet::{FleetConfig, FleetManager};
+    use georep_core::manager::ManagerConfig;
     use georep_core::telemetry::Recorder;
 
     /// Golden snapshot of a full `/metrics` page. Pins the exposition
@@ -327,24 +342,68 @@ georep_serve_lag_ms_count 3\n";
 
     #[test]
     fn http_endpoint_serves_metrics_and_rejects_unknown_paths() {
+        // A two-region, one-owner service: its producer backs `/ingest`,
+        // and its `poll` shows what the endpoint actually submitted.
+        let regions = Arc::new(vec![Coord::new([0.0; 3]), Coord::new([50.0; 3])]);
+        let fleet = FleetManager::new_shared(
+            Arc::clone(&regions),
+            vec![0, 1],
+            vec![0],
+            FleetConfig::new(1, 1, 0, ManagerConfig::new(1, 4)),
+        )
+        .expect("valid fleet");
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let (mut svc, mut producers) = IngestService::new(fleet, regions, MockClock::new(), config);
+
         let rec = Arc::new(InMemoryRecorder::new());
         rec.counter("serve.ticks", 7);
-        let exporter = MetricsExporter::bind("127.0.0.1:0", Arc::clone(&rec), None).expect("bind");
+        let exporter =
+            MetricsExporter::bind("127.0.0.1:0", Arc::clone(&rec), producers.pop()).expect("bind");
         let addr = exporter.local_addr().expect("addr");
         let stop = exporter.stop_flag();
         let server = std::thread::spawn(move || exporter.serve());
 
-        let get = |path: &str| -> String {
+        // Sends `head` (request line plus headers) and `body`, half-closes
+        // so a server waiting on an undelivered body sees EOF, reads the reply.
+        let request = |head: &str, body: &str| -> String {
             let mut s = TcpStream::connect(addr).expect("connect");
-            write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").expect("write");
+            write!(s, "{head}\r\nHost: x\r\n\r\n{body}").expect("write");
+            s.shutdown(std::net::Shutdown::Write).expect("half-close");
             let mut out = String::new();
             s.read_to_string(&mut out).expect("read");
             out
+        };
+        let get = |path: &str| request(&format!("GET {path} HTTP/1.1"), "");
+        let post = |content_length: u64, body: &str| {
+            let head = format!("POST /ingest HTTP/1.1\r\nContent-Length: {content_length}");
+            request(&head, body)
         };
         let metrics = get("/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"));
         assert!(metrics.contains("georep_serve_ticks_total 7"));
         assert!(get("/nope").starts_with("HTTP/1.1 404"));
+
+        // An accepted batch reaches the service's ring, all of it.
+        let batch = "0 0 1.5\n\n0 1 2\n0 1 0.25\n";
+        let accepted = post(batch.len() as u64, batch);
+        assert!(accepted.starts_with("HTTP/1.1 200 OK"), "{accepted}");
+        assert!(accepted.ends_with("accepted 3\n"), "{accepted}");
+        assert_eq!(svc.poll().expect("poll"), 3);
+        // One malformed line rejects the whole batch: nothing is submitted.
+        let batch = "0 0 1\n0 zero 1\n";
+        let malformed = post(batch.len() as u64, batch);
+        assert!(malformed.starts_with("HTTP/1.1 400"), "{malformed}");
+        assert_eq!(svc.poll().expect("poll"), 0);
+        // A body the header alone declares oversize is refused before
+        // anything is allocated or read for it.
+        let oversize = post(1 << 40, "");
+        assert!(oversize.starts_with("HTTP/1.1 413"), "{oversize}");
+        assert_eq!(svc.poll().expect("poll"), 0);
+        // ...and the scrape path still answers afterwards.
+        assert!(get("/metrics").starts_with("HTTP/1.1 200 OK"));
 
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);

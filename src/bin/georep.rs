@@ -9,7 +9,9 @@
 //! georep simulate  --nodes 226 --dcs 20 --k 3 [--duration 60000]
 //! ```
 //!
-//! Every subcommand is deterministic given its seed.
+//! Every subcommand is deterministic given its seed. With
+//! `GEOREP_TRACE=out.jsonl` set, `compare` also streams each run's
+//! counters and events to that file.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -17,6 +19,7 @@ use std::process::ExitCode;
 use georep::core::deployment::{run_deployment, DeploymentConfig};
 use georep::core::experiment::{CoordProtocol, Experiment, StrategyKind};
 use georep::core::metrics::improvement_pct;
+use georep::core::telemetry::TraceWriter;
 use georep::net::sim::SimDuration;
 use georep::net::topology::{Topology, TopologyConfig};
 use georep::workload::{generate, Population, StreamConfig, Trace};
@@ -66,6 +69,7 @@ usage:
       embed the nodes into network coordinates and report accuracy
   georep compare   --nodes N --dcs D --k K [--seeds S]
       run every placement strategy and print the comparison table
+      (GEOREP_TRACE=FILE also writes each run's counters and events as JSONL)
   georep place     --nodes N --dcs D --k K --strategy NAME [--seed S]
       place replicas with one strategy for one seed
   georep trace     --clients N [--rate R] [--duration MS] [--out FILE]
@@ -229,7 +233,16 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         "{} nodes, {} data centers, k = {}, {} seeds\n",
         opts.nodes, opts.dcs, opts.k, opts.seeds
     );
-    let random = exp.run(StrategyKind::Random).map_err(|e| e.to_string())?;
+    // `GEOREP_TRACE=out.jsonl` streams every run's counters and events.
+    let trace = TraceWriter::from_env();
+    let run = |kind| {
+        match &trace {
+            Some(writer) => exp.run_with_recorder(kind, writer),
+            None => exp.run(kind),
+        }
+        .map_err(|e| e.to_string())
+    };
+    let random = run(StrategyKind::Random)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -237,13 +250,13 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         "strategy", "delay (ms)", "vs random"
     );
     for kind in StrategyKind::ALL {
-        let run = exp.run(kind).map_err(|e| e.to_string())?;
-        let gain = improvement_pct(run.mean_delay_ms, random.mean_delay_ms).unwrap_or(f64::NAN);
+        let summary = run(kind)?;
+        let gain = improvement_pct(summary.mean_delay_ms, random.mean_delay_ms).unwrap_or(f64::NAN);
         let _ = writeln!(
             out,
             "{:<28} {:>12.1} {:>11.0}%",
             kind.name(),
-            run.mean_delay_ms,
+            summary.mean_delay_ms,
             gain
         );
     }

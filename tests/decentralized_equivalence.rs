@@ -86,6 +86,13 @@ fn gap_is_bounded_on_every_family() {
         assert_eq!(report.gap, 0.0, "{}", family.name());
         assert!(report.rounds < 48, "{} round budget", family.name());
         assert!(report.bytes_gossiped > 0, "{}", family.name());
+        println!(
+            "{:<9} rounds {:>2}, bytes gossiped {:>6}, gap {}",
+            family.name(),
+            report.rounds,
+            report.bytes_gossiped,
+            report.gap
+        );
     }
 }
 

@@ -11,7 +11,8 @@
 use georep_core::domains::{DomainConfig, DomainTree};
 use georep_core::problem::PlacementProblem;
 use georep_core::scenario::fault_aware_delay;
-use georep_core::strategy::spread::{place_spread, SpreadConfig};
+use georep_core::strategy::spread::{place_spread, SpreadConfig, SpreadOutcome};
+use georep_net::rtt::RttMatrix;
 use georep_net::sim::SimTime;
 use georep_net::topology::graph::{Graph, GraphConfig, GraphFamily};
 
@@ -137,10 +138,57 @@ fn spread_beats_greedy_survival_on_a_packed_world() {
     );
 }
 
+/// The availability ordering on one family's front. Spread never loses
+/// survival to the delay-greedy baseline, analytically or on any of 64
+/// sampled correlated outages; it strictly gains on the random-wiring
+/// families; and on the regular ones, where greedy is already
+/// domain-diverse, it returns the baseline untouched.
+fn assert_spread_never_loses_to_greedy(
+    family: GraphFamily,
+    t: &DomainTree,
+    matrix: &RttMatrix,
+    out: &SpreadOutcome,
+) {
+    let name = family.name();
+    assert!(out.survival >= out.baseline_survival, "{name}");
+    let mid = SimTime::from_ms(150.0);
+    let (mut baseline_alive, mut spread_alive) = (0, 0);
+    for s in 0..64u64 {
+        let outage = t.sample_outage(23, s);
+        let plan = t.compile(
+            &outage,
+            23 ^ s,
+            SimTime::from_ms(100.0),
+            SimTime::from_ms(200.0),
+        );
+        let alive = |placement: &[usize]| {
+            placement.iter().any(|&r| !plan.node_down(r, mid))
+                && fault_aware_delay(matrix, placement, &plan, mid).0.is_some()
+        };
+        let (b, p) = (alive(&out.baseline), alive(&out.placement));
+        assert!(p || !b, "{name}: outage {s} kills spread but not greedy");
+        baseline_alive += usize::from(b);
+        spread_alive += usize::from(p);
+    }
+    println!(
+        "{name:<9} survival greedy {:.6} spread {:.6}, alive greedy {baseline_alive}/64 \
+         spread {spread_alive}/64, delay greedy {:.2} ms spread {:.2} ms",
+        out.baseline_survival, out.survival, out.baseline_delay_ms, out.delay_ms
+    );
+    match family {
+        GraphFamily::BarabasiAlbert { .. } | GraphFamily::WattsStrogatz { .. } => {
+            assert!(out.survival > out.baseline_survival, "{name}");
+        }
+        GraphFamily::Grid2d | GraphFamily::Line | GraphFamily::Lollipop { .. } => {
+            assert_eq!(out.placement, out.baseline, "{name}");
+        }
+    }
+}
+
 #[test]
 fn graph_to_spread_pipeline_is_bit_identical_across_thread_counts() {
-    // The full front pipeline as bench_robustness runs it, per family:
-    // graph → parallel shortest paths → greedy + spread → outage scoring.
+    // The full front pipeline, per family: graph → parallel shortest
+    // paths → greedy + spread → outage scoring.
     for family in GraphFamily::standard() {
         let graph = Graph::generate(GraphConfig {
             family,
@@ -167,7 +215,10 @@ fn graph_to_spread_pipeline_is_bit_identical_across_thread_counts() {
                 })
                 .collect();
             match &reference {
-                None => reference = Some((out.placement, delays)),
+                None => {
+                    assert_spread_never_loses_to_greedy(family, &t, &matrix, &out);
+                    reference = Some((out.placement, delays));
+                }
                 Some((placement, base_delays)) => {
                     assert_eq!(
                         placement,

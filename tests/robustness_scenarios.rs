@@ -11,9 +11,10 @@
 //!    centers are restored, the cost-gated re-placement loop must bring
 //!    the true mean client delay back within ε of the pre-fault optimum.
 //!
-//! The same scenarios back `bench_robustness`, which emits the
-//! `BENCH_robustness.json` timelines checked by the `bench-sanity` CI job;
-//! this suite is the pinned, pass/fail half of that story.
+//! A third test attaches an `InMemoryRecorder` and requires the identical
+//! report plus non-empty, run-to-run identical telemetry. The wall time of
+//! a scenario run is `core.scenario.run_ms_p50` on the repo benchmark's
+//! `decide_mesh` workload.
 
 use georep_core::scenario::{
     run_scenario, run_scenario_with_recorder, ScenarioConfig, ScenarioKind, ALL_SCENARIOS,

@@ -1,6 +1,7 @@
 //! Property suite for the graph-topology generators (DESIGN.md §14).
 //!
-//! Pins the contracts `bench_robustness`'s per-family front relies on:
+//! Pins the contracts the per-family delay/survival front
+//! (`tests/domain_scenarios.rs`) relies on:
 //! seed determinism, thread-count independence of the parallel
 //! shortest-path matrix, per-family structural invariants (BA degree
 //! skew, WS clustering vs. rewiring probability, grid/line/lollipop

@@ -7,13 +7,19 @@
 //!
 //! The implementation is the fast half of the streaming layer: the
 //! assignment step keeps Hamerly-style per-point upper/lower bounds so most
-//! points skip the full centroid scan, centroids live in a flat
-//! structure-of-arrays buffer reused across iterations, and the `restarts`
-//! independent runs execute on crossbeam scoped threads. All of it is a
-//! *bit-for-bit* equivalence with the plain full-scan serial implementation
+//! points skip the full centroid scan, and centroids live in a flat
+//! structure-of-arrays buffer reused across iterations. All of it is a
+//! *bit-for-bit* equivalence with the plain full-scan implementation
 //! (preserved in [`crate::reference`]): identical assignments, SSE,
-//! iteration counts and winning restart, regardless of thread count. See
-//! DESIGN.md ("The streaming layer") for the exactness argument.
+//! iteration counts and winning restart. See DESIGN.md ("The streaming
+//! layer") for the exactness argument.
+//!
+//! The `restarts` independent runs execute one after the other on the
+//! caller's thread, through the one driver every solver in this crate
+//! shares. Nothing in this crate spawns a thread: the online technique
+//! clusters only `k·m` pseudo-points, a solve that costs less than the
+//! spawn would, and its callers (a fleet round, an experiment's seed
+//! workers) already run many solves side by side.
 
 use std::error::Error;
 use std::fmt;
@@ -142,8 +148,7 @@ impl<const D: usize> Clustering<D> {
 ///
 /// A side channel next to [`Clustering`] — the clustering itself is
 /// compared bit-for-bit by the equivalence suites and must not grow
-/// fields. All counters are plain `u64` sums, so they are independent of
-/// the restart execution order and therefore of the thread count.
+/// fields. All counters are plain `u64` sums over the restarts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KMeansStats {
     /// Restarts executed (`cfg.restarts`).
@@ -230,14 +235,13 @@ pub fn kmeans_with_stats<const D: usize>(
     cfg: KMeansConfig,
 ) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
     let weighted: Vec<WeightedPoint<D>> = points.iter().map(|&c| WeightedPoint::unit(c)).collect();
-    run_restarts_stats(&weighted, cfg, default_threads())
+    lloyd(&weighted, cfg)
 }
 
-/// Rejects inputs the solvers cannot run on. The first three checks (and
-/// their order) match what every restart performed inline before the
-/// restarts went parallel; the config checks replace the old behaviour of
-/// silently looping zero times when a zero `max_iters` or `restarts` was
-/// written directly into the struct.
+/// Rejects inputs the solvers cannot run on, once, before the first
+/// restart. The config checks exist because a zero `max_iters` or
+/// `restarts` written directly into the struct would otherwise make the
+/// solver silently loop zero times.
 pub(crate) fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterError> {
     if points == 0 {
         return Err(ClusterError::NoPoints);
@@ -257,177 +261,58 @@ pub(crate) fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterE
     Ok(())
 }
 
-/// Runs `cfg.restarts` independent solver restarts — in parallel on up to
-/// `threads` crossbeam scoped threads — and picks the winner.
+/// Runs `cfg.restarts` independent solver restarts, one after the other
+/// on the caller's thread, and picks the winner.
 ///
 /// Restart `r` always runs with seed `cfg.seed + r`, and the winner is the
-/// lowest SSE with ties broken by the lowest restart index. Each restart is
-/// a pure function of `(points, cfg, r)`, so the result is identical
-/// whatever `threads` is — including 1, which reproduces the original
-/// serial loop exactly.
+/// lowest SSE with ties broken by the lowest restart index (a strict `<`
+/// while walking the restarts in index order). The counters are summed
+/// over *all* restarts, not just the winner. This layer never spawns: a
+/// caller that runs many solves side by side owns the fan-out (DESIGN.md
+/// §8, "Restarts").
 pub(crate) fn run_restarts<const D: usize, F>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
-    threads: usize,
-    once: F,
-) -> Result<Clustering<D>, ClusterError>
+    mut once: F,
+) -> Result<(Clustering<D>, KMeansStats), ClusterError>
 where
-    F: Fn(&[WeightedPoint<D>], KMeansConfig) -> Clustering<D> + Sync,
+    F: FnMut(&[WeightedPoint<D>], KMeansConfig) -> (Clustering<D>, LloydCounters),
 {
     validate(points.len(), &cfg)?;
-    let per_restart = |r: usize| KMeansConfig {
-        seed: cfg.seed.wrapping_add(r as u64),
-        restarts: 1,
-        ..cfg
-    };
-
-    let threads = threads.max(1).min(cfg.restarts);
-    if threads == 1 {
-        let mut best: Option<Clustering<D>> = None;
-        for r in 0..cfg.restarts {
-            let run = once(points, per_restart(r));
-            if best.as_ref().is_none_or(|b| run.sse < b.sse) {
-                best = Some(run);
-            }
-        }
-        return Ok(best.expect("restarts ≥ 1"));
-    }
-
-    let mut slots: Vec<Option<Clustering<D>>> = (0..cfg.restarts).map(|_| None).collect();
-    let chunk = cfg.restarts.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (block_idx, block) in slots.chunks_mut(chunk).enumerate() {
-            let once = &once;
-            let per_restart = &per_restart;
-            scope.spawn(move |_| {
-                for (off, slot) in block.iter_mut().enumerate() {
-                    *slot = Some(once(points, per_restart(block_idx * chunk + off)));
-                }
-            });
-        }
-    })
-    .expect("restart worker panicked");
-
-    // Restart-index-ascending fold with a strict `<`: the first restart
-    // reaching the minimum SSE wins, exactly as in the serial loop.
-    let best = slots
-        .into_iter()
-        .map(|slot| slot.expect("every restart slot is filled"))
-        .reduce(|best, run| if run.sse < best.sse { run } else { best })
-        .expect("restarts ≥ 1");
-    Ok(best)
-}
-
-/// [`run_restarts`] with per-restart effort counters. Runs every restart,
-/// keeps the same winner (lowest SSE, first index on ties — the serial and
-/// parallel folds above implement exactly this rule), and sums the
-/// counters over *all* restarts so the stats, like the clustering, do not
-/// depend on the thread count.
-pub(crate) fn run_restarts_stats<const D: usize>(
-    points: &[WeightedPoint<D>],
-    cfg: KMeansConfig,
-    threads: usize,
-) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
-    validate(points.len(), &cfg)?;
-    let per_restart = |r: usize| KMeansConfig {
-        seed: cfg.seed.wrapping_add(r as u64),
-        restarts: 1,
-        ..cfg
-    };
-
-    let threads = threads.max(1).min(cfg.restarts);
-    let mut slots: Vec<Option<(Clustering<D>, LloydCounters)>> =
-        (0..cfg.restarts).map(|_| None).collect();
-    if threads == 1 {
-        for (r, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(lloyd_once_counted(points, per_restart(r)));
-        }
-    } else {
-        let chunk = cfg.restarts.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (block_idx, block) in slots.chunks_mut(chunk).enumerate() {
-                let per_restart = &per_restart;
-                scope.spawn(move |_| {
-                    for (off, slot) in block.iter_mut().enumerate() {
-                        *slot = Some(lloyd_once_counted(
-                            points,
-                            per_restart(block_idx * chunk + off),
-                        ));
-                    }
-                });
-            }
-        })
-        .expect("restart worker panicked");
-    }
-
-    let mut runs: Vec<(Clustering<D>, LloydCounters)> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every restart slot is filled"))
-        .collect();
-    let mut winner = 0usize;
-    for r in 1..runs.len() {
-        if runs[r].0.sse < runs[winner].0.sse {
-            winner = r;
-        }
-    }
-
     let mut stats = KMeansStats {
         restarts: cfg.restarts as u64,
-        winner_restart: winner as u64,
         ..KMeansStats::default()
     };
-    for (run, counters) in &runs {
+    let mut best: Option<Clustering<D>> = None;
+    for r in 0..cfg.restarts {
+        let (run, counters) = once(
+            points,
+            KMeansConfig {
+                seed: cfg.seed.wrapping_add(r as u64),
+                restarts: 1,
+                ..cfg
+            },
+        );
         stats.iterations += run.iterations as u64;
         stats.pruned_upper += counters.pruned_upper;
         stats.pruned_tightened += counters.pruned_tightened;
         stats.full_scans += counters.full_scans;
+        if best.as_ref().is_none_or(|b| run.sse < b.sse) {
+            stats.winner_restart = r as u64;
+            best = Some(run);
+        }
     }
-    Ok((runs.swap_remove(winner).0, stats))
+    Ok((best.expect("restarts ≥ 1"), stats))
 }
 
-/// The number of worker threads restarts spread over by default.
-///
-/// Cached in a `OnceLock`: `std::thread::available_parallelism` re-reads
-/// cgroup quota files on every call (≈ 12 µs on Linux), which dominated the
-/// whole solve for the small point sets the replica managers cluster. The
-/// thread count only affects wall-clock time, never the result, so a
-/// process-lifetime snapshot is safe.
-pub(crate) fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
-/// Shared Lloyd implementation over weighted points (used by both entry
-/// points; see [`crate::weighted::weighted_kmeans`] for the public API).
+/// Shared Lloyd implementation over weighted points (used by every k-means
+/// entry point; see [`crate::weighted::weighted_kmeans`] for the public
+/// API).
 pub(crate) fn lloyd<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
-) -> Result<Clustering<D>, ClusterError> {
-    run_restarts(points, cfg, default_threads(), lloyd_once)
-}
-
-/// [`crate::weighted::weighted_kmeans`] with an explicit restart thread
-/// count. Exposed (hidden) so the equivalence suite can assert the result
-/// does not depend on the degree of parallelism.
-#[doc(hidden)]
-pub fn lloyd_with_threads<const D: usize>(
-    points: &[WeightedPoint<D>],
-    cfg: KMeansConfig,
-    threads: usize,
-) -> Result<Clustering<D>, ClusterError> {
-    run_restarts(points, cfg, threads, lloyd_once)
-}
-
-/// [`lloyd_with_threads`] plus [`KMeansStats`]. Exposed (hidden) so the
-/// equivalence suite can assert that neither the clustering nor the stats
-/// depend on the degree of parallelism.
-#[doc(hidden)]
-pub fn lloyd_with_threads_stats<const D: usize>(
-    points: &[WeightedPoint<D>],
-    cfg: KMeansConfig,
-    threads: usize,
 ) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
-    run_restarts_stats(points, cfg, threads)
+    run_restarts(points, cfg, lloyd_once)
 }
 
 // ---- The bounds-pruned Lloyd core. ----
@@ -583,21 +468,17 @@ fn top_two(delta: &[f64]) -> (f64, usize, f64) {
 /// three fields partition the per-point decisions, so their sum is always
 /// `iterations × n` for the restart.
 #[derive(Debug, Clone, Copy, Default)]
-struct LloydCounters {
+pub(crate) struct LloydCounters {
     pruned_upper: u64,
     pruned_tightened: u64,
     full_scans: u64,
 }
 
-/// One seeded Lloyd run. Input is pre-validated by [`run_restarts`].
-fn lloyd_once<const D: usize>(points: &[WeightedPoint<D>], cfg: KMeansConfig) -> Clustering<D> {
-    lloyd_once_counted(points, cfg).0
-}
-
-/// [`lloyd_once`] plus the prune/scan tallies. The counters are integer
-/// increments on paths the solver already takes — no extra float
-/// arithmetic, no RNG draws — so the clustering is unchanged.
-fn lloyd_once_counted<const D: usize>(
+/// One seeded Lloyd run plus its prune/scan tallies. Input is
+/// pre-validated by [`run_restarts`]. The counters are integer increments
+/// on paths the solver already takes — no extra float arithmetic, no RNG
+/// draws — so they never influence the clustering.
+fn lloyd_once<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
 ) -> (Clustering<D>, LloydCounters) {
@@ -970,7 +851,7 @@ mod tests {
         let pts = two_blobs();
         let weighted: Vec<WeightedPoint<2>> =
             pts.iter().map(|&c| WeightedPoint::new(c, 2.0)).collect();
-        let c = lloyd(&weighted, KMeansConfig::new(2)).unwrap();
+        let (c, _) = lloyd(&weighted, KMeansConfig::new(2)).unwrap();
         let w = c.cluster_weights(&weighted);
         assert!((w.iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
@@ -999,14 +880,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_thread_count_invariant() {
+    fn every_restart_runs_on_the_callers_thread() {
         let pts: Vec<WeightedPoint<2>> = two_blobs().into_iter().map(WeightedPoint::unit).collect();
         let cfg = KMeansConfig::new(3).with_seed(41).with_restarts(6);
-        let serial = lloyd_with_threads_stats(&pts, cfg, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let parallel = lloyd_with_threads_stats(&pts, cfg, threads).unwrap();
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
+        let mut ran_on = Vec::new();
+        run_restarts(&pts, cfg, |p, c| {
+            ran_on.push(std::thread::current().id());
+            lloyd_once(p, c)
+        })
+        .unwrap();
+        assert_eq!(ran_on, vec![std::thread::current().id(); cfg.restarts]);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use georep_coord::Coord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kmeans::{seed_plus_plus, ClusterError, Clustering, KMeansConfig};
+use crate::kmeans::{
+    run_restarts, seed_plus_plus, ClusterError, Clustering, KMeansConfig, LloydCounters,
+};
 use crate::point::WeightedPoint;
 
 /// Clusters weighted points minimizing `Σ w·d` (not `d²`).
@@ -51,23 +53,14 @@ pub fn weighted_kmedians<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
 ) -> Result<Clustering<D>, ClusterError> {
-    crate::kmeans::run_restarts(points, cfg, crate::kmeans::default_threads(), kmedians_once)
+    // k-medians has no pruning bounds, so its effort counters stay zero.
+    run_restarts(points, cfg, |points, cfg| {
+        (kmedians_once(points, cfg), LloydCounters::default())
+    })
+    .map(|(clustering, _)| clustering)
 }
 
-/// [`weighted_kmedians`] with an explicit restart thread count. Exposed
-/// (hidden) so the equivalence suite can assert thread-count independence.
-#[doc(hidden)]
-pub fn kmedians_with_threads<const D: usize>(
-    points: &[WeightedPoint<D>],
-    cfg: KMeansConfig,
-    threads: usize,
-) -> Result<Clustering<D>, ClusterError> {
-    crate::kmeans::run_restarts(points, cfg, threads, kmedians_once)
-}
-
-/// One seeded k-medians run. Input is pre-validated by
-/// [`crate::kmeans::run_restarts`]; the body is untouched by the restart
-/// parallelization (it is a pure function of `(points, cfg)`).
+/// One seeded k-medians run. Input is pre-validated by [`run_restarts`].
 fn kmedians_once<const D: usize>(points: &[WeightedPoint<D>], cfg: KMeansConfig) -> Clustering<D> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut centers = seed_plus_plus(points, cfg.k, &mut rng);

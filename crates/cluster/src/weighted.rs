@@ -6,15 +6,13 @@
 //! weighted by the traffic it summarizes, so the macro-centroids land where
 //! the *clients* are — not where the micro-clusters happen to be.
 //!
-//! The solve itself is delegated to the bounds-pruned, parallel-restart
-//! Lloyd core in [`crate::kmeans`]; results are bit-for-bit identical to
-//! the plain full-scan solver preserved in [`crate::reference`], so callers
-//! can treat this as the same algorithm, merely faster. The exactness
-//! argument lives in DESIGN.md ("The streaming layer").
+//! The solve itself is delegated to the bounds-pruned Lloyd core in
+//! [`crate::kmeans`]; results are bit-for-bit identical to the plain
+//! full-scan solver preserved in [`crate::reference`], so callers can
+//! treat this as the same algorithm, merely faster. The exactness argument
+//! lives in DESIGN.md ("The streaming layer").
 
-use crate::kmeans::{
-    default_threads, lloyd, run_restarts_stats, ClusterError, Clustering, KMeansConfig, KMeansStats,
-};
+use crate::kmeans::{lloyd, ClusterError, Clustering, KMeansConfig, KMeansStats};
 use crate::point::WeightedPoint;
 
 /// Clusters weighted pseudo-points into `cfg.k` groups.
@@ -48,7 +46,7 @@ pub fn weighted_kmeans<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
 ) -> Result<Clustering<D>, ClusterError> {
-    lloyd(points, cfg)
+    lloyd(points, cfg).map(|(clustering, _)| clustering)
 }
 
 /// [`weighted_kmeans`] plus the solver-effort counters ([`KMeansStats`]).
@@ -64,7 +62,7 @@ pub fn weighted_kmeans_with_stats<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
 ) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
-    run_restarts_stats(points, cfg, default_threads())
+    lloyd(points, cfg)
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use georep_coord::rnp::Rnp;
 use georep_coord::vivaldi::{Vivaldi, VivaldiConfig};
 use georep_coord::Coord;
 use georep_net::rtt::RttMatrix;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -451,27 +450,27 @@ impl Experiment {
         rec: &R,
     ) -> Result<RunSummary, ExperimentError> {
         let _span = crate::span!("experiment.run");
-        let results: Mutex<Vec<Result<SeedOutcome, ExperimentError>>> =
-            Mutex::new(Vec::with_capacity(self.seeds.len()));
         let threads = crate::threads::available_parallelism().min(self.seeds.len());
+        let per = self.seeds.len().div_ceil(threads);
 
-        crossbeam::thread::scope(|scope| {
-            for chunk in self.seeds.chunks(self.seeds.len().div_ceil(threads)) {
-                let results = &results;
-                scope.spawn(move |_| {
-                    for &seed in chunk {
-                        let outcome = self.run_seed(kind, seed);
-                        results.lock().push(outcome);
-                    }
-                });
-            }
-        })
-        .expect("seed workers do not panic");
-
-        let mut outcomes = Vec::with_capacity(self.seeds.len());
-        for r in results.into_inner() {
-            outcomes.push(r?);
-        }
+        // Each worker returns its chunk's outcomes from `join`; a worker
+        // panic resumes on this thread with its original payload.
+        let mut outcomes: Vec<SeedOutcome> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .seeds
+                .chunks(per)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let run = |&seed| self.run_seed(kind, seed);
+                        chunk.iter().map(run).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Result<_, _>>()
+        })?;
         outcomes.sort_by_key(|o| o.seed);
 
         let delays: Vec<f64> = outcomes.iter().map(|o| o.mean_delay_ms).collect();

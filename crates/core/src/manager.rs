@@ -89,11 +89,11 @@ pub struct ManagerConfig {
     pub period_decay: f64,
     /// Seed for the macro-clustering.
     pub seed: u64,
-    /// Worker threads for the macro-clustering restarts. `0` (the default)
-    /// lets the clustering layer pick; any positive value pins it. The
-    /// restart protocol is thread-count-independent by construction, so
-    /// this only affects wall-clock time — never the placement. The
-    /// robustness suite exercises 1/2/8 to prove it.
+    /// Inert: nothing reads it. The macro-clustering restarts always run
+    /// on the calling thread. The declaration stays only because the
+    /// frozen `benchmark/` package still assigns it; the next
+    /// `[benchmark]` PR removes that line and this field together.
+    #[doc(hidden)]
     pub restart_threads: usize,
 }
 
@@ -671,15 +671,7 @@ impl<const D: usize> ReplicaManager<D> {
                 // The `_with_stats` variants return bit-for-bit the same
                 // clustering as their plain counterparts; the counters are
                 // a pure side channel.
-                let (clustering, kstats) = if self.config.restart_threads > 0 {
-                    georep_cluster::kmeans::lloyd_with_threads_stats(
-                        &demand,
-                        kcfg,
-                        self.config.restart_threads,
-                    )?
-                } else {
-                    weighted_kmeans_with_stats(&demand, kcfg)?
-                };
+                let (clustering, kstats) = weighted_kmeans_with_stats(&demand, kcfg)?;
                 self.kmeans.restarts += kstats.restarts;
                 self.kmeans.iterations += kstats.iterations;
                 self.kmeans.pruned_upper += kstats.pruned_upper;
@@ -1165,28 +1157,6 @@ mod tests {
             mgr.quarantine_candidate(3),
             Err(ManagerError::InvalidSetup(_))
         ));
-    }
-
-    #[test]
-    fn restart_threads_do_not_change_the_placement() {
-        let run = |threads: usize| {
-            let mut cfg = ManagerConfig::new(2, 4);
-            cfg.restart_threads = threads;
-            let mut mgr =
-                ReplicaManager::new(line_coords(), vec![0, 3, 5], vec![0, 3], cfg).unwrap();
-            for i in 0..200 {
-                let x = if i % 3 == 0 { 49.0 } else { 2.0 };
-                mgr.record_access(Coord::new([x]), 1.0);
-            }
-            let d = mgr.rebalance().unwrap();
-            (mgr.placement().to_vec(), d)
-        };
-        let (p1, d1) = run(1);
-        for threads in [0, 2, 8] {
-            let (p, d) = run(threads);
-            assert_eq!(p, p1, "threads={threads}");
-            assert_eq!(d, d1, "threads={threads}");
-        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!
 //! A scenario run is a pure function of `(matrix, kind, config)`. All
 //! randomness is counter-based and seeded; all collections that influence
-//! decisions are `Vec`s; the manager's macro-clustering is
-//! thread-count-independent by construction ([`ManagerConfig`]'s
-//! `restart_threads` only changes wall-clock time). Two runs with the same
+//! decisions are `Vec`s; the manager's macro-clustering runs serially on
+//! the calling thread, and the one place [`ScenarioConfig::threads`]
+//! reaches — the decentralized mode's per-node scoring sweep — is
+//! thread-count-independent by construction. Two runs with the same
 //! inputs — at *any* two thread counts — produce bit-identical
 //! [`ScenarioReport`]s, which `tests/robustness_scenarios.rs` asserts
 //! across 1/2/8 threads.
@@ -104,8 +105,9 @@ pub struct ScenarioConfig {
     pub tick: SimDuration,
     /// Rebalance cadence, in ticks (a detection additionally forces one).
     pub rebalance_every: u32,
-    /// Worker threads for the manager's macro-clustering restarts
-    /// (`0` = library default). Must not change any output.
+    /// Worker threads for [`PlacementMode::Decentralized`]'s per-node
+    /// scoring sweep (`DecentralConfig::threads`; `0` = every available
+    /// core). The other modes never read it. Must not change any output.
     pub threads: usize,
     /// Simulated duration of the coordinate-embedding gossip run.
     pub embed_duration: SimDuration,
@@ -470,7 +472,6 @@ pub fn run_scenario_with_recorder<R: Recorder>(
     let mut mgr_cfg = ManagerConfig::new(cfg.k, 8);
     mgr_cfg.seed = cfg.seed;
     mgr_cfg.gain_per_dollar = 0.02;
-    mgr_cfg.restart_threads = cfg.threads;
     let initial: Vec<usize> = candidates.iter().copied().take(cfg.k).collect();
     let mut mgr = ReplicaManager::new(embed.coords.clone(), candidates.clone(), initial, mgr_cfg)?;
     let problem = PlacementProblem::new(matrix, candidates.clone(), clients.clone())?;
@@ -995,14 +996,24 @@ mod tests {
     #[test]
     fn scenario_is_deterministic_and_thread_count_invariant() {
         let m = matrix(24);
-        let base = run_scenario(&m, ScenarioKind::SingleDcCrash, quick_cfg()).unwrap();
-        for threads in [1, 2, 8] {
+        let run = |mode, threads| {
             let cfg = ScenarioConfig {
+                mode,
                 threads,
                 ..quick_cfg()
             };
-            let run = run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap();
-            assert_eq!(run, base, "threads={threads}");
+            run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap()
+        };
+        // Reactive never reads `threads`: determinism is the whole claim.
+        assert_eq!(
+            run(PlacementMode::Reactive, 0),
+            run(PlacementMode::Reactive, 0)
+        );
+        // Decentralized is the one mode the field reaches.
+        let base = run(PlacementMode::Decentralized, 1);
+        for threads in [2, 8] {
+            let swept = run(PlacementMode::Decentralized, threads);
+            assert_eq!(swept, base, "threads={threads}");
         }
     }
 

@@ -31,10 +31,10 @@
 //! drift workloads.
 //!
 //! Determinism: the driver is a serial loop; the only parallelism lives in
-//! the manager's ingest/k-means paths, both of which are bit-identical
-//! across thread counts by contract, and the forecaster is pure serial
-//! arithmetic — so [`run_mode`] reports compare `==` across 1/2/8 worker
-//! threads (pinned by `tests/predictive_placement.rs`).
+//! the manager's ingest path, which is bit-identical across thread counts
+//! by contract, and the forecaster is pure serial arithmetic — so
+//! [`run_mode`] reports compare `==` across 1/2/8 worker threads (pinned by
+//! `tests/predictive_placement.rs`).
 
 use georep_coord::Coord;
 
@@ -91,8 +91,10 @@ pub struct ModeConfig {
     pub micro_clusters: usize,
     /// Seed for the manager's macro-clustering.
     pub seed: u64,
-    /// Worker threads for ingest and k-means restarts (`0` = auto). Pure
-    /// wall-clock knob: reports are bit-identical across values.
+    /// Worker threads for the manager's bulk ingest
+    /// ([`ReplicaManager::ingest_period_with_threads`]). There is no auto
+    /// setting: `0`, like `1`, runs the serial loop. Pure wall-clock knob:
+    /// reports are bit-identical across values.
     pub threads: usize,
     /// Required relative delay gain per migration dollar.
     pub gain_per_dollar: f64,
@@ -121,7 +123,6 @@ impl ModeConfig {
         let mut cfg = ManagerConfig::new(self.k, self.micro_clusters);
         cfg.seed = self.seed;
         cfg.gain_per_dollar = self.gain_per_dollar;
-        cfg.restart_threads = self.threads;
         cfg
     }
 }

@@ -179,22 +179,27 @@ impl MetricsExporter {
     }
 
     /// Parses `object region weight` lines and submits them. All-or-
-    /// nothing per request: the first malformed line rejects the batch.
+    /// nothing per request: the first line that is malformed, or that the
+    /// service behind the producer could not absorb, rejects the batch
+    /// before anything is submitted.
     fn ingest(&self, body: &str) -> Result<usize, String> {
         let Some(producer) = &self.producer else {
             return Err("ingest endpoint not wired to a producer".into());
         };
+        let mut producer = producer.lock().map_err(|_| "producer poisoned")?;
         let mut parsed = Vec::new();
         for line in body.lines() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            let triple =
+            let (object, region, weight) =
                 parse_access(line).ok_or_else(|| format!("malformed access line: {line:?}"))?;
-            parsed.push(triple);
+            if let Some(why) = producer.rejects(object, region, weight) {
+                return Err(format!("rejected access line {line:?}: {why}"));
+            }
+            parsed.push((object, region, weight));
         }
-        let mut producer = producer.lock().map_err(|_| "producer poisoned")?;
         let n = parsed.len();
         for (object, region, weight) in parsed {
             producer.submit(object, region, weight);
@@ -397,6 +402,21 @@ georep_serve_lag_ms_count 3\n";
         let malformed = post(batch.len() as u64, batch);
         assert!(malformed.starts_with("HTTP/1.1 400"), "{malformed}");
         assert_eq!(svc.poll().expect("poll"), 0);
+        // So does one well-formed line the service could not absorb: a
+        // region or object it has no entry for (either would panic a
+        // thread), or a weight the summaries silently drop.
+        for bad in ["0 2 1", "1 0 1", "0 0 NaN", "0 0 inf", "0 0 0", "0 0 -1"] {
+            let batch = format!("0 0 1\n{bad}\n");
+            let rejected = post(batch.len() as u64, &batch);
+            assert!(rejected.starts_with("HTTP/1.1 400"), "{bad}: {rejected}");
+            assert!(rejected.contains(bad), "{bad}: {rejected}");
+            assert_eq!(svc.poll().expect("poll"), 0, "{bad}");
+        }
+        // ...and the endpoint still takes a valid batch afterwards.
+        let batch = "0 1 1\n0 0 2\n";
+        let accepted = post(batch.len() as u64, batch);
+        assert!(accepted.ends_with("accepted 2\n"), "{accepted}");
+        assert_eq!(svc.poll().expect("poll"), 2);
         // A body the header alone declares oversize is refused before
         // anything is allocated or read for it.
         let oversize = post(1 << 40, "");

@@ -115,9 +115,26 @@ pub struct ShardProducer {
     latency_sample: u64,
     last_stamp: u64,
     regions: u32,
+    objects: u64,
 }
 
 impl ShardProducer {
+    /// Why the service behind this handle could not absorb the access, if
+    /// it could not: `region` has no coordinate, `object` has no owner, or
+    /// the summaries would drop `weight`. For input from outside the
+    /// program, which must be refused rather than panic a thread.
+    pub(crate) fn rejects(&self, object: u64, region: u32, weight: f64) -> Option<&'static str> {
+        if region >= self.regions {
+            Some("region outside the coordinate table")
+        } else if object >= self.objects {
+            Some("object outside the fleet's key space")
+        } else if !(weight.is_finite() && weight > 0.0) {
+            Some("weight must be finite and positive")
+        } else {
+            None
+        }
+    }
+
     /// Submits one access, drawing the next global stamp. Spins while the
     /// ring is full (bounded-queue backpressure; nothing is dropped).
     ///
@@ -235,6 +252,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         assert!(!regions.is_empty(), "need at least one region");
         let stamps = Arc::new(AtomicU64::new(0));
         let epoch = Arc::new(Instant::now());
+        let objects = fleet.objects();
         let mut shards = Vec::with_capacity(config.shards);
         let mut producers = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
@@ -248,6 +266,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
                 latency_sample: config.latency_sample,
                 last_stamp: u64::MAX,
                 regions: regions.len() as u32,
+                objects,
             });
             shards.push(Shard {
                 consumer,

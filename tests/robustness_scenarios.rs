@@ -3,10 +3,12 @@
 //! Two invariants hold for every scenario in
 //! [`georep_core::scenario::ALL_SCENARIOS`]:
 //!
-//! 1. **Determinism across thread counts** — a scenario run is a pure
-//!    function of `(matrix, kind, config)`; the manager's clustering
-//!    restart threads (1, 2 and 8 here) must not change a single bit of
-//!    the report: trace, timeline, placements, hash.
+//! 1. **Determinism, across thread counts where threads exist** — a
+//!    scenario run is a pure function of `(matrix, kind, config)`. The
+//!    reactive run spawns nothing `ScenarioConfig::threads` could steer,
+//!    so it is pinned same-config-twice; the decentralized mode's scoring
+//!    sweep does read the field, and 1, 2 and 8 threads must not change a
+//!    single bit of the report: trace, timeline, placements, hash.
 //! 2. **Recovery** — once every fault window closes and quarantined data
 //!    centers are restored, the cost-gated re-placement loop must bring
 //!    the true mean client delay back within ε of the pre-fault optimum.
@@ -19,6 +21,7 @@
 use georep_core::scenario::{
     run_scenario, run_scenario_with_recorder, ScenarioConfig, ScenarioKind, ALL_SCENARIOS,
 };
+use georep_core::strategy::predictive::PlacementMode;
 use georep_core::telemetry::InMemoryRecorder;
 use georep_net::sim::SimDuration;
 use georep_net::topology::{Topology, TopologyConfig};
@@ -53,10 +56,18 @@ fn suite_cfg(threads: usize) -> ScenarioConfig {
 fn reports_are_bit_identical_across_1_2_and_8_threads() {
     let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let base = run_scenario(&m, kind, suite_cfg(1))
+        let reactive = run_scenario(&m, kind, suite_cfg(0))
             .unwrap_or_else(|e| panic!("{} does not run: {e:?}", kind.name()));
+        let again = run_scenario(&m, kind, suite_cfg(0)).expect("scenario runs");
+        assert_eq!(again, reactive, "{}: rerun diverged", kind.name());
+
+        let decentralized = |threads| ScenarioConfig {
+            mode: PlacementMode::Decentralized,
+            ..suite_cfg(threads)
+        };
+        let base = run_scenario(&m, kind, decentralized(1)).expect("scenario runs");
         for threads in [2, 8] {
-            let run = run_scenario(&m, kind, suite_cfg(threads)).expect("scenario runs");
+            let run = run_scenario(&m, kind, decentralized(threads)).expect("scenario runs");
             assert_eq!(
                 run,
                 base,

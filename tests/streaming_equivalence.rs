@@ -1,6 +1,6 @@
 //! Equivalence suite for the streaming-half performance refactor.
 //!
-//! The bounds-pruned weighted k-means, the parallel restart driver and the
+//! The bounds-pruned weighted k-means, the shared restart driver and the
 //! cached/incremental online clusterer are all *bit-for-bit* refactors:
 //! they must produce exactly the `f64`s the straightforward originals
 //! produced, on every input, including tie cases. The originals are kept
@@ -13,7 +13,7 @@
 //! or caching bug would change which index a `<`-scan picks first.
 
 use georep_cluster::kmeans::{kmeans, ClusterError, KMeansConfig};
-use georep_cluster::kmedians::{kmedians_with_threads, weighted_kmedians};
+use georep_cluster::kmedians::weighted_kmedians;
 use georep_cluster::micro::MicroCluster;
 use georep_cluster::online::{OnlineClusterer, OnlineConfig};
 use georep_cluster::reference::{lloyd_reference, ReferenceMicroCluster, ReferenceOnlineClusterer};
@@ -61,7 +61,7 @@ fn stream_event() -> impl Strategy<Value = StreamEvent> {
     })
 }
 
-// ---- Weighted k-means: pruned vs full-scan, parallel vs serial. ----
+// ---- Weighted k-means: pruned vs full-scan; the restart winner rule. ----
 
 proptest! {
     /// The bounds-pruned Lloyd returns the *identical* `Clustering` —
@@ -82,28 +82,11 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The parallel restart driver is deterministic: any thread count
-    /// yields the same winner as the serial loop.
+    /// K-medians has no reference twin, so the restart rule is pinned
+    /// directly: replaying every restart alone (`seed + r`, one restart),
+    /// the public result is the cheapest replay, first index on ties.
     #[test]
-    fn kmeans_restart_winner_is_thread_count_independent(
-        pts in grid_points(4..30),
-        k in 1usize..4,
-        seed in 0u64..500,
-    ) {
-        prop_assume!(k <= pts.len());
-        let cfg = KMeansConfig::new(k).with_seed(seed).with_restarts(8);
-        let serial = georep_cluster::kmeans::lloyd_with_threads(&pts, cfg, 1).unwrap();
-        for threads in [2usize, 3, 8, 13] {
-            let parallel =
-                georep_cluster::kmeans::lloyd_with_threads(&pts, cfg, threads).unwrap();
-            prop_assert_eq!(&parallel, &serial, "threads = {}", threads);
-        }
-    }
-
-    /// K-medians rides the same restart driver and must be deterministic
-    /// under it as well.
-    #[test]
-    fn kmedians_restart_winner_is_thread_count_independent(
+    fn kmedians_restart_winner_is_the_cheapest_single_restart(
         pts in grid_points(4..25),
         k in 1usize..4,
         seed in 0u64..300,
@@ -111,12 +94,11 @@ proptest! {
         prop_assume!(k <= pts.len());
         let cfg = KMeansConfig::new(k).with_seed(seed).with_restarts(6);
         let public = weighted_kmedians(&pts, cfg).unwrap();
-        let serial = kmedians_with_threads(&pts, cfg, 1).unwrap();
-        prop_assert_eq!(&public, &serial);
-        for threads in [2usize, 5, 11] {
-            let parallel = kmedians_with_threads(&pts, cfg, threads).unwrap();
-            prop_assert_eq!(&parallel, &serial, "threads = {}", threads);
-        }
+        let cheapest = (0..cfg.restarts as u64)
+            .map(|r| weighted_kmedians(&pts, cfg.with_seed(seed + r).with_restarts(1)).unwrap())
+            .reduce(|best, replay| if replay.sse < best.sse { replay } else { best })
+            .unwrap();
+        prop_assert_eq!(public, cheapest);
     }
 }
 

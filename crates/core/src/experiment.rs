@@ -568,7 +568,7 @@ impl Experiment {
             StrategyKind::Optimal => Optimal::default().place(&ctx)?,
             StrategyKind::Greedy => Greedy.place(&ctx)?,
             StrategyKind::HotZone => HotZone::default().place(&ctx)?,
-            StrategyKind::SwapLocalSearch => SwapLocalSearch::default().place(&ctx)?,
+            StrategyKind::SwapLocalSearch => SwapLocalSearch.place(&ctx)?,
             StrategyKind::OnlineClustering => {
                 self.run_online(&ctx, &accesses, &mut summary_bytes, false)?
             }

@@ -8,7 +8,7 @@
 //!   among candidate data centers minimizing total client access delay;
 //! * [`strategy`] — placement strategies: the paper's online technique
 //!   (Algorithm 1) plus the random / offline k-means / optimal comparators
-//!   and related-work baselines (greedy, hotzone, capacity-constrained);
+//!   and related-work baselines (greedy, hotzone, swap local search);
 //! * [`objective`] — the shared evaluation layer under every strategy:
 //!   delay oracles, precomputed cost tables, incremental delta scoring;
 //! * [`manager`] — the live system: closest-replica routing, per-replica
@@ -21,8 +21,6 @@
 //! * [`domains`] — hierarchical failure domains (rack → DC → region) with
 //!   correlated outage sampling, compilation onto seeded fault plans, and
 //!   exact analytic survival probabilities;
-//! * [`group`] — many objects sharing a global replica budget (the paper's
-//!   "group of data objects" reduction, made adaptive);
 //! * [`gossip`], [`deployment`] — the paper's methodology end to end on the
 //!   discrete-event simulator: coordinates assigned by emulated
 //!   communications, and a fully message-passing deployment of the whole
@@ -68,7 +66,6 @@ pub mod failure;
 pub mod fleet;
 pub mod forecast;
 pub mod gossip;
-pub mod group;
 mod hash;
 pub mod manager;
 pub mod metrics;

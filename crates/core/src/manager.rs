@@ -294,15 +294,6 @@ impl<const D: usize> ReplicaManager<D> {
         self.config.k
     }
 
-    /// Sets the target degree of replication directly (clamped to
-    /// `1..=candidates`). Used by external controllers — e.g. a group
-    /// manager allocating a global replica budget across objects — in
-    /// place of the demand-driven [`ReplicaManager::adapt_k`]. The
-    /// placement itself changes at the next [`ReplicaManager::rebalance`].
-    pub fn set_k(&mut self, k: usize) {
-        self.config.k = k.clamp(1, self.candidates.len());
-    }
-
     /// The candidate data centers currently usable.
     pub fn candidates(&self) -> &[usize] {
         &self.candidates

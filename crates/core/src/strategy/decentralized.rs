@@ -20,10 +20,12 @@
 //!    a view converges to, only when.
 //! 3. **Local improvement.** After any view delta a node re-derives its
 //!    placement with the shared scoring machinery ([`CostTable`] /
-//!    [`IncrementalEval`]): greedy open steps to `k` replicas, then
-//!    best-improvement swap passes (each swap closes one replica and opens
-//!    another) to a local optimum. The solve is a pure function of the
-//!    view, so two nodes with the same view always hold the same placement.
+//!    [`IncrementalEval`]) and the same open-and-swap search as
+//!    [`super::swap::SwapLocalSearch`]: greedy open steps to `k` replicas,
+//!    then per-position best-improvement swap passes (each swap closes one
+//!    replica and opens another) to a local optimum. The solve is a pure
+//!    function of the view, so two nodes with the same view always hold the
+//!    same placement.
 //! 4. **Quiescence.** A node that has seen no view delta and accepted no
 //!    move for `quiet_rounds` consecutive rounds — and whose view is
 //!    complete at the refined version — declares convergence and stops
@@ -45,7 +47,7 @@ use georep_net::sim::{
 
 use crate::hash::{fnv1a, mix64, splitmix64_next, FNV_OFFSET};
 use crate::objective::{CostTable, IncrementalEval, MatrixDelay};
-use crate::strategy::greedy::greedy_fill;
+use crate::strategy::greedy::open_then_swap;
 use crate::strategy::PlaceError;
 use crate::telemetry::{NullRecorder, Recorder};
 
@@ -54,9 +56,6 @@ const TIMER_ROUND: u64 = 1;
 /// Version a refined (per-client) shard summary is published at; the
 /// coarse bootstrap summary is version 1.
 const FINE_VERSION: u64 = 2;
-/// Upper bound on best-improvement swap passes per local solve (each pass
-/// strictly improves the objective, so this is a safety valve, not a knob).
-const MAX_SWAP_PASSES: usize = 64;
 
 /// One DC's shard of the demand: `(client row, weight)` pairs, row-sorted.
 type ShardSummary = Vec<(u32, f64)>;
@@ -161,6 +160,42 @@ fn check_config(cfg: &DecentralConfig) {
         cfg.round_interval > SimDuration::ZERO,
         "round interval must be positive"
     );
+}
+
+/// The input validation [`run_decentralized_with`] and
+/// [`central_placement`] share, over a matrix of `n` nodes.
+fn check_inputs(
+    n: usize,
+    candidates: &[usize],
+    clients: &[usize],
+    weights: &[f64],
+    k: usize,
+) -> Result<(), PlaceError> {
+    let m = candidates.len();
+    if m == 0 || candidates.iter().any(|&c| c >= n) {
+        return Err(PlaceError::MissingData(
+            "a non-empty in-range candidate set",
+        ));
+    }
+    if (1..m).any(|i| candidates[..i].contains(&candidates[i])) {
+        return Err(PlaceError::MissingData("distinct candidate sites"));
+    }
+    if clients.is_empty() || clients.iter().any(|&c| c >= n) {
+        return Err(PlaceError::MissingData("a non-empty in-range client set"));
+    }
+    if weights.len() != clients.len() {
+        return Err(PlaceError::MissingData("one weight per client"));
+    }
+    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+        return Err(PlaceError::MissingData("finite non-negative weights"));
+    }
+    if k == 0 {
+        return Err(PlaceError::ZeroK);
+    }
+    if k > m {
+        return Err(PlaceError::KTooLarge { k, candidates: m });
+    }
+    Ok(())
 }
 
 /// Per-node gossip/solver tallies, summed into the report.
@@ -344,33 +379,14 @@ fn weights_from_view(view: &VersionedView<ShardSummary>, n_rows: usize) -> Vec<f
     weights
 }
 
-/// The deterministic local solver every node runs: greedy open steps to
-/// `k`, then best-improvement swap passes (ties to the first candidate in
-/// scan order) until no swap improves. A pure function of
-/// `(table, weights, k)` — the bedrock of cross-node agreement.
+/// The deterministic local solver every node runs — the same open-and-swap
+/// search as [`super::swap::SwapLocalSearch`]: greedy open steps to `k`,
+/// then per-position best-improvement swap passes (ties to the first
+/// candidate in scan order) until a pass improves nothing. A pure function
+/// of `(table, weights, k)` — the bedrock of cross-node agreement.
 fn local_solve(table: &CostTable, weights: &[f64], k: usize) -> Vec<usize> {
     let mut eval = IncrementalEval::new(table, weights);
-    greedy_fill(&mut eval, k.min(table.n_candidates()));
-    for _ in 0..MAX_SWAP_PASSES {
-        let current = eval.total();
-        let mut bound = current;
-        let mut best: Option<(usize, usize)> = None;
-        for pos in 0..eval.len() {
-            for slot in 0..table.n_candidates() {
-                if eval.slots().contains(&slot) {
-                    continue;
-                }
-                if let Some(total) = eval.swap_total_pruned(pos, slot, bound) {
-                    bound = total;
-                    best = Some((pos, slot));
-                }
-            }
-        }
-        match best {
-            Some((pos, slot)) => eval.commit_swap(pos, slot),
-            None => break,
-        }
-    }
+    open_then_swap(&mut eval, k);
     eval.slots().to_vec()
 }
 
@@ -389,8 +405,9 @@ pub struct DecentralReport {
     pub rounds: u32,
     /// Objective total of the consensus placement (weighted delay, ms).
     pub decentral_delay_ms: f64,
-    /// Objective total of the central solver (same open/swap machinery on
-    /// the full demand) — the differential baseline.
+    /// Objective total of the central solver
+    /// ([`super::swap::SwapLocalSearch`]'s search on the full demand) — the
+    /// differential baseline.
     pub central_delay_ms: f64,
     /// `(decentral − central) / central`; `0` when central is zero.
     pub gap: f64,
@@ -472,32 +489,7 @@ pub fn run_decentralized_with<R: Recorder>(
     check_config(cfg);
     let n = matrix.len();
     let m = candidates.len();
-    if m == 0 || candidates.iter().any(|&c| c >= n) {
-        return Err(PlaceError::MissingData(
-            "a non-empty in-range candidate set",
-        ));
-    }
-    if (1..m).any(|i| candidates[..i].contains(&candidates[i])) {
-        return Err(PlaceError::MissingData("distinct candidate sites"));
-    }
-    if clients.is_empty() || clients.iter().any(|&c| c >= n) {
-        return Err(PlaceError::MissingData("a non-empty in-range client set"));
-    }
-    if weights.len() != clients.len() {
-        return Err(PlaceError::MissingData("one weight per client"));
-    }
-    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-        return Err(PlaceError::MissingData("finite non-negative weights"));
-    }
-    if cfg.k == 0 {
-        return Err(PlaceError::ZeroK);
-    }
-    if cfg.k > m {
-        return Err(PlaceError::KTooLarge {
-            k: cfg.k,
-            candidates: m,
-        });
-    }
+    check_inputs(n, candidates, clients, weights, cfg.k)?;
 
     let oracle = MatrixDelay::new(matrix, clients);
     let table = Arc::new(CostTable::from_oracle(
@@ -728,27 +720,9 @@ pub fn central_placement(
     weights: &[f64],
     k: usize,
 ) -> Result<(Vec<usize>, f64), PlaceError> {
-    let n = matrix.len();
-    let m = candidates.len();
-    if m == 0 || candidates.iter().any(|&c| c >= n) {
-        return Err(PlaceError::MissingData(
-            "a non-empty in-range candidate set",
-        ));
-    }
-    if clients.is_empty() || clients.iter().any(|&c| c >= n) {
-        return Err(PlaceError::MissingData("a non-empty in-range client set"));
-    }
-    if weights.len() != clients.len() {
-        return Err(PlaceError::MissingData("one weight per client"));
-    }
-    if k == 0 {
-        return Err(PlaceError::ZeroK);
-    }
-    if k > m {
-        return Err(PlaceError::KTooLarge { k, candidates: m });
-    }
+    check_inputs(matrix.len(), candidates, clients, weights, k)?;
     let oracle = MatrixDelay::new(matrix, clients);
-    let table = CostTable::from_oracle(&oracle, candidates, n, clients.len());
+    let table = CostTable::from_oracle(&oracle, candidates, matrix.len(), clients.len());
     let slots = local_solve(&table, weights, k);
     let delay = table.total_delay(weights, &slots);
     let mut placement: Vec<usize> = slots.iter().map(|&sl| table.site_of(sl)).collect();
@@ -935,6 +909,8 @@ mod tests {
             run(&[0, 3], 1, &bad),
             Err(PlaceError::MissingData(_))
         ));
+        assert!(central_placement(&m, &[0, 0, 3], &clients, &weights, 2).is_err());
+        assert!(central_placement(&m, &[0, 3], &clients, &bad, 1).is_err());
     }
 
     #[test]

@@ -3,6 +3,11 @@
 use super::{PlaceError, PlacementContext, Placer};
 use crate::objective::IncrementalEval;
 
+/// Upper bound on improvement passes in [`open_then_swap`]. Every accepted
+/// swap strictly lowers the objective, so this is a safety valve, not a
+/// knob: no measured input has needed more than five passes.
+const MAX_SWAP_PASSES: usize = 64;
+
 /// Adds one replica at a time, each time choosing the candidate that most
 /// reduces the total access delay given the replicas already placed.
 ///
@@ -29,8 +34,8 @@ impl<const D: usize> Placer<D> for Greedy {
 }
 
 /// Runs the greedy selection into `eval`, committing `k` replicas. Shared
-/// with [`super::swap::SwapLocalSearch`], whose local search picks up the
-/// evaluator state exactly where greedy left it (no rebuild).
+/// with [`open_then_swap`], whose local search picks up the evaluator state
+/// exactly where greedy left it (no rebuild).
 pub(crate) fn greedy_fill(eval: &mut IncrementalEval<'_>, k: usize) {
     let table = eval.table();
     // Slot-indexed "already chosen" mask — O(1) per candidate where the
@@ -71,6 +76,49 @@ pub(crate) fn greedy_fill(eval: &mut IncrementalEval<'_>, k: usize) {
             }
         }
         eval.commit_add(slot);
+    }
+}
+
+/// The one open-and-swap search: [`greedy_fill`] to `k` replicas, then
+/// per-position best-improvement passes — for each placement position in
+/// turn, the first strictly cheapest swap in candidate scan order is
+/// committed — until a pass improves nothing. Every caller that refines
+/// greedy by single swaps (swap local search, online greedy, each
+/// decentralized node and its central comparator) runs exactly this.
+pub(crate) fn open_then_swap(eval: &mut IncrementalEval<'_>, k: usize) {
+    greedy_fill(eval, k);
+    let mut current = eval.total();
+    // Slot-indexed membership mask: O(1) per candidate, not O(k).
+    let mut in_placement = vec![false; eval.table().n_candidates()];
+    for &s in eval.slots() {
+        in_placement[s] = true;
+    }
+    for _ in 0..MAX_SWAP_PASSES {
+        let mut improved = false;
+        for pos in 0..eval.len() {
+            let mut best: Option<(usize, f64)> = None;
+            for (slot, &in_place) in in_placement.iter().enumerate() {
+                if in_place {
+                    continue;
+                }
+                // Accepting needs `d < current` and `d < best`, so the
+                // smaller of the two prunes the trial exactly.
+                let bound = best.map_or(current, |(_, bd)| f64::min(current, bd));
+                if let Some(d) = eval.swap_total_pruned(pos, slot, bound) {
+                    best = Some((slot, d));
+                }
+            }
+            if let Some((slot, d)) = best {
+                in_placement[eval.slots()[pos]] = false;
+                in_placement[slot] = true;
+                eval.commit_swap(pos, slot);
+                current = d;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
     }
 }
 

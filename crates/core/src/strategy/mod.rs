@@ -15,12 +15,10 @@
 //! | [`greedy::Greedy`] | related work (Qiu et al.) | true latencies, incremental search |
 //! | [`hotzone::HotZone`] | related work (Szymaniak et al.) | access coordinates, grid cells |
 //! | [`swap::SwapLocalSearch`] | related work (facility location) | true latencies, greedy + swaps |
-//! | [`capacity::CapacityGreedy`] | extension (paper future work) | true latencies + per-DC capacity |
 //! | [`slo::place_for_slo`] | extension (latency budgets from the paper's intro) | true latencies, greedy set cover |
 //! | [`spread::place_spread`] | extension (correlated-failure availability) | true latencies + failure-domain tree |
 //! | [`decentralized::run_decentralized`] | extension (coordinator-free gossip placement) | gossiped shard summaries, local search |
 
-pub mod capacity;
 pub mod decentralized;
 pub mod greedy;
 pub mod hotzone;

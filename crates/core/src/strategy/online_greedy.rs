@@ -20,6 +20,7 @@ use georep_cluster::micro::MicroCluster;
 use georep_cluster::point::WeightedPoint;
 use georep_coord::Coord;
 
+use super::greedy::open_then_swap;
 use super::{PlaceError, PlacementContext, Placer};
 use crate::objective::{CoordDelay, CostTable, IncrementalEval};
 
@@ -53,8 +54,7 @@ impl<const D: usize> Placer<D> for OnlineGreedy {
         }
 
         // The estimated instance is a fixed pseudo-point × candidate matrix:
-        // densify it once and run both phases through the incremental
-        // evaluator, exactly like the matrix-backed greedy + local search.
+        // densify it once and run the matrix-backed open-and-swap search.
         let points: Vec<Coord<D>> = pseudo.iter().map(|p| p.coord).collect();
         let weights: Vec<f64> = pseudo.iter().map(|p| p.weight).collect();
         let oracle = CoordDelay::new(coords, &points);
@@ -65,61 +65,7 @@ impl<const D: usize> Placer<D> for OnlineGreedy {
             points.len(),
         );
         let mut eval = IncrementalEval::new(&table, &weights);
-
-        // Greedy construction.
-        let mut used = vec![false; table.n_candidates()];
-        for _ in 0..ctx.k {
-            let mut best: Option<(usize, f64)> = None;
-            for (slot, &is_used) in used.iter().enumerate() {
-                if is_used {
-                    continue;
-                }
-                let bound = best.map_or(f64::INFINITY, |(_, bt)| bt);
-                if let Some(total) = eval.add_total_pruned(slot, bound) {
-                    best = Some((slot, total));
-                }
-            }
-            let (slot, _) = best.expect("k ≤ candidates leaves a free candidate");
-            let node = table.site_of(slot);
-            for (s, u) in used.iter_mut().enumerate() {
-                if table.site_of(s) == node {
-                    *u = true;
-                }
-            }
-            eval.commit_add(slot);
-        }
-
-        // Single-swap refinement on the estimated objective.
-        let mut current = eval.total();
-        let mut in_placement = vec![false; table.n_candidates()];
-        for &s in eval.slots() {
-            in_placement[s] = true;
-        }
-        for _pass in 0..8 {
-            let mut improved = false;
-            for pos in 0..eval.len() {
-                let mut best: Option<(usize, f64)> = None;
-                for (slot, &in_place) in in_placement.iter().enumerate() {
-                    if in_place {
-                        continue;
-                    }
-                    let bound = best.map_or(current, |(_, be)| f64::min(current, be));
-                    if let Some(est) = eval.swap_total_pruned(pos, slot, bound) {
-                        best = Some((slot, est));
-                    }
-                }
-                if let Some((slot, est)) = best {
-                    in_placement[eval.slots()[pos]] = false;
-                    in_placement[slot] = true;
-                    eval.commit_swap(pos, slot);
-                    current = est;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        open_then_swap(&mut eval, ctx.k);
         Ok(eval.placement())
     }
 }

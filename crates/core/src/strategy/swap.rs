@@ -10,21 +10,12 @@
 //! it. It serves here to sandwich the online technique between greedy and
 //! optimal.
 
-use super::greedy::greedy_fill;
+use super::greedy::open_then_swap;
 use super::{PlaceError, PlacementContext, Placer};
 
 /// Greedy followed by single-swap local search on the true objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapLocalSearch {
-    /// Maximum full improvement passes (each pass tries every swap once).
-    pub max_passes: usize,
-}
-
-impl Default for SwapLocalSearch {
-    fn default() -> Self {
-        SwapLocalSearch { max_passes: 16 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SwapLocalSearch;
 
 impl<const D: usize> Placer<D> for SwapLocalSearch {
     fn name(&self) -> &'static str {
@@ -33,49 +24,8 @@ impl<const D: usize> Placer<D> for SwapLocalSearch {
 
     fn place(&self, ctx: &PlacementContext<'_, D>) -> Result<Vec<usize>, PlaceError> {
         ctx.check_k()?;
-        let table = ctx.problem.cost_table();
-        // Seed with greedy through the same evaluator the local search
-        // uses: its nearest/second-nearest state is already exact, so no
-        // placement round-trip or rebuild is needed.
         let mut eval = ctx.problem.objective_eval();
-        greedy_fill(&mut eval, ctx.k);
-        let mut current = eval.total();
-        // Slot-indexed membership mask: O(1) per candidate where the former
-        // `placement.contains` scan was O(k). A trial of the occupant itself
-        // can only reproduce `current`, which strict `<` never accepts, so
-        // keeping the swapped-out slot marked loses nothing.
-        let mut in_placement = vec![false; table.n_candidates()];
-        for &s in eval.slots() {
-            in_placement[s] = true;
-        }
-
-        for _ in 0..self.max_passes {
-            let mut improved = false;
-            for pos in 0..eval.len() {
-                let mut best: Option<(usize, f64)> = None;
-                for (slot, &in_place) in in_placement.iter().enumerate() {
-                    if in_place {
-                        continue;
-                    }
-                    // Accepting needs `d < current` and `d < best`, so the
-                    // smaller of the two prunes the trial exactly.
-                    let bound = best.map_or(current, |(_, bd)| f64::min(current, bd));
-                    if let Some(d) = eval.swap_total_pruned(pos, slot, bound) {
-                        best = Some((slot, d));
-                    }
-                }
-                if let Some((slot, d)) = best {
-                    in_placement[eval.slots()[pos]] = false;
-                    in_placement[slot] = true;
-                    eval.commit_swap(pos, slot);
-                    current = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        open_then_swap(&mut eval, ctx.k);
         Ok(eval.placement())
     }
 }
@@ -110,9 +60,7 @@ mod tests {
         for k in 1..=4 {
             let c = ctx(&p, k);
             let greedy = p.total_delay(&Greedy.place(&c).unwrap()).unwrap();
-            let swapped = p
-                .total_delay(&SwapLocalSearch::default().place(&c).unwrap())
-                .unwrap();
+            let swapped = p.total_delay(&SwapLocalSearch.place(&c).unwrap()).unwrap();
             assert!(swapped <= greedy + 1e-9, "k = {k}: {swapped} > {greedy}");
         }
     }
@@ -125,9 +73,7 @@ mod tests {
         let optimal = p
             .total_delay(&Optimal::default().place(&c).unwrap())
             .unwrap();
-        let swapped = p
-            .total_delay(&SwapLocalSearch::default().place(&c).unwrap())
-            .unwrap();
+        let swapped = p.total_delay(&SwapLocalSearch.place(&c).unwrap()).unwrap();
         assert!(swapped >= optimal - 1e-9);
         assert!(
             swapped <= optimal * 1.05,
@@ -139,22 +85,12 @@ mod tests {
     fn returns_k_distinct_members() {
         let m = fixture();
         let p = PlacementProblem::new(&m, (0..9).collect(), (9..18).collect()).unwrap();
-        let placement = SwapLocalSearch::default().place(&ctx(&p, 4)).unwrap();
+        let placement = SwapLocalSearch.place(&ctx(&p, 4)).unwrap();
         assert_eq!(placement.len(), 4);
         let mut sorted = placement.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 4);
         assert!(p.validate_placement(&placement).is_ok());
-    }
-
-    #[test]
-    fn zero_passes_is_plain_greedy() {
-        let m = fixture();
-        let p = PlacementProblem::new(&m, (0..9).collect(), (9..18).collect()).unwrap();
-        let c = ctx(&p, 3);
-        let plain = Greedy.place(&c).unwrap();
-        let zero = SwapLocalSearch { max_passes: 0 }.place(&c).unwrap();
-        assert_eq!(plain, zero);
     }
 }

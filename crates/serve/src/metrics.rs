@@ -12,10 +12,11 @@
 //! is in-process rings; the endpoint exists for observability and ad-hoc
 //! driving, not peak throughput.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use georep_core::telemetry::{bucket_bound, InMemoryRecorder, HISTOGRAM_BUCKETS};
 
@@ -24,6 +25,13 @@ use crate::service::ShardProducer;
 /// Largest `POST /ingest` body accepted; a larger `Content-Length` is
 /// answered `413` before anything is allocated for it.
 const MAX_INGEST_BODY: usize = 1 << 20;
+/// Largest request line plus headers accepted; a head that reaches it
+/// before its blank line is answered `431`.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
+/// Longest one read of a request may wait, so a silent client cannot hold
+/// the accept loop: a stalled head is answered `408`, a stalled body
+/// dropped.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Renders a recorder snapshot in the Prometheus text exposition format.
 ///
@@ -104,7 +112,8 @@ impl MetricsExporter {
     }
 
     /// Serves connections until the stop flag is raised. One request per
-    /// connection, blocking — spawn this on its own thread.
+    /// connection, blocking — spawn this on its own thread. A client that
+    /// stalls holds the loop for at most the 2 s read timeout per read.
     pub fn serve(&self) {
         while !self.stop.load(Ordering::SeqCst) {
             let Ok((stream, _)) = self.listener.accept() else {
@@ -117,29 +126,18 @@ impl MetricsExporter {
         }
     }
 
-    fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
-        let mut reader = BufReader::new(stream);
-        let mut request_line = String::new();
-        reader.read_line(&mut request_line)?;
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-        // Headers: only Content-Length matters for the ingest body.
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
-        match (method, path) {
+    fn handle(&self, stream: TcpStream) -> io::Result<()> {
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        // Reading the head through `take` caps every line; `into_inner`
+        // hands back the buffered reader, body bytes it already holds included.
+        let mut head = BufReader::new(stream).take(MAX_HEAD_BYTES);
+        let parsed = read_head(&mut head);
+        let mut reader = head.into_inner();
+        let (method, path, content_length) = match parsed {
+            Ok(parsed) => parsed,
+            Err(status) => return respond(reader.into_inner(), status, "text/plain", "\n"),
+        };
+        match (method.as_str(), path.as_str()) {
             ("GET", "/metrics") => {
                 let body = render_prometheus(&self.recorder);
                 respond(
@@ -208,6 +206,44 @@ impl MetricsExporter {
     }
 }
 
+/// Reads the request line and headers into `(method, path,
+/// Content-Length)`, or the status to refuse them with: a client that
+/// stalls (`408`), a head that reaches [`MAX_HEAD_BYTES`] (`431`), an
+/// unreadable head or a non-numeric `Content-Length` (`400`).
+fn read_head<R: BufRead>(head: &mut Take<R>) -> Result<(String, String, usize), &'static str> {
+    let mut lines: Vec<String> = Vec::new();
+    loop {
+        let mut line = String::new();
+        match head.read_line(&mut line) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err("408 Request Timeout")
+            }
+            Err(_) => return Err("400 Bad Request"),
+            Ok(_) if !line.ends_with('\n') && head.limit() == 0 => {
+                return Err("431 Request Header Fields Too Large")
+            }
+            Ok(0) => break,
+            Ok(_) if !lines.is_empty() && line.trim().is_empty() => break,
+            Ok(_) => lines.push(line),
+        }
+    }
+    let mut parts = lines.first().map_or("", String::as_str).split_whitespace();
+    let method = parts.next().unwrap_or("").to_owned();
+    let path = parts.next().unwrap_or("").to_owned();
+    // Headers: only Content-Length matters for the ingest body.
+    let mut content_length = 0usize;
+    for line in lines.iter().skip(1) {
+        if let Some(v) = line
+            .to_ascii_lowercase()
+            .strip_prefix("content-length:")
+            .map(str::trim)
+        {
+            content_length = v.parse().map_err(|_| "400 Bad Request")?;
+        }
+    }
+    Ok((method, path, content_length))
+}
+
 /// Parses one `object region weight` triple; rejects trailing fields.
 fn parse_access(line: &str) -> Option<(u64, u32, f64)> {
     let mut f = line.split_whitespace();
@@ -220,12 +256,7 @@ fn parse_access(line: &str) -> Option<(u64, u32, f64)> {
     Some((object, region, weight))
 }
 
-fn respond(
-    mut stream: TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
+fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -371,16 +402,18 @@ georep_serve_lag_ms_count 3\n";
         let stop = exporter.stop_flag();
         let server = std::thread::spawn(move || exporter.serve());
 
-        // Sends `head` (request line plus headers) and `body`, half-closes
-        // so a server waiting on an undelivered body sees EOF, reads the reply.
-        let request = |head: &str, body: &str| -> String {
+        // Sends `raw`, half-closes so a server waiting on undelivered bytes
+        // sees EOF, reads the reply.
+        let send = |raw: &str| -> String {
             let mut s = TcpStream::connect(addr).expect("connect");
-            write!(s, "{head}\r\nHost: x\r\n\r\n{body}").expect("write");
+            s.write_all(raw.as_bytes()).expect("write");
             s.shutdown(std::net::Shutdown::Write).expect("half-close");
             let mut out = String::new();
             s.read_to_string(&mut out).expect("read");
             out
         };
+        // `head` is the request line plus headers.
+        let request = |head: &str, body: &str| send(&format!("{head}\r\nHost: x\r\n\r\n{body}"));
         let get = |path: &str| request(&format!("GET {path} HTTP/1.1"), "");
         let post = |content_length: u64, body: &str| {
             let head = format!("POST /ingest HTTP/1.1\r\nContent-Length: {content_length}");
@@ -423,6 +456,31 @@ georep_serve_lag_ms_count 3\n";
         assert!(oversize.starts_with("HTTP/1.1 413"), "{oversize}");
         assert_eq!(svc.poll().expect("poll"), 0);
         // ...and the scrape path still answers afterwards.
+        assert!(get("/metrics").starts_with("HTTP/1.1 200 OK"));
+
+        // A Content-Length that is not a number is refused, not read as 0.
+        let garbled = request("POST /ingest HTTP/1.1\r\nContent-Length: abc", "");
+        assert!(garbled.starts_with("HTTP/1.1 400"), "{garbled}");
+        assert_eq!(svc.poll().expect("poll"), 0);
+        // A head that reaches the byte cap without ending is refused
+        // without reading further (exactly the cap is sent, so the server
+        // leaves nothing unread and closes cleanly).
+        let line = "GET /metrics HTTP/1.1\r\nX-Fill: ";
+        let fill = "a".repeat(MAX_HEAD_BYTES as usize - line.len());
+        let refused = send(&format!("{line}{fill}"));
+        assert!(refused.starts_with("HTTP/1.1 431"), "{refused}");
+        // A client that connects and sends nothing is answered once the
+        // read timeout elapses instead of holding the accept loop forever...
+        let mut silent = TcpStream::connect(addr).expect("connect");
+        silent
+            .set_read_timeout(Some(READ_TIMEOUT * 5))
+            .expect("client timeout");
+        let mut out = String::new();
+        silent
+            .read_to_string(&mut out)
+            .expect("the server answers a silent client within its timeout");
+        assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+        // ...and scrapes are served again afterwards.
         assert!(get("/metrics").starts_with("HTTP/1.1 200 OK"));
 
         stop.store(true, Ordering::SeqCst);

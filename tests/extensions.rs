@@ -1,14 +1,11 @@
 //! End-to-end tests of the extension layers working together: SLO
-//! placement, read/write awareness, group budgets, the deployed DES loop,
-//! and coordinate re-convergence under network drift.
+//! placement, read/write awareness, the deployed DES loop, and coordinate
+//! re-convergence under network drift.
 
 use std::sync::OnceLock;
 
-use georep::coord::Coord;
 use georep::core::deployment::{run_deployment, DeploymentConfig};
-use georep::core::experiment::DIMS;
 use georep::core::gossip::{embed_through_shift, GossipConfig};
-use georep::core::group::{GroupConfig, ObjectGroup};
 use georep::core::problem::PlacementProblem;
 use georep::core::readwrite::{rw_greedy, RwDemand};
 use georep::core::strategy::slo::{coverage, place_for_slo};
@@ -68,42 +65,6 @@ fn write_awareness_changes_the_answer_on_the_wide_area_matrix() {
         georep::core::readwrite::best_master(&problem, &read_placement, &mixed)
             .expect("valid placement");
     assert!(mixed_delay <= read_under_mixed + 1e-9);
-}
-
-#[test]
-fn group_budget_prefers_the_object_with_dispersed_demand() {
-    let (topo, candidates, clients) = fixture();
-    // Coordinates straight from geography — adequate for the group logic.
-    let coords: Vec<Coord<DIMS>> = topo
-        .nodes()
-        .iter()
-        .map(|n| {
-            let mut pos = [0.0; DIMS];
-            pos[0] = n.location.lon_deg();
-            pos[1] = n.location.lat_deg();
-            Coord::new(pos)
-        })
-        .collect();
-    let mut group = ObjectGroup::new(coords.clone(), candidates.clone(), 3, GroupConfig::new(6))
-        .expect("valid group");
-
-    for (i, &c) in clients.iter().enumerate() {
-        // Object 0: everyone, everywhere. Object 1: only the first client's
-        // region. Object 2: untouched.
-        group
-            .record_access(0, coords[c], 1.0)
-            .expect("valid object");
-        if i < 4 {
-            group
-                .record_access(1, coords[clients[0]], 1.0)
-                .expect("valid object");
-        }
-    }
-    let d = group.rebalance().expect("rebalance runs");
-    assert_eq!(d.allocations.iter().sum::<usize>(), 6);
-    assert!(d.allocations[0] >= d.allocations[1]);
-    assert_eq!(d.allocations[2], 1);
-    assert_eq!(group.total_replicas(), 6);
 }
 
 #[test]

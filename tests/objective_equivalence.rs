@@ -223,6 +223,7 @@ fn greedy_returns_the_seed_placement() {
 }
 
 #[test]
+#[allow(clippy::default_constructed_unit_structs)] // the `default()` call sites stay valid
 fn swap_local_search_returns_the_seed_placement() {
     for seed in 0..6u64 {
         let m = fixture_matrix(seed, 36);
@@ -553,6 +554,29 @@ fn optimal_pruning_is_exact_under_adversarial_ties() {
             let got = Optimal::default().place(&ctx(&p, k)).unwrap();
             let want = reference_optimal(&p, k);
             assert_eq!(got, want, "n {n}, k {k}");
+        }
+    }
+}
+
+#[test]
+fn decentralized_central_solver_is_swap_local_search() {
+    // The decentralized mode's "central placement" — what its consensus is
+    // proven equal to — is the same open-and-swap search as
+    // `SwapLocalSearch`, so the two agree on every instance, bit for bit.
+    for seed in 0..40u64 {
+        for (n, n_cand) in [(36usize, 9usize), (60, 12), (80, 20)] {
+            let m = fixture_matrix(seed, n);
+            let p = fixture_problem(&m, n_cand);
+            for k in 2..=5 {
+                let mut swap = SwapLocalSearch.place(&ctx(&p, k)).unwrap();
+                swap.sort_unstable();
+                let (central, total) =
+                    georep_core::central_placement(&m, p.candidates(), p.clients(), p.weights(), k)
+                        .unwrap();
+                let at = format!("seed {seed}, n {n}, k {k}");
+                assert_eq!(swap, central, "{at}");
+                assert_eq!(p.total_delay(&swap).unwrap(), total, "{at}");
+            }
         }
     }
 }

@@ -16,7 +16,9 @@
 //! 4. reports the demand-weighted mean access delay measured on the *true*
 //!    latency matrix.
 //!
-//! Seeds run in parallel (scoped threads).
+//! Seeds run in parallel (scoped threads). That is the process's one
+//! parallel level: everything a seed runs — ingest, clustering, every
+//! strategy's solve — stays on its seed worker's thread.
 
 use std::fmt;
 
@@ -614,9 +616,11 @@ impl Experiment {
                     .position(|&r| r == replica)
                     .expect("closest_replica returns a member")
             };
+            // The seed fan-out is this process's one parallel level, so the
+            // per-seed ingest runs on the seed worker's own thread.
             route_then_absorb(
                 accesses,
-                crate::threads::available_parallelism(),
+                1,
                 &mut clusterers,
                 slot_of,
                 |&(client, weight)| (self.coords[client], weight),

@@ -28,11 +28,13 @@
 //!
 //! A fleet over `K` objects is **bit-identical** to `K` independent
 //! [`ReplicaManager`]s (constructed via [`FleetManager::owner_config`])
-//! running on the same owner-routed sub-traces — at any ingest thread
-//! count, and, with an unlimited budget, through every rebalance round.
-//! Sharding is an execution strategy, never a semantic: the
-//! `fleet_equivalence` suite pins this at 1/2/8 threads, with faults
-//! injected mid-run.
+//! running on the same owner-routed sub-traces — at any
+//! [`FleetConfig::threads`], and, with an unlimited budget, through every
+//! rebalance round. Sharding is an execution strategy, never a semantic:
+//! the `fleet_equivalence` suite pins this at `threads` 1/2/8, with
+//! faults injected mid-run. Fleet owners are the process's one parallel
+//! level; the only nested fan-out is the within-owner ingest arm, which
+//! gets only the threads the owner level leaves idle.
 
 mod scheduler;
 mod tier;
@@ -280,35 +282,20 @@ impl<const D: usize> FleetManager<D> {
     }
 
     /// Ingests one period of keyed accesses `(object, coordinate, weight)`
-    /// with the configured thread count, returning the number of accesses
-    /// each owner served (indexed by owner id).
+    /// on [`FleetConfig::threads`] workers, returning the number of accesses
+    /// each owner served (indexed by owner id). The result is bit-identical
+    /// at any thread count — threads only move wall-clock time.
     ///
     /// # Panics
     ///
     /// Panics when an object id is outside the fleet's key space.
     pub fn ingest_period(&mut self, accesses: &[(u64, Coord<D>, f64)]) -> Vec<u64> {
-        let threads = self.resolve_threads();
-        self.ingest_period_with_threads(accesses, threads)
-    }
-
-    /// [`FleetManager::ingest_period`] with an explicit thread count. The
-    /// result is bit-identical at any count — threads only move wall-clock
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// As [`FleetManager::ingest_period`].
-    pub fn ingest_period_with_threads(
-        &mut self,
-        accesses: &[(u64, Coord<D>, f64)],
-        threads: usize,
-    ) -> Vec<u64> {
         let owner_count = self.owners.len();
         let mut served = vec![0u64; owner_count];
         if accesses.is_empty() {
             return served;
         }
-        let threads = threads.max(1).min(accesses.len());
+        let threads = self.resolve_threads().min(accesses.len());
 
         // Phase 1: pure owner routing into the pooled assignment table,
         // parallel for large batches (the map is stateless arithmetic).
@@ -800,55 +787,59 @@ mod tests {
         assert_eq!(cold.seed, 0xF1EE7 + 5);
     }
 
+    /// At 1, 2 and 8 fleet threads, every owner's served counts,
+    /// decisions, placement and stats equal an independent manager's.
     #[test]
     fn ingest_is_bit_identical_to_independent_managers() {
-        let config = fleet_config(100, 4, 2);
-        let mut fleet = small_fleet();
-        let mut solo: Vec<ReplicaManager<1>> = (0..fleet.owner_count())
-            .map(|owner| {
-                ReplicaManager::new(
-                    line_coords(6),
-                    vec![0, 3, 5],
-                    vec![0, 3],
-                    FleetManager::<1>::owner_config(&config, owner),
-                )
-                .unwrap()
-            })
-            .collect();
-
         let accesses = keyed_stream(20_000, 100, 0xACCE55);
-        for round in 0..3 {
-            let chunk = &accesses[round * 5_000..(round + 1) * 5_000];
-            for threads in [1usize, 2, 8] {
-                let mut probe = fleet.clone();
-                let served = probe.ingest_period_with_threads(chunk, threads);
+        for threads in [1usize, 2, 8] {
+            let config = FleetConfig {
+                threads,
+                ..fleet_config(100, 4, 2)
+            };
+            let mut fleet =
+                FleetManager::new(line_coords(6), vec![0, 3, 5], vec![0, 3], config).unwrap();
+            let mut solo: Vec<ReplicaManager<1>> = (0..fleet.owner_count())
+                .map(|owner| {
+                    ReplicaManager::new(
+                        line_coords(6),
+                        vec![0, 3, 5],
+                        vec![0, 3],
+                        FleetManager::<1>::owner_config(&config, owner),
+                    )
+                    .unwrap()
+                })
+                .collect();
+
+            for round in 0..3 {
+                let chunk = &accesses[round * 5_000..(round + 1) * 5_000];
+                let served = fleet.ingest_period(chunk);
                 assert_eq!(served.iter().sum::<u64>(), chunk.len() as u64);
-            }
-            let served = fleet.ingest_period(chunk);
 
-            // Route the same chunk by owner and feed the independents.
-            let mut sub: Vec<Vec<(Coord<1>, f64)>> = vec![Vec::new(); solo.len()];
-            for &(object, coord, weight) in chunk {
-                sub[fleet.owner_of(object)].push((coord, weight));
-            }
-            for (owner, (mgr, bucket)) in solo.iter_mut().zip(&sub).enumerate() {
-                let solo_served: u64 = mgr.ingest_period(bucket).iter().sum();
-                assert_eq!(served[owner], solo_served, "owner {owner} served count");
-            }
+                // Route the same chunk by owner and feed the independents.
+                let mut sub: Vec<Vec<(Coord<1>, f64)>> = vec![Vec::new(); solo.len()];
+                for &(object, coord, weight) in chunk {
+                    sub[fleet.owner_of(object)].push((coord, weight));
+                }
+                for (owner, (mgr, bucket)) in solo.iter_mut().zip(&sub).enumerate() {
+                    let solo_served: u64 = mgr.ingest_period(bucket).iter().sum();
+                    assert_eq!(served[owner], solo_served, "owner {owner} served count");
+                }
 
-            let fleet_round = fleet.rebalance().unwrap();
-            for (owner, mgr) in solo.iter_mut().enumerate() {
-                let solo_decision = mgr.rebalance().unwrap();
-                assert_eq!(
-                    fleet_round.decisions[owner], solo_decision,
-                    "owner {owner} decision diverged in round {round}"
-                );
-                assert_eq!(fleet.owner(owner).placement(), mgr.placement());
-                assert_eq!(fleet.owner(owner).stats(), mgr.stats());
+                let fleet_round = fleet.rebalance().unwrap();
+                for (owner, mgr) in solo.iter_mut().enumerate() {
+                    let solo_decision = mgr.rebalance().unwrap();
+                    assert_eq!(
+                        fleet_round.decisions[owner], solo_decision,
+                        "threads={threads}: owner {owner} decision diverged in round {round}"
+                    );
+                    assert_eq!(fleet.owner(owner).placement(), mgr.placement());
+                    assert_eq!(fleet.owner(owner).stats(), mgr.stats());
+                }
             }
+            assert!(fleet.stats().hot_fraction() > 0.0);
+            assert_eq!(fleet.stats().accesses, 15_000);
         }
-        assert!(fleet.stats().hot_fraction() > 0.0);
-        assert_eq!(fleet.stats().accesses, 15_000);
     }
 
     #[test]

@@ -352,14 +352,15 @@ impl<const D: usize> ReplicaManager<D> {
     /// element, bit for bit, but parallelized for million-access periods.
     /// Returns the number of accesses each placement slot served.
     ///
-    /// Worker threads default to the machine's parallelism; see
-    /// [`ReplicaManager::ingest_period_with_threads`] for why the thread
-    /// count can never change the outcome.
+    /// Worker threads default to the machine's parallelism; the thread
+    /// count can never change the outcome (see `ingest_period_with_threads`).
     pub fn ingest_period(&mut self, accesses: &[(Coord<D>, f64)]) -> Vec<u64> {
         self.ingest_period_with_threads(accesses, crate::threads::available_parallelism())
     }
 
-    /// [`ReplicaManager::ingest_period`] with an explicit worker count.
+    /// [`ReplicaManager::ingest_period`] with an explicit worker count: the
+    /// fleet's within-owner arm, which hands an owner the threads its
+    /// owner-level fan-out left idle.
     ///
     /// The result is thread-count-independent by construction. Routing is a
     /// pure function of the (frozen) placement and coordinates, so phase 1
@@ -368,7 +369,7 @@ impl<const D: usize> ReplicaManager<D> {
     /// stream order — summarizers are independent, and per-slot order is
     /// exactly what a serial [`ReplicaManager::record_access`] loop would
     /// produce. Small batches (or one thread) simply run the serial loop.
-    pub fn ingest_period_with_threads(
+    pub(crate) fn ingest_period_with_threads(
         &mut self,
         accesses: &[(Coord<D>, f64)],
         threads: usize,

@@ -20,13 +20,10 @@
 //!
 //! A scenario run is a pure function of `(matrix, kind, config)`. All
 //! randomness is counter-based and seeded; all collections that influence
-//! decisions are `Vec`s; the manager's macro-clustering runs serially on
-//! the calling thread, and the one place [`ScenarioConfig::threads`]
-//! reaches — the decentralized mode's per-node scoring sweep — is
-//! thread-count-independent by construction. Two runs with the same
-//! inputs — at *any* two thread counts — produce bit-identical
-//! [`ScenarioReport`]s, which `tests/robustness_scenarios.rs` asserts
-//! across 1/2/8 threads.
+//! decisions are `Vec`s; every mode, the decentralized one included, runs
+//! on the calling thread. Two runs with the same inputs produce
+//! bit-identical [`ScenarioReport`]s, which `tests/robustness_scenarios.rs`
+//! asserts for every kind.
 //!
 //! # Serving model
 //!
@@ -105,10 +102,6 @@ pub struct ScenarioConfig {
     pub tick: SimDuration,
     /// Rebalance cadence, in ticks (a detection additionally forces one).
     pub rebalance_every: u32,
-    /// Worker threads for [`PlacementMode::Decentralized`]'s per-node
-    /// scoring sweep (`DecentralConfig::threads`; `0` = every available
-    /// core). The other modes never read it. Must not change any output.
-    pub threads: usize,
     /// Simulated duration of the coordinate-embedding gossip run.
     pub embed_duration: SimDuration,
     /// Simulated duration of each failure-detection gossip run.
@@ -134,7 +127,6 @@ impl Default for ScenarioConfig {
             phase_ticks: 8,
             tick: SimDuration::from_secs(1.0),
             rebalance_every: 4,
-            threads: 0,
             embed_duration: SimDuration::from_secs(30.0),
             detect_duration: SimDuration::from_secs(30.0),
             mode: PlacementMode::Reactive,
@@ -656,10 +648,11 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         }
 
         // Demand: every client the coordinator can currently hear from,
-        // ingested as one batch. `ingest_period` is bit-identical to the
-        // serial `record_access` loop, so the determinism contract holds.
+        // recorded on this thread.
         let demand = ctx.demand_at(tick);
-        mgr.ingest_period(&demand);
+        for &(coord, weight) in &demand {
+            mgr.record_access(coord, weight);
+        }
         predictor.observe(&demand);
 
         // Truth-score this tick.
@@ -859,7 +852,6 @@ fn decentralized_consensus<const D: usize, R: Recorder>(
         max_rounds: 24,
         jitter_sigma: 0.0,
         seed: ctx.cfg.seed ^ 0xDECE_0000 ^ ctx.tick as u64,
-        threads: ctx.cfg.threads,
         ..DecentralConfig::new(k)
     };
     let plan = FaultPlan::new(dcfg.seed);
@@ -993,30 +985,25 @@ mod tests {
         );
     }
 
+    /// Same inputs twice, same report, in the reactive mode and in the
+    /// decentralized one.
     #[test]
     fn scenario_is_deterministic_and_thread_count_invariant() {
         let m = matrix(24);
-        let run = |mode, threads| {
+        let run = |mode| {
             let cfg = ScenarioConfig {
                 mode,
-                threads,
                 ..quick_cfg()
             };
             run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap()
         };
-        // Reactive never reads `threads`: determinism is the whole claim.
-        assert_eq!(
-            run(PlacementMode::Reactive, 0),
-            run(PlacementMode::Reactive, 0)
-        );
-        // Decentralized is the one mode the field reaches.
-        let base = run(PlacementMode::Decentralized, 1);
-        for threads in [2, 8] {
-            let swept = run(PlacementMode::Decentralized, threads);
-            assert_eq!(swept, base, "threads={threads}");
+        for mode in [PlacementMode::Reactive, PlacementMode::Decentralized] {
+            assert_eq!(run(mode), run(mode), "{mode:?}");
         }
     }
 
+    /// The gossip-solved mode still evicts the crashed replica, and a
+    /// second run with the same inputs gives the identical report.
     #[test]
     fn decentralized_mode_survives_a_crash_and_stays_thread_invariant() {
         let m = matrix(24);
@@ -1039,15 +1026,8 @@ mod tests {
                 .any(|e| matches!(e, TraceEvent::Rebalance { .. })),
             "gossip-solved rebalances must appear in the trace"
         );
-        for threads in [2, 8] {
-            let run = run_scenario(
-                &m,
-                ScenarioKind::SingleDcCrash,
-                ScenarioConfig { threads, ..cfg },
-            )
-            .unwrap();
-            assert_eq!(run, base, "threads={threads}");
-        }
+        let again = run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap();
+        assert_eq!(again, base);
     }
 
     #[test]

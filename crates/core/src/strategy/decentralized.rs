@@ -123,9 +123,6 @@ pub struct DecentralConfig {
     pub stagger_seed: u64,
     /// Per-message latency jitter σ (fraction of RTT), seeded.
     pub jitter_sigma: f64,
-    /// Worker threads for the post-run per-node scoring sweep
-    /// (`0` = library default). Must not change any output.
-    pub threads: usize,
 }
 
 impl DecentralConfig {
@@ -141,7 +138,6 @@ impl DecentralConfig {
             seed: 0xDECE_7124,
             stagger_seed: 0,
             jitter_sigma: 0.05,
-            threads: 0,
         }
     }
 }
@@ -423,8 +419,7 @@ pub struct DecentralReport {
     pub view_deltas: u64,
     /// Accepted local placement moves across all nodes.
     pub local_moves: u64,
-    /// Objective total of each node's own final placement, in slot order —
-    /// scored in parallel (`threads`), bit-identical at any thread count.
+    /// Objective total of each node's own final placement, in slot order.
     pub node_delays_ms: Vec<f64>,
     /// Messages the simulator delivered.
     pub messages_delivered: u64,
@@ -433,7 +428,7 @@ pub struct DecentralReport {
     /// Engine events executed.
     pub events_executed: u64,
     /// FNV-1a fingerprint of every node's final placement and quiescence
-    /// round — the compact cross-thread-count / cross-schedule identity.
+    /// round — the compact cross-run / cross-schedule identity.
     pub fingerprint: u64,
 }
 
@@ -608,35 +603,10 @@ pub fn run_decentralized_with<R: Recorder>(
         0.0
     };
 
-    // Score every node's own placement — the only parallel section, a pure
-    // element-wise map so chunking cannot change a single bit.
-    let threads = if cfg.threads == 0 {
-        crate::threads::available_parallelism()
-    } else {
-        cfg.threads
-    }
-    .clamp(1, m);
-    let mut node_delays_ms = vec![0.0; m];
-    if threads <= 1 {
-        for (out, slots) in node_delays_ms.iter_mut().zip(&placements) {
-            *out = table.total_delay(weights, slots);
-        }
-    } else {
-        let chunk = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (outs, plcs) in node_delays_ms
-                .chunks_mut(chunk)
-                .zip(placements.chunks(chunk))
-            {
-                let table = &table;
-                scope.spawn(move || {
-                    for (out, slots) in outs.iter_mut().zip(plcs) {
-                        *out = table.total_delay(weights, slots);
-                    }
-                });
-            }
-        });
-    }
+    let node_delays_ms: Vec<f64> = placements
+        .iter()
+        .map(|slots| table.total_delay(weights, slots))
+        .collect();
 
     let mut placement: Vec<usize> = placements[0].iter().map(|&sl| table.site_of(sl)).collect();
     placement.sort_unstable();
@@ -789,19 +759,15 @@ mod tests {
         }
     }
 
+    /// The whole run is a pure function of its inputs: the same
+    /// configuration twice gives the identical report.
     #[test]
     fn report_is_identical_across_thread_counts() {
         let m = matrix(24);
         let candidates: Vec<usize> = (0..24).step_by(2).collect();
         let base = run_decentralized(&m, &candidates, &quick_cfg(4)).unwrap();
-        for threads in [1usize, 2, 8] {
-            let cfg = DecentralConfig {
-                threads,
-                ..quick_cfg(4)
-            };
-            let run = run_decentralized(&m, &candidates, &cfg).unwrap();
-            assert_eq!(run, base, "threads={threads}");
-        }
+        let again = run_decentralized(&m, &candidates, &quick_cfg(4)).unwrap();
+        assert_eq!(again, base);
     }
 
     #[test]

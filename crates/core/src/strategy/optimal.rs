@@ -11,8 +11,6 @@
 //! bound never overshoots a descendant's float total: pruning (strict `>`)
 //! returns bit-for-bit the placement of the plain scan.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use crate::combin::binomial;
 
 use super::greedy::Greedy;
@@ -53,10 +51,10 @@ impl Optimal {
 }
 
 /// Best `(placement, total)` found within one first-slot subtree, if the
-/// subtree beat the shared bound at all.
+/// subtree beat the running bound at all.
 type GroupBest = Option<(Vec<usize>, f64)>;
 
-/// Read-only context shared by every worker of one exhaustive search.
+/// One exhaustive search: the read-only costs plus the running bound.
 struct Search<'a> {
     /// Candidate-major weighted costs (`w · delay` per client row).
     wcost: &'a [f64],
@@ -66,28 +64,19 @@ struct Search<'a> {
     n_rows: usize,
     n_cand: usize,
     k: usize,
-    /// Global upper bound as `f64` bits (non-negative floats order exactly
-    /// like their bit patterns, so `fetch_min` works). Stays `∞` when the
-    /// costs may be negative and pruning is off.
-    shared: &'a AtomicU64,
+    /// Best total seen across every subtree so far, seeded by greedy.
+    /// Stays `∞` when the costs may be negative and pruning is off.
+    bound: f64,
     prunable: bool,
 }
 
-impl Search<'_> {
-    fn row(&self, slot: usize) -> &[f64] {
+impl<'a> Search<'a> {
+    fn row(&self, slot: usize) -> &'a [f64] {
         &self.wcost[slot * self.n_rows..(slot + 1) * self.n_rows]
     }
 
-    fn suffix_row(&self, slot: usize) -> &[f64] {
+    fn suffix_row(&self, slot: usize) -> &'a [f64] {
         &self.suffix[slot * self.n_rows..(slot + 1) * self.n_rows]
-    }
-
-    fn bound(&self, local: &Option<(Vec<usize>, f64)>) -> f64 {
-        if !self.prunable {
-            return f64::INFINITY;
-        }
-        let global = f64::from_bits(self.shared.load(Ordering::Relaxed));
-        local.as_ref().map_or(global, |&(_, b)| f64::min(global, b))
     }
 
     /// Depth-first scan with `combo[level]` ranging over `from..=to`.
@@ -95,7 +84,7 @@ impl Search<'_> {
     /// holds the elementwise minimum of the first ℓ+1 chosen rows, folded
     /// left with strict `<` exactly like the flat per-combination loop.
     fn descend(
-        &self,
+        &mut self,
         level: usize,
         from: usize,
         to: usize,
@@ -106,7 +95,7 @@ impl Search<'_> {
         let n_rows = self.n_rows;
         let leaf = level + 1 == self.k;
         for v in from..=to {
-            let bound = self.bound(best);
+            let bound = self.bound;
             let row = self.row(v);
             let (done, rest) = mins.split_at_mut(level * n_rows);
             let prev: Option<&[f64]> = done.get(done.len().wrapping_sub(n_rows)..);
@@ -129,7 +118,7 @@ impl Search<'_> {
                 }
                 if !pruned && best.as_ref().is_none_or(|&(_, bd)| total < bd) {
                     if self.prunable {
-                        self.shared.fetch_min(total.to_bits(), Ordering::Relaxed);
+                        self.bound = total;
                     }
                     combo.push(v);
                     *best = Some((combo.clone(), total));
@@ -169,7 +158,7 @@ impl Search<'_> {
 
     /// Scans the subtree rooted at first slot `v0`, returning its best
     /// (first-wins on ties, like the flat lexicographic scan).
-    fn scan_group(&self, v0: usize, mins: &mut [f64]) -> GroupBest {
+    fn scan_group(&mut self, v0: usize, mins: &mut [f64]) -> GroupBest {
         let mut combo = Vec::with_capacity(self.k);
         let mut best = None;
         self.descend(0, v0, v0, &mut combo, mins, &mut best);
@@ -223,58 +212,25 @@ impl<const D: usize> Placer<D> for Optimal {
         } else {
             f64::INFINITY
         };
-        let shared = AtomicU64::new(greedy_total.to_bits());
-        let search = Search {
+        let mut search = Search {
             wcost,
             suffix: &suffix,
             n_rows,
             n_cand,
             k,
-            shared: &shared,
+            bound: greedy_total,
             prunable,
         };
 
-        // One work unit per first-slot choice; workers pull units off a
-        // shared counter (subtree sizes are wildly uneven — C(n-1-v, k-1)
-        // shrinks as v grows — so static splits would straggle).
-        let n_groups = n_cand - k + 1;
-        let counter = AtomicUsize::new(0);
-        let run_worker = || {
-            let mut mins = vec![0.0; k * n_rows];
-            let mut out: Vec<(usize, GroupBest)> = Vec::new();
-            loop {
-                let v0 = counter.fetch_add(1, Ordering::Relaxed);
-                if v0 >= n_groups {
-                    return out;
+        // One subtree per first-slot choice, merged in first-slot (=
+        // lexicographic) order with strict `<` so the earliest minimum wins.
+        let mut mins = vec![0.0; k * n_rows];
+        let mut merged: GroupBest = None;
+        for v0 in 0..n_cand - k + 1 {
+            if let Some(r) = search.scan_group(v0, &mut mins) {
+                if merged.as_ref().is_none_or(|&(_, bd)| r.1 < bd) {
+                    merged = Some(r);
                 }
-                out.push((v0, search.scan_group(v0, &mut mins)));
-            }
-        };
-
-        let threads = crate::threads::available_parallelism().min(n_groups);
-        // Parallelism only pays once the space amortizes thread start-up.
-        let groups = if threads <= 1 || space <= 2048 {
-            run_worker()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads).map(|_| s.spawn(run_worker)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Merge in first-slot (= lexicographic) order with strict `<` so
-        // the earliest minimum still wins.
-        let mut results: Vec<Option<(Vec<usize>, f64)>> = vec![None; n_groups];
-        for (v0, r) in groups {
-            results[v0] = r;
-        }
-        let mut merged: Option<(Vec<usize>, f64)> = None;
-        for r in results.into_iter().flatten() {
-            if merged.as_ref().is_none_or(|&(_, bd)| r.1 < bd) {
-                merged = Some(r);
             }
         }
 

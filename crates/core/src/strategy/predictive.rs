@@ -30,11 +30,9 @@
 //! back). `tests/predictive_placement.rs` prints both for the diurnal and
 //! drift workloads.
 //!
-//! Determinism: the driver is a serial loop; the only parallelism lives in
-//! the manager's ingest path, which is bit-identical across thread counts
-//! by contract, and the forecaster is pure serial arithmetic — so
-//! [`run_mode`] reports compare `==` across 1/2/8 worker threads (pinned by
-//! `tests/predictive_placement.rs`).
+//! Determinism: the driver, the manager's ingest and the forecaster all run
+//! serially on the caller's thread, so two [`run_mode`] calls with the same
+//! inputs compare `==` (pinned by `tests/predictive_placement.rs`).
 
 use georep_coord::Coord;
 
@@ -91,11 +89,6 @@ pub struct ModeConfig {
     pub micro_clusters: usize,
     /// Seed for the manager's macro-clustering.
     pub seed: u64,
-    /// Worker threads for the manager's bulk ingest
-    /// ([`ReplicaManager::ingest_period_with_threads`]). There is no auto
-    /// setting: `0`, like `1`, runs the serial loop. Pure wall-clock knob:
-    /// reports are bit-identical across values.
-    pub threads: usize,
     /// Required relative delay gain per migration dollar.
     pub gain_per_dollar: f64,
     /// Forecaster tuning (season length, confidence gate bounds).
@@ -113,7 +106,6 @@ impl ModeConfig {
             k,
             micro_clusters: 8,
             seed: 0x0FC5,
-            threads: 0,
             gain_per_dollar: 0.02,
             forecast: ForecastConfig::new(season)?,
         })
@@ -353,7 +345,9 @@ pub fn run_mode<const D: usize>(
         }
 
         // 3. Feed the period to the summarizers and the forecaster.
-        mgr.ingest_period_with_threads(demand, cfg.threads);
+        for &(coord, weight) in demand {
+            mgr.record_access(coord, weight);
+        }
         predictor.observe(demand);
 
         // 4. Re-place for the next period.
@@ -534,30 +528,25 @@ mod tests {
         );
     }
 
+    /// Same inputs twice, same report, in every mode.
     #[test]
     fn reports_are_identical_across_thread_counts() {
         let (coords, candidates, regions) = line();
         let periods = swinging_periods(24, 8);
+        let cfg = ModeConfig::new(2, 6).unwrap();
         for mode in ALL_MODES {
-            let runs: Vec<ModeReport> = [1usize, 2, 8]
-                .iter()
-                .map(|&threads| {
-                    let mut cfg = ModeConfig::new(2, 6).unwrap();
-                    cfg.threads = threads;
-                    run_mode(
-                        &coords,
-                        &candidates,
-                        &[0, 4],
-                        &regions,
-                        &periods,
-                        mode,
-                        &cfg,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            assert_eq!(runs[0], runs[1], "{mode:?} 1 vs 2 threads");
-            assert_eq!(runs[0], runs[2], "{mode:?} 1 vs 8 threads");
+            let run = || {
+                run_mode(
+                    &coords,
+                    &candidates,
+                    &[0, 4],
+                    &regions,
+                    &periods,
+                    mode,
+                    &cfg,
+                )
+            };
+            assert_eq!(run().unwrap(), run().unwrap(), "{mode:?}");
         }
     }
 

@@ -17,12 +17,10 @@
 //! A generated [`Graph`] carries seeded deterministic per-edge RTT weights
 //! (order-independent: each edge's weight is a pure hash of
 //! `(seed, u, v)`), and compiles to a full [`RttMatrix`] via per-source
-//! Dijkstra all-pairs shortest paths. The shortest-path computation is
-//! parallel across sources and **bit-identical at any thread count**: each
-//! source's row is an independent serial computation, so the worker split
-//! only changes wall-clock time — the same contract as every other
-//! parallel path in the workspace, pinned by `tests/topology_graphs.rs`.
-//! Because the matrix is a shortest-path metric, it satisfies the triangle
+//! Dijkstra all-pairs shortest paths, split across cores by source and
+//! bit-identical at any core count. Its callers build a topology once, at
+//! the top of a run, so this is never a nested fan-out. Because the
+//! matrix is a shortest-path metric, it satisfies the triangle
 //! inequality exactly (violation rate 0), unlike the detour-injecting
 //! [`super::Topology`] generator — which is precisely what makes the two
 //! matrix families complementary scenario inputs.
@@ -31,7 +29,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -362,61 +359,43 @@ impl Graph {
         diameter
     }
 
-    /// The full shortest-path RTT matrix, computed with one worker per
-    /// available core. Bit-identical to [`Graph::rtt_matrix_with_threads`]
-    /// at any thread count.
+    /// The full shortest-path RTT matrix: one Dijkstra per source, the
+    /// sources dealt round-robin to one worker per available core from 64
+    /// nodes up. Each row is an independent serial computation, so the
+    /// split cannot change a bit (a unit test pins the matrix to the
+    /// one-thread rows); `tests/topology_graphs.rs` checks every entry
+    /// against an independent Floyd–Warshall.
     ///
     /// # Errors
     ///
     /// See [`GraphError`].
     pub fn rtt_matrix(&self) -> Result<RttMatrix, GraphError> {
-        self.rtt_matrix_with_threads(0)
-    }
-
-    /// The full shortest-path RTT matrix with an explicit worker count
-    /// (`0` = one per available core).
-    ///
-    /// Each source row is an independent serial Dijkstra, so the split of
-    /// sources over workers cannot change a single bit of the result —
-    /// `tests/topology_graphs.rs` pins matrices at 1/2/8 threads equal.
-    ///
-    /// # Errors
-    ///
-    /// See [`GraphError`].
-    pub fn rtt_matrix_with_threads(&self, threads: usize) -> Result<RttMatrix, GraphError> {
         let n = self.n;
         let adj = self.adjacency();
-        let counter = AtomicUsize::new(0);
-        let worker = || {
-            let mut out: Vec<(usize, Vec<f64>)> = Vec::new();
-            loop {
-                let src = counter.fetch_add(1, Ordering::Relaxed);
-                if src >= n {
-                    return out;
-                }
-                out.push((src, dijkstra(&adj, src)));
-            }
-        };
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        }
-        .min(n);
-        let computed = if threads <= 1 || n < 64 {
-            worker()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("dijkstra worker panicked"))
-                    .collect()
-            })
-        };
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
-        for (src, row) in computed {
-            rows[src] = row;
+        if threads <= 1 || n < 64 {
+            for (src, row) in rows.iter_mut().enumerate() {
+                *row = dijkstra(&adj, src);
+            }
+        } else {
+            let adj = &adj;
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|w| {
+                        scope.spawn(move || {
+                            let sources = (w..n).step_by(threads);
+                            sources.map(|src| dijkstra(adj, src)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for (w, worker) in workers.into_iter().enumerate() {
+                    let part = worker.join().expect("dijkstra worker panicked");
+                    for (row, src) in part.into_iter().zip((w..n).step_by(threads)) {
+                        rows[src] = row;
+                    }
+                }
+            });
         }
         if rows.iter().flatten().any(|d| !d.is_finite()) {
             return Err(GraphError::Disconnected);
@@ -735,7 +714,7 @@ mod tests {
             seed: 0,
         };
         assert!(!g.is_connected());
-        assert_eq!(g.rtt_matrix_with_threads(1), Err(GraphError::Disconnected));
+        assert_eq!(g.rtt_matrix(), Err(GraphError::Disconnected));
     }
 
     #[test]
@@ -747,11 +726,29 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let m = g.rtt_matrix_with_threads(1).unwrap();
+        let m = g.rtt_matrix().unwrap();
         // On a line the path 0→5 is the sum of the five edge weights.
         let total: f64 = g.edges().map(|(_, _, w)| w).sum();
         assert!((m.get(0, 5) - total).abs() < 1e-9);
         assert_eq!(m.triangle_violation_rate(), 0.0);
+    }
+
+    #[test]
+    fn matrix_equals_the_one_thread_rows_bit_for_bit() {
+        // 100 nodes: past the 64-node cut-over, so a multi-core host splits.
+        for family in GraphFamily::standard() {
+            let g = Graph::generate(GraphConfig {
+                family,
+                nodes: 100,
+                seed: 11,
+                ..Default::default()
+            })
+            .unwrap();
+            let adj = g.adjacency();
+            let rows: Vec<Vec<f64>> = (0..100).map(|src| dijkstra(&adj, src)).collect();
+            let serial = RttMatrix::from_fn(100, |i, j| rows[i][j]).unwrap();
+            assert_eq!(g.rtt_matrix().unwrap(), serial, "{}", family.name());
+        }
     }
 
     #[test]

@@ -143,16 +143,17 @@ pub fn shard_seed(seed: u64, shard: u64) -> u64 {
 /// time depends on the previous draw. `ShardedStream` instead splits the
 /// horizon into `shards` disjoint windows, each its own Poisson process
 /// under a [`shard_seed`]-derived RNG — valid because the Poisson process
-/// is memoryless, and embarrassingly parallel because shards share
-/// nothing. Clients are drawn through the O(1) [`AliasTable`] rather than
+/// is memoryless, and independent because shards share nothing (a
+/// caller may generate them wherever it likes via
+/// [`ShardedStream::shard_events`]). Clients are drawn through the O(1) [`AliasTable`] rather than
 /// the O(log n) CDF walk, which is what makes million-client populations
 /// affordable.
 ///
 /// Determinism contract (pinned by `tests/workload_props.rs`): for a fixed
 /// `(config, duration, shards)` the event sequence is identical whether it
 /// is produced in one call ([`ShardedStream::generate`]), in chunks of any
-/// size ([`ShardedStream::chunks`]), or on any number of threads
-/// ([`ShardedStream::generate_parallel`]).
+/// size ([`ShardedStream::chunks`]), or shard by shard
+/// ([`ShardedStream::shard_events`]).
 #[derive(Debug, Clone)]
 pub struct ShardedStream {
     alias: AliasTable,
@@ -284,42 +285,6 @@ impl ShardedStream {
         let mut events = Vec::new();
         for s in 0..self.shards {
             events.append(&mut self.shard_events(s));
-        }
-        events
-    }
-
-    /// Generates the whole stream on `threads` worker threads. The output
-    /// is bit-identical to [`ShardedStream::generate`] for any thread
-    /// count: shards are dealt out in contiguous ranges and re-concatenated
-    /// in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn generate_parallel(&self, threads: usize) -> Vec<AccessEvent> {
-        assert!(threads > 0, "need at least one thread");
-        let threads = threads.min(self.shards);
-        if threads == 1 {
-            return self.generate();
-        }
-        let mut per_shard: Vec<Vec<AccessEvent>> = vec![Vec::new(); self.shards];
-        // Deal contiguous shard ranges; each worker owns a disjoint slice
-        // of the output table, so no ordering decision ever depends on
-        // thread scheduling.
-        let per_thread = self.shards.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (w, slot) in per_shard.chunks_mut(per_thread).enumerate() {
-                let this = &*self;
-                scope.spawn(move || {
-                    for (k, out) in slot.iter_mut().enumerate() {
-                        *out = this.shard_events(w * per_thread + k);
-                    }
-                });
-            }
-        });
-        let mut events = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
-        for mut shard in per_shard {
-            events.append(&mut shard);
         }
         events
     }
@@ -794,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stream_chunks_and_threads_are_pure_delivery_choices() {
+    fn sharded_stream_chunks_are_pure_delivery_choices() {
         let pop = Population::zipf_skewed(50, 1.0, 3);
         let cfg = StreamConfig {
             rate_per_ms: 0.4,
@@ -806,13 +771,6 @@ mod tests {
         for batch in [1, 17, 256, 10_000] {
             let rebatched: Vec<AccessEvent> = stream.chunks(batch).flatten().collect();
             assert_eq!(rebatched, whole, "batch size {batch} changed the stream");
-        }
-        for threads in [1, 2, 3, 8, 32] {
-            assert_eq!(
-                stream.generate_parallel(threads),
-                whole,
-                "{threads} threads changed the stream"
-            );
         }
         // Every chunk but the last is exactly the batch size.
         let batches: Vec<Vec<AccessEvent>> = stream.chunks(100).collect();
@@ -905,9 +863,6 @@ mod tests {
         let objects = crate::zipf::Zipf::new(100, 0.9).alias();
         let stream = ShardedStream::new(&pop, &cfg, 5_000.0, 7).with_objects(objects);
         let whole = stream.generate();
-        for threads in [1, 2, 8] {
-            assert_eq!(stream.generate_parallel(threads), whole);
-        }
         let rebatched: Vec<AccessEvent> = stream.chunks(64).flatten().collect();
         assert_eq!(rebatched, whole);
     }

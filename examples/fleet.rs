@@ -54,8 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let stream = ShardedStream::new(&population, &stream_cfg, ACCESSES as f64 * 1.03, 32)
         .with_objects(Zipf::new(OBJECTS as usize, 1.1).alias());
-    let mut events =
-        stream.generate_parallel(std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let mut events = stream.generate();
     events.truncate(ACCESSES);
     let demand: Vec<(u64, Coord<DIMS>, f64)> = events
         .iter()

@@ -118,21 +118,16 @@ impl Options {
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("{key} needs a value"))?;
-            let num = || -> Result<f64, String> {
-                value
-                    .parse()
-                    .map_err(|_| format!("{key}: {value:?} is not a number"))
-            };
             match key {
-                "--nodes" => o.nodes = num()? as usize,
-                "--dcs" => o.dcs = num()? as usize,
-                "--k" => o.k = num()? as usize,
-                "--seed" => o.seed = num()? as u64,
-                "--seeds" => o.seeds = num()? as u64,
-                "--rounds" => o.rounds = num()? as usize,
-                "--clients" => o.clients = num()? as usize,
-                "--rate" => o.rate = num()?,
-                "--duration" => o.duration = num()?,
+                "--nodes" => o.nodes = num(key, value)?,
+                "--dcs" => o.dcs = num(key, value)?,
+                "--k" => o.k = num(key, value)?,
+                "--seed" => o.seed = num(key, value)?,
+                "--seeds" => o.seeds = num(key, value)?,
+                "--rounds" => o.rounds = num(key, value)?,
+                "--clients" => o.clients = num(key, value)?,
+                "--rate" => o.rate = num(key, value)?,
+                "--duration" => o.duration = num(key, value)?,
                 "--out" => o.out = Some(value.clone()),
                 "--protocol" => {
                     o.protocol = match value.as_str() {
@@ -148,6 +143,29 @@ impl Options {
             i += 2;
         }
         Ok(o)
+    }
+}
+
+/// Parses `value` as the option's own type: integer options reject
+/// fractions, signs and exponents instead of truncating them.
+fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| {
+        format!(
+            "{key}: {value:?} is not a valid {}",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
+/// `--duration`, rejected unless finite and non-negative.
+fn duration_ms(opts: &Options) -> Result<f64, String> {
+    if opts.duration.is_finite() && opts.duration >= 0.0 {
+        Ok(opts.duration)
+    } else {
+        Err(format!(
+            "--duration must be finite and non-negative, got {}",
+            opts.duration
+        ))
     }
 }
 
@@ -287,6 +305,10 @@ fn cmd_place(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_simulate(opts: &Options) -> Result<(), String> {
+    if opts.k == 0 {
+        return Err("simulate needs --k of at least 1".into());
+    }
+    let duration = duration_ms(opts)?;
     let matrix = make_matrix(opts)?;
     let n = matrix.len();
     let step = (n / opts.dcs.max(1)).max(1);
@@ -296,7 +318,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
     }
     let cfg = DeploymentConfig {
         k: opts.k,
-        duration: SimDuration::from_ms(opts.duration.max(10_000.0)),
+        duration: SimDuration::from_ms(duration.max(10_000.0)),
         seed: opts.seed,
         ..Default::default()
     };
@@ -330,13 +352,20 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     if opts.clients == 0 {
         return Err("trace needs at least one client".into());
     }
+    if !(opts.rate.is_finite() && opts.rate > 0.0) {
+        return Err(format!(
+            "--rate must be finite and positive, got {}",
+            opts.rate
+        ));
+    }
+    let duration = duration_ms(opts)?;
     let pop = Population::zipf_skewed(opts.clients, 1.0, opts.seed);
     let cfg = StreamConfig {
         rate_per_ms: opts.rate,
         seed: opts.seed,
         ..Default::default()
     };
-    let events = generate(&pop, &cfg, opts.duration);
+    let events = generate(&pop, &cfg, duration);
     let trace = Trace::from_events(events).map_err(|e| e.to_string())?;
     match trace.stats() {
         Some(s) => println!(
@@ -384,6 +413,40 @@ mod tests {
         assert!(parse(&["--bogus", "1"]).is_err());
         assert!(parse(&["--protocol", "gnp2"]).is_err());
         assert!(parse(&["--strategy", "nope"]).is_err());
+        // Integer options take integers: no exponent, fraction or sign
+        // gets truncated or saturated into a size.
+        for (key, value) in [
+            ("--nodes", "1e30"),
+            ("--seeds", "1e30"),
+            ("--k", "2.9"),
+            ("--nodes", "-3"),
+            ("--seed", "-1"),
+            ("--dcs", "inf"),
+            ("--clients", "NaN"),
+            ("--rounds", "18446744073709551616000"),
+        ] {
+            assert!(parse(&[key, value]).is_err(), "{key} {value}");
+        }
+    }
+
+    #[test]
+    fn trace_rejects_unusable_rate_and_duration() {
+        for rate in ["inf", "0", "-1", "NaN"] {
+            let o = parse(&["--rate", rate]).unwrap();
+            assert!(cmd_trace(&o).is_err(), "--rate {rate}");
+        }
+        for duration in ["inf", "-5", "NaN"] {
+            let o = parse(&["--duration", duration]).unwrap();
+            assert!(cmd_trace(&o).is_err(), "--duration {duration}");
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_zero_k_and_unusable_duration() {
+        let o = parse(&["--k", "0", "--nodes", "40", "--dcs", "5"]).unwrap();
+        assert!(cmd_simulate(&o).is_err());
+        let o = parse(&["--duration", "inf", "--nodes", "40", "--dcs", "5"]).unwrap();
+        assert!(cmd_simulate(&o).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! anywhere. This suite drives both sides with the same Zipf-keyed
 //! workloads and asserts:
 //!
-//! * **thread invariance** — fleet ingest and rebalance at 1, 2 and 8
-//!   worker threads produce identical results;
+//! * **thread invariance** — fleet ingest and rebalance at
+//!   `FleetConfig::threads` 1, 2 and 8 produce identical results;
 //! * **solo equivalence** — every owner finishes each round exactly where
 //!   its isolated twin does, for all-hot and mixed hot/cold tierings;
 //! * **fault transparency** — a deterministic fault schedule derived from
@@ -125,6 +125,7 @@ fn run_fleet(
     faults: &[Vec<FaultOp>],
 ) -> (Vec<Vec<OwnerRound>>, Vec<FleetRound>) {
     let initial: Vec<usize> = candidates()[..2].to_vec();
+    let config = FleetConfig { threads, ..config };
     let mut fleet = FleetManager::new(coords(), candidates(), initial, config).unwrap();
     let per = trace.len() / periods;
     let mut rounds = Vec::new();
@@ -141,7 +142,7 @@ fn run_fleet(
             }
         }
         let chunk = &trace[p * per..(p + 1) * per];
-        let served = fleet.ingest_period_with_threads(chunk, threads);
+        let served = fleet.ingest_period(chunk);
         let round = fleet.rebalance().unwrap();
         rounds.push(
             (0..fleet.owner_count())

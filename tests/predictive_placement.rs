@@ -8,8 +8,7 @@
 //! * on the shifting workloads (`PhasedWorkload::diurnal` / `drift`) the
 //!   engaged forecast serves demand strictly below the reactive delay, and
 //!   the regret ordering `oracle ≤ predictive ≤ reactive` holds;
-//! * every mode's full report is bit-identical across 1 / 2 / 8 worker
-//!   threads.
+//! * every mode's full report is bit-identical from run to run.
 
 use std::sync::OnceLock;
 
@@ -180,10 +179,8 @@ fn run(
     periods: &[Vec<(Coord<DIMS>, f64)>],
     mode: PlacementMode,
     season: usize,
-    threads: usize,
 ) -> ModeReport {
-    let mut cfg = ModeConfig::new(K, season).expect("valid season");
-    cfg.threads = threads;
+    let cfg = ModeConfig::new(K, season).expect("valid season");
     run_mode(
         &fx.coords,
         &fx.candidates,
@@ -199,8 +196,8 @@ fn run(
 #[test]
 fn stationary_workload_runs_predictive_bit_identical_to_reactive() {
     let fx = fixture();
-    let reactive = run(fx, &fx.stationary, PlacementMode::Reactive, SEASON, 1);
-    let predictive = run(fx, &fx.stationary, PlacementMode::Predictive, SEASON, 1);
+    let reactive = run(fx, &fx.stationary, PlacementMode::Reactive, SEASON);
+    let predictive = run(fx, &fx.stationary, PlacementMode::Predictive, SEASON);
     // The gate never engages, so the two runs are the same run: every
     // per-period placement (the fingerprint), every counter, every delay.
     assert_eq!(predictive.gate_engaged, 0, "{predictive:?}");
@@ -224,8 +221,8 @@ fn stationary_workload_runs_predictive_bit_identical_to_reactive() {
 #[test]
 fn predictive_serves_the_diurnal_swing_at_or_below_reactive_delay() {
     let fx = fixture();
-    let reactive = run(fx, &fx.diurnal, PlacementMode::Reactive, SEASON, 0);
-    let predictive = run(fx, &fx.diurnal, PlacementMode::Predictive, SEASON, 0);
+    let reactive = run(fx, &fx.diurnal, PlacementMode::Reactive, SEASON);
+    let predictive = run(fx, &fx.diurnal, PlacementMode::Predictive, SEASON);
     assert!(
         predictive.gate_engaged > 0,
         "the forecast gate must engage after the warm-up days: {predictive:?}"
@@ -242,8 +239,8 @@ fn predictive_serves_the_diurnal_swing_at_or_below_reactive_delay() {
 fn predictive_serves_the_drift_strictly_below_reactive_delay() {
     let fx = fixture();
     // Season 1: the trend component alone carries the forecast.
-    let reactive = run(fx, &fx.drift, PlacementMode::Reactive, 1, 0);
-    let predictive = run(fx, &fx.drift, PlacementMode::Predictive, 1, 0);
+    let reactive = run(fx, &fx.drift, PlacementMode::Reactive, 1);
+    let predictive = run(fx, &fx.drift, PlacementMode::Predictive, 1);
     assert!(predictive.gate_engaged > 0, "{predictive:?}");
     assert!(
         predictive.mean_delay_ms < reactive.mean_delay_ms,
@@ -257,9 +254,9 @@ fn predictive_serves_the_drift_strictly_below_reactive_delay() {
 fn regret_ordering_is_oracle_then_predictive_then_reactive() {
     let fx = fixture();
     for (workload, periods, season) in [("diurnal", &fx.diurnal, SEASON), ("drift", &fx.drift, 1)] {
-        let oracle = run(fx, periods, PlacementMode::Oracle, season, 0);
-        let predictive = run(fx, periods, PlacementMode::Predictive, season, 0);
-        let reactive = run(fx, periods, PlacementMode::Reactive, season, 0);
+        let oracle = run(fx, periods, PlacementMode::Oracle, season);
+        let predictive = run(fx, periods, PlacementMode::Predictive, season);
+        let reactive = run(fx, periods, PlacementMode::Reactive, season);
         for r in [&oracle, &predictive, &reactive] {
             println!(
                 "{workload:<8} {:<11} {:.2} ms, regret {:.2} ms, gate {}/{}, ${:.2} spent, ${:.2} wasted",
@@ -293,16 +290,13 @@ fn regret_ordering_is_oracle_then_predictive_then_reactive() {
     }
 }
 
+/// Every mode, run twice on the diurnal workload, reports bit-identically.
 #[test]
 fn every_mode_reports_bit_identically_across_thread_counts() {
     let fx = fixture();
     for mode in ALL_MODES {
-        let runs: Vec<ModeReport> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| run(fx, &fx.diurnal, mode, SEASON, threads))
-            .collect();
-        assert_eq!(runs[0], runs[1], "{mode:?}: 1 vs 2 threads");
-        assert_eq!(runs[0], runs[2], "{mode:?}: 1 vs 8 threads");
+        let first = run(fx, &fx.diurnal, mode, SEASON);
+        assert_eq!(run(fx, &fx.diurnal, mode, SEASON), first, "{mode:?}");
     }
 }
 
@@ -415,8 +409,8 @@ fn short_history_workload_falls_back_bit_identical_to_reactive() {
     let fx = fixture();
     let short = &fx.diurnal[..4];
     assert!(short.len() < ForecastConfig::new(SEASON).unwrap().min_history);
-    let reactive = run(fx, short, PlacementMode::Reactive, SEASON, 1);
-    let predictive = run(fx, short, PlacementMode::Predictive, SEASON, 1);
+    let reactive = run(fx, short, PlacementMode::Reactive, SEASON);
+    let predictive = run(fx, short, PlacementMode::Predictive, SEASON);
     assert_eq!(predictive.gate_engaged, 0, "{predictive:?}");
     assert_eq!(predictive.gate_declined, short.len());
     assert_eq!(
@@ -456,8 +450,8 @@ fn erratic_workload_falls_back_bit_identical_to_reactive() {
             );
         }
     }
-    let reactive = run(fx, &periods, PlacementMode::Reactive, SEASON, 1);
-    let predictive = run(fx, &periods, PlacementMode::Predictive, SEASON, 1);
+    let reactive = run(fx, &periods, PlacementMode::Reactive, SEASON);
+    let predictive = run(fx, &periods, PlacementMode::Predictive, SEASON);
     assert_eq!(predictive.gate_engaged, 0, "{predictive:?}");
     assert_eq!(predictive.gate_declined, periods.len());
     assert_eq!(

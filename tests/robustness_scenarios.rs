@@ -3,12 +3,10 @@
 //! Two invariants hold for every scenario in
 //! [`georep_core::scenario::ALL_SCENARIOS`]:
 //!
-//! 1. **Determinism, across thread counts where threads exist** — a
-//!    scenario run is a pure function of `(matrix, kind, config)`. The
-//!    reactive run spawns nothing `ScenarioConfig::threads` could steer,
-//!    so it is pinned same-config-twice; the decentralized mode's scoring
-//!    sweep does read the field, and 1, 2 and 8 threads must not change a
-//!    single bit of the report: trace, timeline, placements, hash.
+//! 1. **Determinism** — a scenario run is a pure function of
+//!    `(matrix, kind, config)` and spawns nothing, so the reactive and the
+//!    decentralized modes are each pinned same-config-twice: not a single
+//!    bit of the report may move (trace, timeline, placements, hash).
 //! 2. **Recovery** — once every fault window closes and quarantined data
 //!    centers are restored, the cost-gated re-placement loop must bring
 //!    the true mean client delay back within ε of the pre-fault optimum.
@@ -41,9 +39,8 @@ fn matrix(nodes: usize) -> georep_net::rtt::RttMatrix {
     .into_matrix()
 }
 
-fn suite_cfg(threads: usize) -> ScenarioConfig {
+fn suite_cfg() -> ScenarioConfig {
     ScenarioConfig {
-        threads,
         phase_ticks: 4,
         rebalance_every: 2,
         embed_duration: SimDuration::from_secs(20.0),
@@ -52,32 +49,25 @@ fn suite_cfg(threads: usize) -> ScenarioConfig {
     }
 }
 
+/// Each kind runs twice per mode, reactive and decentralized, and the
+/// second run's report and trace hash equal the first's.
 #[test]
 fn reports_are_bit_identical_across_1_2_and_8_threads() {
     let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let reactive = run_scenario(&m, kind, suite_cfg(0))
-            .unwrap_or_else(|e| panic!("{} does not run: {e:?}", kind.name()));
-        let again = run_scenario(&m, kind, suite_cfg(0)).expect("scenario runs");
-        assert_eq!(again, reactive, "{}: rerun diverged", kind.name());
-
-        let decentralized = |threads| ScenarioConfig {
-            mode: PlacementMode::Decentralized,
-            ..suite_cfg(threads)
-        };
-        let base = run_scenario(&m, kind, decentralized(1)).expect("scenario runs");
-        for threads in [2, 8] {
-            let run = run_scenario(&m, kind, decentralized(threads)).expect("scenario runs");
+        for mode in [PlacementMode::Reactive, PlacementMode::Decentralized] {
+            let cfg = ScenarioConfig {
+                mode,
+                ..suite_cfg()
+            };
+            let base = run_scenario(&m, kind, cfg)
+                .unwrap_or_else(|e| panic!("{} does not run: {e:?}", kind.name()));
+            let again = run_scenario(&m, kind, cfg).expect("scenario runs");
+            assert_eq!(again, base, "{} {mode:?}: rerun diverged", kind.name());
             assert_eq!(
-                run,
-                base,
-                "{}: report diverged at threads={threads}",
-                kind.name()
-            );
-            assert_eq!(
-                run.trace_hash,
+                again.trace_hash,
                 base.trace_hash,
-                "{}: trace hash diverged at threads={threads}",
+                "{} {mode:?}: trace hash diverged",
                 kind.name()
             );
         }
@@ -91,10 +81,10 @@ fn reports_are_bit_identical_across_1_2_and_8_threads() {
 fn reports_are_bit_identical_with_a_recorder_attached() {
     let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let plain = run_scenario(&m, kind, suite_cfg(1)).expect("scenario runs");
+        let plain = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
         let rec = InMemoryRecorder::new();
         let recorded =
-            run_scenario_with_recorder(&m, kind, suite_cfg(1), &rec).expect("scenario runs");
+            run_scenario_with_recorder(&m, kind, suite_cfg(), &rec).expect("scenario runs");
         assert_eq!(
             recorded,
             plain,
@@ -117,7 +107,7 @@ fn reports_are_bit_identical_with_a_recorder_attached() {
         // And the captured telemetry is a pure function of the run.
         let rec2 = InMemoryRecorder::new();
         let again =
-            run_scenario_with_recorder(&m, kind, suite_cfg(1), &rec2).expect("scenario runs");
+            run_scenario_with_recorder(&m, kind, suite_cfg(), &rec2).expect("scenario runs");
         assert_eq!(again, plain);
         assert_eq!(
             rec.counters(),
@@ -138,7 +128,7 @@ fn reports_are_bit_identical_with_a_recorder_attached() {
 fn post_recovery_delay_returns_within_epsilon_of_the_pre_fault_optimum() {
     let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let report = run_scenario(&m, kind, suite_cfg(0)).expect("scenario runs");
+        let report = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
         assert!(
             report.pre_fault_delay_ms > 0.0,
             "{}: pre-fault baseline must be positive",
@@ -168,7 +158,7 @@ fn crash_scenarios_fail_over_and_restore() {
     use georep_core::scenario::TraceEvent;
     let m = matrix(24);
     for kind in [ScenarioKind::SingleDcCrash, ScenarioKind::RollingRecovery] {
-        let report = run_scenario(&m, kind, suite_cfg(0)).expect("scenario runs");
+        let report = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
         let failed = report
             .trace
             .iter()

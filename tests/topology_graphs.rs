@@ -2,16 +2,14 @@
 //!
 //! Pins the contracts the per-family delay/survival front
 //! (`tests/domain_scenarios.rs`) relies on:
-//! seed determinism, thread-count independence of the parallel
-//! shortest-path matrix, per-family structural invariants (BA degree
+//! seed determinism, shortest-path matrix values checked against an
+//! independent Floyd–Warshall, per-family structural invariants (BA degree
 //! skew, WS clustering vs. rewiring probability, grid/line/lollipop
 //! exact diameters), and the triangle-inequality accounting that
 //! separates shortest-path metrics from the detour-injecting synthetic
 //! topology.
 
 use georep_net::topology::graph::{lollipop_head, Graph, GraphConfig, GraphError, GraphFamily};
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn generate(family: GraphFamily, nodes: usize, seed: u64) -> Graph {
     Graph::generate(GraphConfig {
@@ -30,8 +28,8 @@ fn identical_seeds_reproduce_identical_graphs_and_matrices() {
         let b = generate(family, 80, 7);
         assert_eq!(a, b, "{}", family.name());
         assert_eq!(
-            a.rtt_matrix_with_threads(1).unwrap(),
-            b.rtt_matrix_with_threads(1).unwrap(),
+            a.rtt_matrix().unwrap(),
+            b.rtt_matrix().unwrap(),
             "{}",
             family.name()
         );
@@ -51,22 +49,49 @@ fn different_seeds_produce_different_weights() {
     }
 }
 
+/// All-pairs shortest paths by Floyd–Warshall over the edge list: an
+/// algorithm independent of the per-source Dijkstra under test.
+fn floyd_warshall(g: &Graph) -> Vec<Vec<f64>> {
+    let n = g.len();
+    let mut d = vec![vec![f64::INFINITY; n]; n];
+    for (i, row) in d.iter_mut().enumerate() {
+        row[i] = 0.0;
+    }
+    for (u, v, w) in g.edges() {
+        d[u][v] = d[u][v].min(w);
+        d[v][u] = d[v][u].min(w);
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let via = d[i][k] + d[k][j];
+                if via < d[i][j] {
+                    d[i][j] = via;
+                }
+            }
+        }
+    }
+    d
+}
+
+/// `rtt_matrix` holds the true shortest-path distance of every pair, to
+/// 1e-9 relative, on every family.
 #[test]
 fn shortest_path_matrix_is_bit_identical_across_thread_counts() {
     for family in GraphFamily::standard() {
-        // 100 nodes crosses the parallel path's serial-fallback threshold.
         let g = generate(family, 100, 11);
-        let base = g.rtt_matrix_with_threads(THREADS[0]).unwrap();
-        for &t in &THREADS[1..] {
-            assert_eq!(
-                g.rtt_matrix_with_threads(t).unwrap(),
-                base,
-                "{} diverged at {t} threads",
-                family.name()
-            );
+        let m = g.rtt_matrix().unwrap();
+        let want = floyd_warshall(&g);
+        for (i, row) in want.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                let got = m.get(i, j);
+                assert!(
+                    (got - d).abs() <= 1e-9 * d,
+                    "{}: d({i}, {j}) = {got}, Floyd–Warshall says {d}",
+                    family.name()
+                );
+            }
         }
-        // The default (auto) thread count is the same computation.
-        assert_eq!(g.rtt_matrix().unwrap(), base, "{}", family.name());
     }
 }
 
@@ -74,7 +99,7 @@ fn shortest_path_matrix_is_bit_identical_across_thread_counts() {
 fn shortest_path_matrices_satisfy_the_triangle_inequality() {
     for family in GraphFamily::standard() {
         let g = generate(family, 64, 3);
-        let m = g.rtt_matrix_with_threads(2).unwrap();
+        let m = g.rtt_matrix().unwrap();
         assert_eq!(
             m.triangle_violation_rate(),
             0.0,

@@ -85,7 +85,7 @@ fn million_access_trace_text_roundtrip_replays_bit_identically() {
     };
     // 3% over the mean horizon, then truncate to exactly one million.
     let stream = ShardedStream::new(&pop, &cfg, ACCESSES as f64 * 1.03, 64);
-    let mut events: Vec<AccessEvent> = stream.generate_parallel(4);
+    let mut events: Vec<AccessEvent> = stream.generate();
     assert!(
         events.len() >= ACCESSES,
         "stream fell short: {}",

@@ -9,8 +9,8 @@
 //!   probabilities reconstructed from the table equal the source
 //!   distribution's) and in distribution under a chi-square bound.
 //! * **Batching is a pure delivery choice** — a [`ShardedStream`] yields
-//!   the identical event sequence whether drained in one call, in chunks of
-//!   any size, or generated on any number of threads.
+//!   the identical event sequence whether drained in one call or in chunks
+//!   of any size.
 
 use georep_workload::{AliasTable, Population, ShardedStream, StreamConfig, Zipf};
 use proptest::prelude::*;
@@ -153,18 +153,5 @@ proptest! {
         }
         let rejoined: Vec<_> = chunks.into_iter().flatten().collect();
         prop_assert_eq!(rejoined, whole);
-    }
-
-    /// Thread count is a pure delivery choice: any worker count yields the
-    /// identical sequence for a fixed seed.
-    #[test]
-    fn prop_parallel_generation_is_thread_invariant(
-        threads in 1usize..10,
-        seed in 0u64..1_000,
-    ) {
-        let pop = Population::zipf_skewed(24, 1.1, seed);
-        let cfg = StreamConfig { rate_per_ms: 0.8, seed, ..Default::default() };
-        let stream = ShardedStream::new(&pop, &cfg, 2_500.0, 8);
-        prop_assert_eq!(stream.generate_parallel(threads), stream.generate());
     }
 }

@@ -6,8 +6,8 @@
 //! needed is a pair of monotone positions: the producer publishes writes
 //! with a `Release` store of `tail`, the consumer publishes frees with a
 //! `Release` store of `head`, and each side reads the other's position
-//! with `Acquire`. No locks, no CAS loops, no allocation after
-//! construction.
+//! with `Acquire`. No locks on the hot path, no CAS loops, no allocation
+//! after construction.
 //!
 //! Layout choices, in the nearcore/crossbeam idiom:
 //!
@@ -23,11 +23,22 @@
 //! The single-producer / single-consumer discipline is enforced by
 //! construction: [`spsc`] returns exactly one [`Producer`] and one
 //! [`Consumer`], neither of which is `Clone`.
+//!
+//! A producer that finds the ring full **parks** its thread
+//! ([`Producer::push`]) instead of spinning, so a busy consumer gets the
+//! core back. The wake handshake lives off the hot path: a `parked` flag
+//! on a third cache line and the producer's [`Thread`] handle behind a
+//! mutex that only the slow path touches. Every consumer path that
+//! advances `head` ([`Consumer::drain_into`], [`Consumer::try_pop`], and
+//! so `Drop`) pays one `SeqCst` fence and one flag load per batch, and
+//! unparks the producer when the flag is set. The ring counts its parks,
+//! which the service exports as `serve.producer.parks`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, Thread};
 
 /// Pads its contents to a 64-byte cache line so two adjacent atomics never
 /// share one (the classic false-sharing defence).
@@ -47,11 +58,24 @@ struct Ring<T> {
     head: CachePadded<AtomicUsize>,
     /// Producer position: slots below it are published (all-time count).
     tail: CachePadded<AtomicUsize>,
+    /// The producer's slow-path state; only a full ring writes it.
+    wake: CachePadded<Wake>,
+    /// The thread to unpark while `wake.parked` is set.
+    waiter: Mutex<Option<Thread>>,
+}
+
+/// Set and counted by a producer about to park on a full ring.
+#[derive(Debug, Default)]
+struct Wake {
+    parked: AtomicBool,
+    /// All-time number of `park()` calls (a statistic: `Relaxed`).
+    parks: AtomicU64,
 }
 
 // Safety: the producer/consumer split guarantees each slot is accessed by
 // at most one thread at a time (ownership is handed over through the
-// Release/Acquire pair on `tail` and `head`).
+// Release/Acquire pair on `tail` and `head`). `wake` and `waiter` are
+// atomics and a mutex, shared safely by construction.
 unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
@@ -89,6 +113,8 @@ pub fn spsc<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         mask: capacity - 1,
         head: CachePadded(AtomicUsize::new(0)),
         tail: CachePadded(AtomicUsize::new(0)),
+        wake: CachePadded(Wake::default()),
+        waiter: Mutex::new(None),
     });
     (
         Producer {
@@ -111,7 +137,8 @@ impl<T> Producer<T> {
     }
 
     /// Attempts to enqueue `value`; returns it back when the ring is full
-    /// (the caller picks the backpressure policy — the service spins).
+    /// (the caller picks the backpressure policy — [`Producer::push`]
+    /// parks).
     pub fn try_push(&mut self, value: T) -> Result<(), T> {
         let capacity = self.ring.mask + 1;
         if self.tail.wrapping_sub(self.cached_head) == capacity {
@@ -131,22 +158,39 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// Enqueues `value`, spinning (with `std::hint::spin_loop`) while the
-    /// ring is full. The bounded ring is the backpressure: a stalled
-    /// consumer slows producers down instead of growing a queue.
+    /// Enqueues `value`, parking the thread while the ring is full until
+    /// the consumer frees a slot. The bounded ring is the backpressure: a
+    /// stalled consumer slows producers down instead of growing a queue,
+    /// and a waiting producer leaves its core to the consumer.
     pub fn push(&mut self, mut value: T) {
-        loop {
-            match self.try_push(value) {
-                Ok(()) => return,
-                Err(v) => {
-                    value = v;
-                    std::hint::spin_loop();
-                    // On oversubscribed hosts (or a single core) spinning
-                    // alone can starve the consumer we are waiting for.
-                    std::thread::yield_now();
-                }
-            }
+        while let Err(v) = self.try_push(value) {
+            value = v;
+            self.park_while_full();
         }
+    }
+
+    /// Parks until a consumer that advanced `head` unparks this thread,
+    /// unless the ring turns out to have room already. May return with
+    /// the ring still full (a spurious wakeup); the caller retries.
+    #[cold]
+    fn park_while_full(&mut self) {
+        let ring = &*self.ring;
+        // Nothing panics while holding the lock, and any value is valid.
+        *ring.waiter.lock().unwrap_or_else(PoisonError::into_inner) = Some(thread::current());
+        // No lost wakeup (store buffering): this side stores `parked`,
+        // fences, then loads `head`; the consumer stores `head`, fences,
+        // then loads `parked`. The two SeqCst fences are totally ordered,
+        // so either this load sees the freed slot or the consumer's load
+        // sees the flag and unparks us. An unpark that lands before
+        // `park()` leaves a token, so `park()` then returns at once.
+        ring.wake.0.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        self.cached_head = ring.head.0.load(Ordering::Acquire);
+        if self.tail.wrapping_sub(self.cached_head) == ring.mask + 1 {
+            ring.wake.0.parks.fetch_add(1, Ordering::Relaxed);
+            thread::park();
+        }
+        ring.wake.0.parked.store(false, Ordering::Relaxed);
     }
 }
 
@@ -170,6 +214,7 @@ impl<T> Consumer<T> {
         let value = unsafe { (*slot.get()).assume_init_read() };
         self.head = self.head.wrapping_add(1);
         self.ring.head.0.store(self.head, Ordering::Release);
+        self.wake_producer();
         Some(value)
     }
 
@@ -192,7 +237,33 @@ impl<T> Consumer<T> {
         self.head = self.head.wrapping_add(n);
         self.cached_tail = tail;
         self.ring.head.0.store(self.head, Ordering::Release);
+        self.wake_producer();
         n
+    }
+
+    /// Unparks a producer waiting on a full ring. Call right after every
+    /// `Release` store that advances `head`.
+    fn wake_producer(&self) {
+        // The other half of `Producer::park_while_full`'s handshake: the
+        // caller's `head` store, this fence, then the flag load. Either the
+        // producer's reload of `head` sees the freed slot, or this load
+        // sees its flag (and the waiter it recorded before setting it).
+        fence(Ordering::SeqCst);
+        if self.ring.wake.0.parked.load(Ordering::Relaxed) {
+            let waiter = self
+                .ring
+                .waiter
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(thread) = waiter.as_ref() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// How many times the producer has parked on this ring so far.
+    pub(crate) fn parks(&self) -> u64 {
+        self.ring.wake.0.parks.load(Ordering::Relaxed)
     }
 }
 
@@ -278,6 +349,73 @@ mod tests {
             }
         }
         producer.join().unwrap();
+    }
+
+    /// A capacity-2 ring makes nearly every push find it full, and the
+    /// consumer's pauses let the producer reach `park()`; a lost wakeup
+    /// would leave the producer asleep on a full ring the consumer has
+    /// already emptied, which the watchdog turns into a failure.
+    #[test]
+    fn a_parked_producer_is_always_woken() {
+        use std::time::{Duration, Instant};
+        const PUSHES: u64 = 200_000;
+        const WATCHDOG: Duration = Duration::from_secs(30);
+        let (mut p, mut c) = spsc(2);
+        let producer = std::thread::spawn(move || {
+            for i in 0..PUSHES {
+                p.push(i);
+            }
+        });
+        let mut expected = 0u64;
+        let mut out = Vec::new();
+        let mut progress = Instant::now();
+        while expected < PUSHES {
+            let before = expected;
+            if expected.is_multiple_of(2) {
+                out.clear();
+                c.drain_into(&mut out);
+                for &v in &out {
+                    assert_eq!(v, expected);
+                    expected += 1;
+                }
+            } else if let Some(v) = c.try_pop() {
+                assert_eq!(v, expected);
+                expected += 1;
+            }
+            if expected > before {
+                progress = Instant::now();
+                if expected / 4_096 != before / 4_096 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            } else {
+                assert!(
+                    progress.elapsed() < WATCHDOG,
+                    "no progress for {WATCHDOG:?} at item {expected}: lost wakeup"
+                );
+                std::hint::spin_loop();
+            }
+        }
+        producer.join().expect("producer thread");
+        assert!(c.parks() > 0, "the producer never parked");
+    }
+
+    #[test]
+    fn a_blocked_producer_sleeps_instead_of_spinning() {
+        let (mut p, mut c) = spsc(2);
+        p.push(0);
+        p.push(1);
+        let producer = std::thread::spawn(move || p.push(2));
+        // An idle consumer: the producer waits 100 ms on a full ring. A
+        // sleeping producer parks once (a spurious wakeup or two aside);
+        // a spinning one never parks at all.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let parks = c.parks();
+        assert!((1..=3).contains(&parks), "{parks} parks in 100 ms");
+        assert_eq!(c.try_pop(), Some(0));
+        producer.join().expect("producer thread");
+        let mut out = Vec::new();
+        c.drain_into(&mut out);
+        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! # Backpressure
 //!
 //! The bounded ring *is* the policy: a full ring makes
-//! [`ShardProducer::submit`] spin (and yield) until the service frees
-//! slots. Nothing is ever dropped, queues never grow without bound, and a
-//! stalled service surfaces as producer-side latency — which the
-//! enqueue-to-absorb histogram then shows.
+//! [`ShardProducer::submit`] park its thread until the service frees
+//! slots, so a waiting producer leaves its core to the fleet. Nothing is
+//! ever dropped, queues never grow without bound, and a stalled service
+//! surfaces as producer-side latency — which the enqueue-to-absorb
+//! histogram then shows — and as the `serve.producer.parks` counter.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,7 +80,7 @@ pub struct ServeConfig {
     /// `ingest_period` + `rebalance` against the fleet.
     pub period_accesses: usize,
     /// Clock interval between forced ticks (a tick also flushes the
-    /// partial period accumulated so far).
+    /// partial period accumulated so far); `u64::MAX` never ticks.
     pub tick_interval_ms: u64,
     /// Sample one in `latency_sample` accesses for the enqueue-to-absorb
     /// histogram (0 disables sampling entirely).
@@ -135,7 +136,7 @@ impl ShardProducer {
         }
     }
 
-    /// Submits one access, drawing the next global stamp. Spins while the
+    /// Submits one access, drawing the next global stamp. Parks while the
     /// ring is full (bounded-queue backpressure; nothing is dropped).
     ///
     /// # Panics
@@ -149,7 +150,8 @@ impl ShardProducer {
     /// Submits one access under a caller-assigned stamp. The caller owns
     /// the stamp discipline: globally unique, strictly increasing per
     /// ring. Used by benches and equivalence tests to pin the exact
-    /// global order independent of thread scheduling.
+    /// global order independent of thread scheduling. Parks while the
+    /// ring is full, as [`ShardProducer::submit`] does.
     ///
     /// # Panics
     ///
@@ -201,6 +203,8 @@ struct Shard {
     open: bool,
     /// Scratch for `drain_into`.
     scratch: Vec<Access>,
+    /// The ring's park count already added to `serve.producer.parks`.
+    parks: u64,
 }
 
 /// The ingest service: rings in, bit-deterministic fleet periods out.
@@ -275,10 +279,11 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
                 next_possible: 0,
                 open: true,
                 scratch: Vec::new(),
+                parks: 0,
             });
         }
         let owner_count = fleet.owner_count();
-        let next_tick_ms = clock.now_ms() + config.tick_interval_ms;
+        let next_tick_ms = clock.now_ms().saturating_add(config.tick_interval_ms);
         (
             IngestService {
                 fleet,
@@ -328,6 +333,12 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
             if was_closed {
                 shard.open = false;
             }
+            let parks = shard.consumer.parks();
+            if parks > shard.parks {
+                self.recorder
+                    .counter("serve.producer.parks", parks - shard.parks);
+                shard.parks = parks;
+            }
         }
         if drained > 0 {
             self.recorder.counter("serve.drained", drained as u64);
@@ -350,7 +361,7 @@ impl<const D: usize, C: Clock> IngestService<D, C> {
         if self.clock.now_ms() < self.next_tick_ms {
             return Ok(false);
         }
-        self.next_tick_ms = self.clock.now_ms() + self.tick_interval_ms;
+        self.next_tick_ms = self.clock.now_ms().saturating_add(self.tick_interval_ms);
         self.poll()?;
         let rest = self.available();
         if rest > 0 {
@@ -589,6 +600,28 @@ mod tests {
         assert_eq!(svc.ticks(), 1);
         assert_eq!(svc.flush_sizes(), &[7]);
         assert_eq!(svc.served_total(), 7);
+    }
+
+    #[test]
+    fn a_u64_max_tick_interval_never_ticks() {
+        let regions = regions();
+        let clock = MockClock::new();
+        clock.set(1);
+        let (mut svc, mut producers) = IngestService::new(
+            fleet(&regions),
+            regions,
+            clock.handle(),
+            ServeConfig {
+                shards: 1,
+                ring_capacity: 64,
+                period_accesses: 100,
+                tick_interval_ms: u64::MAX,
+                latency_sample: 0,
+            },
+        );
+        producers[0].submit_stamped(0, 0, 0, 1.0);
+        assert!(!svc.maybe_tick().expect("tick"), "u64::MAX means never");
+        assert!(svc.flush_sizes().is_empty());
     }
 
     #[test]

@@ -265,3 +265,45 @@ fn threaded_live_producers_reach_an_offline_reachable_state() {
     let total: u64 = svc.flush_sizes().iter().sum();
     assert_eq!(total, (shards * per_shard) as u64);
 }
+
+#[test]
+fn parked_producers_stay_bit_identical_to_offline_replay() {
+    // Two-slot rings under three live producer threads: every flush the
+    // service makes (an ingest plus a rebalance) leaves the producers on
+    // full rings, so they park, and the service's drains must wake them.
+    // Parking may only change *when* a producer runs, never what the
+    // fleet sees.
+    let regions = regions();
+    let accesses = trace(2_600);
+    let shards = 3;
+    let clock = MockClock::new();
+    let (mut svc, producers) = IngestService::new(
+        fleet(&regions),
+        Arc::clone(&regions),
+        clock.handle(),
+        ServeConfig {
+            ring_capacity: 2,
+            ..serve_config(shards)
+        },
+    );
+    std::thread::scope(|scope| {
+        for (shard, mut p) in producers.into_iter().enumerate() {
+            let accesses = &accesses;
+            scope.spawn(move || {
+                for (stamp, &(object, region, weight)) in
+                    accesses.iter().enumerate().skip(shard).step_by(shards)
+                {
+                    p.submit_stamped(stamp as u64, object, region, weight);
+                }
+            });
+        }
+        svc.finish().expect("finish");
+    });
+
+    assert_eq!(svc.flush_sizes(), &[500, 500, 500, 500, 500, 100]);
+    let (offline, offline_served) = offline_replay(&regions, &accesses, svc.flush_sizes());
+    assert_fleets_identical(svc.fleet(), &offline);
+    assert_eq!(svc.served(), offline_served);
+    let parks = svc.recorder().counter_value("serve.producer.parks");
+    assert!(parks > 0, "no producer ever parked");
+}

@@ -158,35 +158,60 @@ impl<const D: usize> Rnp<D> {
             return;
         }
 
-        let history: Vec<Sample<D>> = self.history.iter().copied().collect();
+        // The window, copied once into column-major arrays: one column per
+        // position axis (`axes[axis * n + sample]`), then the peers'
+        // heights and the RTTs. Every objective evaluation runs over these
+        // contiguous columns and reuses one column of terms.
+        let mut axes = vec![0.0; D * n];
+        let mut heights = Vec::with_capacity(n);
+        let mut rtts = Vec::with_capacity(n);
+        for (j, s) in self.history.iter().enumerate() {
+            for (axis, x) in s.peer.pos().iter().enumerate() {
+                axes[axis * n + j] = *x;
+            }
+            heights.push(s.peer.height());
+            rtts.push(s.rtt);
+        }
+        let mut terms = vec![0.0; n];
         let use_height = self.config.use_height;
         let objective = |p: &[f64]| -> f64 {
-            let mut pos = [0.0; D];
-            pos.copy_from_slice(&p[..D]);
             // The height parameter is free during the search; negative
             // trial values are clamped to zero (heights model a physical
             // delay).
             let height = if use_height { p[D].max(0.0) } else { 0.0 };
-            let cand = Coord::new(pos).with_height(height);
+            // `Coord::distance` from the candidate to each peer, with its
+            // operations in its order: squared axis differences summed from
+            // 0.0 axis by axis, the root, the candidate's height, then the
+            // peer's height.
+            terms.fill(0.0);
+            for (c, col) in p.iter().zip(axes.chunks_exact(n)) {
+                for (t, x) in terms.iter_mut().zip(col) {
+                    let d = c - x;
+                    *t += d * d;
+                }
+            }
+            // Squared error normalized by the RTT: a compromise between
+            // absolute error (dominated by long trans-continental paths)
+            // and relative error (dominated by short local paths). Dividing
+            // once by the RTT keeps both regimes in play, which measurably
+            // beats either extreme on wide-area matrices.
+            for (((t, h), rtt), w) in terms.iter_mut().zip(&heights).zip(&rtts).zip(&weights) {
+                let e = t.sqrt() + height + h - rtt;
+                *t = w * e * e / rtt;
+            }
+            // Summed sequentially in window order.
             let mut acc = 0.0;
-            for (s, w) in history.iter().zip(&weights) {
-                // Squared error normalized by the RTT: a compromise between
-                // absolute error (dominated by long trans-continental
-                // paths) and relative error (dominated by short local
-                // paths). Dividing once by the RTT keeps both regimes in
-                // play, which measurably beats either extreme on wide-area
-                // matrices.
-                let e = cand.distance(&s.peer) - s.rtt;
-                acc += w * e * e / s.rtt;
+            for t in &terms {
+                acc += t;
             }
             acc / total_w
         };
 
         // The median retained RTT sets a sensible probe scale for the
         // simplex: coordinates live on the scale of RTT milliseconds.
-        let mut rtts: Vec<f64> = history.iter().map(|s| s.rtt).collect();
-        rtts.sort_by(f64::total_cmp);
-        let scale = (rtts[rtts.len() / 2] * 0.25).max(1.0);
+        let mut sorted = rtts.clone();
+        sorted.sort_by(f64::total_cmp);
+        let scale = (sorted[n / 2] * 0.25).max(1.0);
 
         let mut start: Vec<f64> = self.coord.pos().to_vec();
         if use_height {
@@ -214,7 +239,7 @@ impl<const D: usize> Rnp<D> {
             // Weighted RMS *relative* error at the solution becomes our new
             // confidence figure (the fit objective itself is ms-scaled).
             let mut rel_acc = 0.0;
-            for (s, w) in history.iter().zip(&weights) {
+            for (s, w) in self.history.iter().zip(&weights) {
                 let rel = (next.distance(&s.peer) - s.rtt) / s.rtt;
                 rel_acc += w * rel * rel;
             }
@@ -237,7 +262,14 @@ impl<const D: usize> LatencyEstimator<D> for Rnp<D> {
             return;
         }
         self.samples += 1;
-        let reliability = 1.0 / (1.0 + peer_error.clamp(0.0, 10.0));
+        // A NaN peer error counts as the least reliable value; `clamp`
+        // would pass it through and poison every weight in the window.
+        let peer_error = if peer_error.is_nan() {
+            10.0
+        } else {
+            peer_error.clamp(0.0, 10.0)
+        };
+        let reliability = 1.0 / (1.0 + peer_error);
         if self.history.len() == self.config.window {
             self.history.pop_front();
         }
@@ -319,6 +351,18 @@ mod tests {
         node.observe(Coord::new([1.0, 1.0]), 0.1, -1.0);
         node.observe(Coord::new([f64::NAN, 1.0]), 0.1, 5.0);
         assert_eq!(node.retained(), 0);
+    }
+
+    #[test]
+    fn a_nan_peer_error_does_not_poison_the_window() {
+        let mut node: Rnp<2> = Rnp::new();
+        let peer = Coord::new([30.0, 0.0]);
+        node.observe(peer, f64::NAN, 30.0);
+        for i in 0..400 {
+            node.observe(peer, 0.1, 30.0);
+            assert!(node.error().is_finite(), "error NaN after {i} good samples");
+        }
+        assert!(node.coordinate().is_finite());
     }
 
     #[test]

@@ -176,7 +176,13 @@ impl<const D: usize> LatencyEstimator<D> for Vivaldi<D> {
         if !(rtt_ms.is_finite() && rtt_ms > 0.0 && peer.is_finite()) {
             return;
         }
-        let peer_error = peer_error.clamp(1e-6, 10.0);
+        // A NaN peer error counts as the least reliable value; `clamp`
+        // would pass it through into every later weight.
+        let peer_error = if peer_error.is_nan() {
+            10.0
+        } else {
+            peer_error.clamp(1e-6, 10.0)
+        };
         self.samples += 1;
 
         // Sample-confidence balance: w → 1 when we are much less certain
@@ -275,6 +281,18 @@ mod tests {
         let bad = Coord::new([f64::INFINITY, 0.0]);
         v.observe(bad, 0.5, 10.0);
         assert_eq!(v.samples(), 0);
+    }
+
+    #[test]
+    fn a_nan_peer_error_does_not_poison_the_error_estimate() {
+        let mut v: Vivaldi<2> = Vivaldi::new();
+        let peer = Coord::new([30.0, 0.0]);
+        v.observe(peer, f64::NAN, 30.0);
+        for i in 0..400 {
+            v.observe(peer, 0.1, 30.0);
+            assert!(v.error().is_finite(), "error NaN after {i} good samples");
+        }
+        assert!(v.coordinate().is_finite());
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! estimator. No component ever reads the latency matrix directly; RTTs
 //! are observed the way a deployed system observes them.
 //!
+//! A node may also run without an estimator: it probes, times out, retries
+//! and suspects exactly as before, and its pongs carry no coordinate.
+//! Nothing in the protocol's control flow — peer choice, timers, jitter,
+//! drops — reads the estimator, so such a run produces the same messages,
+//! suspicion and counters as an embedding run. [`detect_with_faults`] is
+//! that run: failure detection without fitting coordinates nobody reads.
+//!
 //! # Failure handling
 //!
 //! Under a [`FaultPlan`] messages can be dropped, so every ping carries a
@@ -80,12 +87,11 @@ enum GossipMsg {
     /// the reply to the sender's outstanding-probe table.
     Ping { sent_at: SimTime, seq: u64 },
     /// The reply: echo of the ping time and sequence plus the peer's
-    /// current state.
+    /// current coordinate and error, when the peer runs an estimator.
     Pong {
         sent_at: SimTime,
         seq: u64,
-        coord: Coord<DIMS>,
-        error: f64,
+        state: Option<(Coord<DIMS>, f64)>,
     },
 }
 
@@ -99,7 +105,8 @@ struct Outstanding {
 
 /// One gossiping node.
 struct GossipNode {
-    estimator: Rnp<DIMS>,
+    /// `None` in a detection-only run.
+    estimator: Option<Rnp<DIMS>>,
     peers: usize,
     interval: SimDuration,
     timeout: SimDuration,
@@ -121,9 +128,9 @@ struct GossipNode {
 }
 
 impl GossipNode {
-    fn new(cfg: &GossipConfig, n: usize, i: usize) -> Self {
+    fn new(cfg: &GossipConfig, n: usize, i: usize, estimator: bool) -> Self {
         GossipNode {
-            estimator: Rnp::new(),
+            estimator: estimator.then(Rnp::new),
             peers: n,
             interval: cfg.ping_interval,
             timeout: cfg.timeout,
@@ -212,16 +219,14 @@ impl Process<GossipMsg> for GossipNode {
                     GossipMsg::Pong {
                         sent_at,
                         seq,
-                        coord: self.estimator.coordinate(),
-                        error: self.estimator.error(),
+                        state: self.estimator.as_ref().map(|e| (e.coordinate(), e.error())),
                     },
                 );
             }
             GossipMsg::Pong {
                 sent_at,
                 seq,
-                coord,
-                error,
+                state,
             } => {
                 self.pongs_received += 1;
                 if let Some(pos) = self.outstanding.iter().position(|o| o.seq == seq) {
@@ -229,8 +234,10 @@ impl Process<GossipMsg> for GossipNode {
                 }
                 // A pong that arrives after its timeout already fired still
                 // carries a valid measurement — feed it to the estimator.
-                let rtt_ms = (ctx.now() - sent_at).as_ms();
-                self.estimator.observe(coord, error, rtt_ms);
+                if let (Some(estimator), Some((coord, error))) = (&mut self.estimator, state) {
+                    let rtt_ms = (ctx.now() - sent_at).as_ms();
+                    estimator.observe(coord, error, rtt_ms);
+                }
             }
         }
     }
@@ -263,7 +270,7 @@ impl Process<GossipMsg> for GossipNode {
 /// Quorum failure detection from per-node suspicion vectors.
 ///
 /// `suspicion[i][j]` is whether node `i` currently suspects node `j` (see
-/// [`GossipOutcome::suspicion`]). The verdict is computed *from the
+/// [`ProtocolOutcome::suspicion`]). The verdict is computed *from the
 /// observer's perspective*: the voters are the observer plus every peer the
 /// observer still trusts, and a non-voter is detected as failed when at
 /// least half of the voters suspect it. Under a clean partition each side
@@ -283,13 +290,10 @@ pub fn detected_failures(suspicion: &[Vec<bool>], observer: NodeId) -> Vec<NodeI
         .collect()
 }
 
-/// Outcome of a gossip embedding run.
-#[derive(Debug, Clone)]
-pub struct GossipOutcome {
-    /// Final coordinate per node.
-    pub coords: Vec<Coord<DIMS>>,
-    /// Accuracy of the coordinates against the true matrix.
-    pub report: EmbeddingReport,
+/// What the probing protocol itself produced: message counts and the
+/// failure detector's verdicts. Identical with and without estimators.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProtocolOutcome {
     /// Message/event counts of the protocol run.
     pub net: NetStats,
     /// Total pings issued across the population (retries included).
@@ -301,6 +305,17 @@ pub struct GossipOutcome {
     /// `suspicion[i][j]`: does node `i` suspect node `j` at the end of the
     /// run? Feed to [`detected_failures`] for a quorum verdict.
     pub suspicion: Vec<Vec<bool>>,
+}
+
+/// Outcome of a gossip embedding run.
+#[derive(Debug, Clone)]
+pub struct GossipOutcome {
+    /// Final coordinate per node.
+    pub coords: Vec<Coord<DIMS>>,
+    /// Accuracy of the coordinates against the true matrix.
+    pub report: EmbeddingReport,
+    /// Message counts and suspicion of the run.
+    pub protocol: ProtocolOutcome,
 }
 
 fn check_config(cfg: &GossipConfig) {
@@ -315,24 +330,43 @@ fn check_config(cfg: &GossipConfig) {
     assert!(cfg.timeout > SimDuration::ZERO, "timeout must be positive");
 }
 
-fn finish(net: ProcessNet<GossipNode, GossipMsg>, matrix: &RttMatrix, seed: u64) -> GossipOutcome {
-    let stats = net.stats();
-    let procs = net.into_processes();
-    let pings = procs.iter().map(|p| p.pings_sent).sum();
-    let retries = procs.iter().map(|p| p.pings_retried).sum();
-    let timeouts = procs.iter().map(|p| p.timeouts).sum();
-    let suspicion: Vec<Vec<bool>> = procs.iter().map(|p| p.suspected.clone()).collect();
-    let coords: Vec<Coord<DIMS>> = procs.iter().map(|p| p.estimator.coordinate()).collect();
-    let report = evaluate(&coords, &|i, j| matrix.get(i, j), seed);
-    GossipOutcome {
-        coords,
-        report,
-        net: stats,
-        pings,
-        retries,
-        timeouts,
-        suspicion,
+/// The one protocol runner: every node of `network` gossips for
+/// `cfg.duration`, with an RNP estimator each when `estimators` is set and
+/// with none otherwise.
+fn run(
+    network: Network,
+    cfg: &GossipConfig,
+    estimators: bool,
+) -> ProcessNet<GossipNode, GossipMsg> {
+    check_config(cfg);
+    let n = network.len();
+    let procs: Vec<GossipNode> = (0..n)
+        .map(|i| GossipNode::new(cfg, n, i, estimators))
+        .collect();
+    let mut net = ProcessNet::new(network, procs);
+    net.run_until(SimTime::ZERO + cfg.duration);
+    net
+}
+
+fn protocol_outcome(net: &ProcessNet<GossipNode, GossipMsg>) -> ProtocolOutcome {
+    ProtocolOutcome {
+        net: net.stats(),
+        pings: net.processes().map(|p| p.pings_sent).sum(),
+        retries: net.processes().map(|p| p.pings_retried).sum(),
+        timeouts: net.processes().map(|p| p.timeouts).sum(),
+        suspicion: net.processes().map(|p| p.suspected.clone()).collect(),
     }
+}
+
+fn coords(net: &ProcessNet<GossipNode, GossipMsg>) -> Vec<Coord<DIMS>> {
+    net.processes()
+        .map(|p| {
+            p.estimator
+                .as_ref()
+                .expect("an embedding run gives every node an estimator")
+                .coordinate()
+        })
+        .collect()
 }
 
 /// Runs the RNP gossip protocol over a jittered network built from
@@ -342,31 +376,34 @@ fn finish(net: ProcessNet<GossipNode, GossipMsg>, matrix: &RttMatrix, seed: u64)
 ///
 /// Panics if `ping_interval`, `duration` or `timeout` is zero.
 pub fn embed_via_simulation(matrix: &RttMatrix, cfg: GossipConfig) -> GossipOutcome {
-    check_config(&cfg);
-    let n = matrix.len();
     let network = Network::with_jitter(matrix.clone(), cfg.jitter_sigma, cfg.seed);
-    let procs: Vec<GossipNode> = (0..n).map(|i| GossipNode::new(&cfg, n, i)).collect();
-    let mut net = ProcessNet::new(network, procs);
-    net.run_until(SimTime::ZERO + cfg.duration);
-    finish(net, matrix, cfg.seed)
+    let net = run(network, &cfg, true);
+    let coords = coords(&net);
+    let report = evaluate(&coords, &|i, j| matrix.get(i, j), cfg.seed);
+    GossipOutcome {
+        coords,
+        report,
+        protocol: protocol_outcome(&net),
+    }
 }
 
-/// Like [`embed_via_simulation`], but with a [`FaultPlan`] installed: the
-/// protocol rides out drops, partitions and crashes, and the outcome's
-/// [`GossipOutcome::suspicion`] / retry counters report what the failure
-/// detector concluded. Accuracy is still scored against the clean matrix.
+/// Runs the gossip protocol with a [`FaultPlan`] installed and no
+/// estimators: the protocol rides out drops, partitions and crashes, and
+/// the outcome's [`ProtocolOutcome::suspicion`] / retry counters report
+/// what the failure detector concluded. No coordinates are fitted; the
+/// outcome equals the protocol half of an embedding run under the same
+/// plan.
 ///
 /// # Panics
 ///
 /// Panics if `ping_interval`, `duration` or `timeout` is zero.
-pub fn embed_with_faults(matrix: &RttMatrix, cfg: GossipConfig, plan: FaultPlan) -> GossipOutcome {
-    check_config(&cfg);
-    let n = matrix.len();
+pub fn detect_with_faults(
+    matrix: &RttMatrix,
+    cfg: GossipConfig,
+    plan: FaultPlan,
+) -> ProtocolOutcome {
     let network = Network::with_faults(matrix.clone(), cfg.jitter_sigma, cfg.seed, plan);
-    let procs: Vec<GossipNode> = (0..n).map(|i| GossipNode::new(&cfg, n, i)).collect();
-    let mut net = ProcessNet::new(network, procs);
-    net.run_until(SimTime::ZERO + cfg.duration);
-    finish(net, matrix, cfg.seed)
+    protocol_outcome(&run(network, &cfg, false))
 }
 
 /// Runs the gossip protocol for `cfg.duration` on `before`, then swaps the
@@ -390,20 +427,13 @@ pub fn embed_through_shift(
         after.len(),
         "matrices must cover the same nodes"
     );
-    check_config(&cfg);
-    let n = before.len();
     let network = Network::with_jitter(before.clone(), cfg.jitter_sigma, cfg.seed);
-    let procs: Vec<GossipNode> = (0..n).map(|i| GossipNode::new(&cfg, n, i)).collect();
-
-    let mut net = ProcessNet::new(network, procs);
-    net.run_until(SimTime::ZERO + cfg.duration);
-    let coords_mid: Vec<Coord<DIMS>> = net.processes().map(|p| p.estimator.coordinate()).collect();
-    let report_mid = evaluate(&coords_mid, &|i, j| before.get(i, j), cfg.seed);
+    let mut net = run(network, &cfg, true);
+    let report_mid = evaluate(&coords(&net), &|i, j| before.get(i, j), cfg.seed);
 
     net.network_mut().set_matrix(after.clone());
     net.run_until(SimTime::ZERO + cfg.duration + cfg.duration);
-    let coords_end: Vec<Coord<DIMS>> = net.processes().map(|p| p.estimator.coordinate()).collect();
-    let report_end = evaluate(&coords_end, &|i, j| after.get(i, j), cfg.seed);
+    let report_end = evaluate(&coords(&net), &|i, j| after.get(i, j), cfg.seed);
 
     (report_mid, report_end)
 }
@@ -441,8 +471,9 @@ mod tests {
             outcome.report.median_rel_err
         );
         // 32 nodes × 60 s / 200 ms ≈ 9600 pings.
-        assert!(outcome.pings > 8_000, "pings {}", outcome.pings);
-        assert!(outcome.net.messages_delivered >= outcome.pings);
+        let protocol = &outcome.protocol;
+        assert!(protocol.pings > 8_000, "pings {}", protocol.pings);
+        assert!(protocol.net.messages_delivered >= protocol.pings);
     }
 
     #[test]
@@ -480,7 +511,7 @@ mod tests {
         let a = embed_via_simulation(&matrix, cfg);
         let b = embed_via_simulation(&matrix, cfg);
         assert_eq!(a.coords, b.coords);
-        assert_eq!(a.net.messages_delivered, b.net.messages_delivered);
+        assert_eq!(a.protocol, b.protocol);
     }
 
     #[test]
@@ -545,7 +576,6 @@ mod tests {
 
     #[test]
     fn crashed_peer_is_suspected_by_the_population() {
-        use georep_net::sim::FaultPlan;
         let matrix = small_matrix();
         // Node 5 goes dark at t = 5 s and never returns.
         let plan = FaultPlan::new(11).crash(5, SimTime::from_ms(5_000.0), SimTime::MAX);
@@ -554,7 +584,7 @@ mod tests {
             duration: SimDuration::from_secs(40.0),
             ..Default::default()
         };
-        let outcome = embed_with_faults(&matrix, cfg, plan);
+        let outcome = detect_with_faults(&matrix, cfg, plan);
         assert!(
             outcome.timeouts > 0,
             "probes to the dead node must time out"
@@ -582,7 +612,6 @@ mod tests {
 
     #[test]
     fn suspicion_clears_after_recovery() {
-        use georep_net::sim::FaultPlan;
         let matrix = small_matrix();
         // Node 5 is dark from 5 s to 20 s, then heals; the run continues to
         // 60 s, long enough for probation probes to redeem it everywhere it
@@ -594,7 +623,7 @@ mod tests {
             duration: SimDuration::from_secs(60.0),
             ..Default::default()
         };
-        let outcome = embed_with_faults(&matrix, cfg, plan);
+        let outcome = detect_with_faults(&matrix, cfg, plan);
         assert!(outcome.timeouts > 0, "the dark window must cause timeouts");
         assert_eq!(
             detected_failures(&outcome.suspicion, 0),
@@ -603,27 +632,63 @@ mod tests {
         );
     }
 
+    /// The estimator is only the pong payload: a run without one sends the
+    /// same messages, draws the same jitter and reaches the same suspicion
+    /// as a run with one, with or without faults. The fault-free embedding
+    /// runs on the plain jittered network, so an empty plan is also pinned
+    /// as transparent to the protocol.
     #[test]
-    fn faultless_fault_run_matches_plain_run() {
-        use georep_net::sim::FaultPlan;
+    fn detection_without_estimators_matches_the_embedding_run() {
         let matrix = small_matrix();
-        let cfg = GossipConfig {
-            duration: SimDuration::from_secs(10.0),
-            ..Default::default()
-        };
-        let plain = embed_via_simulation(&matrix, cfg);
-        let faulty = embed_with_faults(&matrix, cfg, FaultPlan::new(0));
-        assert_eq!(plain.coords, faulty.coords);
-        assert_eq!(plain.net, faulty.net);
-        // Slow trans-continental links may legitimately time out and retry
-        // even fault-free — but identically in both runs, and nothing drops.
-        assert_eq!(plain.retries, faulty.retries);
-        assert_eq!(faulty.net.messages_dropped, 0);
+        let side_a: Vec<usize> = (0..16).collect();
+        let onset = SimTime::from_ms(3_000.0);
+        for seed in [1, 2, 3] {
+            let cfg = GossipConfig {
+                ping_interval: SimDuration::from_ms(250.0),
+                duration: SimDuration::from_secs(10.0),
+                seed,
+                ..Default::default()
+            };
+            let plans = [
+                ("no faults", None),
+                (
+                    "crash",
+                    Some(FaultPlan::new(seed).crash(5, onset, SimTime::MAX)),
+                ),
+                (
+                    "partition",
+                    Some(FaultPlan::new(seed).partition(&side_a, onset, SimTime::MAX)),
+                ),
+                ("loss", Some(FaultPlan::new(seed).with_default_loss(0.2))),
+            ];
+            for (name, plan) in plans {
+                let embedded = match &plan {
+                    None => embed_via_simulation(&matrix, cfg).protocol,
+                    Some(plan) => {
+                        let network = Network::with_faults(
+                            matrix.clone(),
+                            cfg.jitter_sigma,
+                            cfg.seed,
+                            plan.clone(),
+                        );
+                        protocol_outcome(&run(network, &cfg, true))
+                    }
+                };
+                let faultless = plan.is_none();
+                let plan = plan.unwrap_or_else(|| FaultPlan::new(seed));
+                let detected = detect_with_faults(&matrix, cfg, plan);
+                assert_eq!(detected, embedded, "{name}, seed {seed}");
+                if faultless {
+                    assert_eq!(detected.net.messages_dropped, 0, "seed {seed}");
+                } else {
+                    assert!(detected.timeouts > 0, "{name}, seed {seed}: no timeouts");
+                }
+            }
+        }
     }
 
     #[test]
     fn partition_detection_is_perspective_correct() {
-        use georep_net::sim::FaultPlan;
         let matrix = small_matrix();
         let side_a: Vec<usize> = (0..16).collect();
         let plan = FaultPlan::new(13).partition(&side_a, SimTime::from_ms(5_000.0), SimTime::MAX);
@@ -632,7 +697,7 @@ mod tests {
             duration: SimDuration::from_secs(45.0),
             ..Default::default()
         };
-        let outcome = embed_with_faults(&matrix, cfg, plan);
+        let outcome = detect_with_faults(&matrix, cfg, plan);
         // An observer inside side A fails exactly side B, and vice versa.
         assert_eq!(
             detected_failures(&outcome.suspicion, 0),

@@ -8,8 +8,9 @@
 //! 2. a [`ReplicaManager`] routes synthetic client demand and periodically
 //!    rebalances (migration-gated by [`crate::migration`] pricing);
 //! 3. when the fault signature changes, a gossip run *under the fault plan*
-//!    ([`crate::gossip::embed_with_faults`]) feeds the quorum failure
-//!    detector ([`crate::gossip::detected_failures`]); detected DCs are
+//!    that fits no coordinates ([`crate::gossip::detect_with_faults`])
+//!    feeds the quorum failure detector
+//!    ([`crate::gossip::detected_failures`]); detected DCs are
 //!    failed/quarantined, the surviving placement is scored through the
 //!    objective cost tables ([`crate::failure::degraded_mean_delay`]), and
 //!    an immediate rebalance responds — re-placement, gated by cost;
@@ -43,7 +44,7 @@ use georep_net::sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::failure::degraded_mean_delay;
 use crate::forecast::ForecastConfig;
-use crate::gossip::{detected_failures, embed_via_simulation, embed_with_faults, GossipConfig};
+use crate::gossip::{detect_with_faults, detected_failures, embed_via_simulation, GossipConfig};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::problem::{PlacementProblem, ProblemError};
@@ -437,8 +438,8 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         let _span = crate::span!("scenario.embed");
         embed_via_simulation(matrix, gossip_cfg)
     };
-    let mut messages_dropped = embed.net.messages_dropped;
-    let mut retries = embed.retries;
+    let mut messages_dropped = embed.protocol.net.messages_dropped;
+    let mut retries = embed.protocol.retries;
     if rec.enabled() {
         rec.event(
             "scenario.start",
@@ -449,10 +450,10 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                 ("seed", cfg.seed.into()),
             ],
         );
-        rec.counter("gossip.pings", embed.pings);
-        rec.counter("gossip.retries", embed.retries);
-        rec.counter("gossip.timeouts", embed.timeouts);
-        rec.counter("net.messages_dropped", embed.net.messages_dropped);
+        rec.counter("gossip.pings", embed.protocol.pings);
+        rec.counter("gossip.retries", embed.protocol.retries);
+        rec.counter("gossip.timeouts", embed.protocol.timeouts);
+        rec.counter("net.messages_dropped", embed.protocol.net.messages_dropped);
         rec.observe("embed.median_rel_err", embed.report.median_rel_err);
     }
 
@@ -550,7 +551,7 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                     Vec::new() // all clear — nothing to probe for
                 } else {
                     let _span = crate::span!("scenario.detect");
-                    let detect = embed_with_faults(
+                    let detect = detect_with_faults(
                         matrix,
                         GossipConfig {
                             ping_interval: SimDuration::from_ms(250.0),

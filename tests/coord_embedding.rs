@@ -16,6 +16,9 @@ use georep_coord::rnp::Rnp;
 use georep_coord::stability::StabilityTracker;
 use georep_coord::vivaldi::Vivaldi;
 use georep_coord::{Coord, LatencyEstimator};
+use georep_core::gossip::{embed_via_simulation, GossipConfig};
+use georep_net::rtt::RttMatrix;
+use georep_net::sim::SimDuration;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -203,6 +206,61 @@ fn a_converged_rnp_node_stops_moving() {
         "late travel {:.4} vs early {:.4}: node failed to settle",
         late.total_distance,
         early.total_distance
+    );
+}
+
+/// FNV-1a over the bits of every position component and height, node by
+/// node.
+fn coord_bits<const N: usize>(coords: &[Coord<N>]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for c in coords {
+        for x in c.pos().iter().chain([c.height()].iter()) {
+            for b in x.to_bits().to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    hash
+}
+
+/// The exact coordinates of a small [`EmbeddingRunner`] RNP embedding, in
+/// the 7-D space the placement pipeline uses. Determinism tests compare a run with itself;
+/// these checked-in constants also catch a change to the refit kernel that
+/// moves every run the same way. Update them only with a change that
+/// means to move coordinates.
+#[test]
+fn rnp_runner_coordinates_are_pinned_bit_for_bit() {
+    let truth = planted_positions(12, 5);
+    let runner = EmbeddingRunner {
+        rounds: 30,
+        samples_per_round: 4,
+        seed: 5,
+    };
+    let (coords, _) = runner.run(12, oracle(&truth), |_| Rnp::<7>::new());
+    let bits = coord_bits(&coords);
+    assert_eq!(
+        bits, 0xc798_b33b_5f7a_1eda,
+        "runner coordinates moved: {bits:#018x}"
+    );
+}
+
+/// The same pin through the simulator: [`embed_via_simulation`]'s RNP
+/// gossip on the planted matrix.
+#[test]
+fn gossip_coordinates_are_pinned_bit_for_bit() {
+    let truth = planted_positions(12, 5);
+    let matrix = RttMatrix::from_fn(12, oracle(&truth)).expect("planted RTTs are valid");
+    let cfg = GossipConfig {
+        ping_interval: SimDuration::from_ms(250.0),
+        duration: SimDuration::from_secs(30.0),
+        seed: 5,
+        ..Default::default()
+    };
+    let bits = coord_bits(&embed_via_simulation(&matrix, cfg).coords);
+    assert_eq!(
+        bits, 0xf849_5fcf_9c62_a93b,
+        "gossip coordinates moved: {bits:#018x}"
     );
 }
 

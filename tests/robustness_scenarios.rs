@@ -49,11 +49,27 @@ fn suite_cfg() -> ScenarioConfig {
     }
 }
 
+/// FNV-1a over the `{:?}` of every kind's reactive report, in
+/// [`ALL_SCENARIOS`] order. Comparing a run with itself cannot catch a
+/// change that moves every run the same way; this checked-in constant
+/// can. Update it only with a change that means to move a report.
+const REACTIVE_REPORTS_FINGERPRINT: u64 = 0x7eb4_73c6_f193_8323;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
 /// Each kind runs twice per mode, reactive and decentralized, and the
-/// second run's report and trace hash equal the first's.
+/// second run's report and trace hash equal the first's. The reactive
+/// reports also fold into [`REACTIVE_REPORTS_FINGERPRINT`].
 #[test]
 fn reports_are_bit_identical_across_1_2_and_8_threads() {
     let m = matrix(24);
+    let mut fingerprint = 0xCBF2_9CE4_8422_2325;
     for kind in ALL_SCENARIOS {
         for mode in [PlacementMode::Reactive, PlacementMode::Decentralized] {
             let cfg = ScenarioConfig {
@@ -70,8 +86,15 @@ fn reports_are_bit_identical_across_1_2_and_8_threads() {
                 "{} {mode:?}: trace hash diverged",
                 kind.name()
             );
+            if mode == PlacementMode::Reactive {
+                fingerprint = fnv1a(fingerprint, format!("{base:?}").as_bytes());
+            }
         }
     }
+    assert_eq!(
+        fingerprint, REACTIVE_REPORTS_FINGERPRINT,
+        "a reactive scenario report moved: {fingerprint:#018x}"
+    );
 }
 
 /// The instrumentation contract of the telemetry layer: attaching a live

@@ -59,6 +59,93 @@ struct Sample<const D: usize> {
     reliability: f64,
 }
 
+/// Samples per block of the fused refit objective.
+const LANES: usize = 8;
+
+/// Eight consecutive retained samples in column form: lane `j` of block
+/// `b` is window sample `8b + j`.
+#[derive(Debug, Clone, Copy)]
+struct Block<const D: usize> {
+    axes: [[f64; LANES]; D],
+    heights: [f64; LANES],
+    rtts: [f64; LANES],
+    weights: [f64; LANES],
+}
+
+/// A refit's retained window, copied once into 8-sample blocks so every
+/// objective evaluation is one pass over contiguous columns.
+struct Window<const D: usize> {
+    blocks: Vec<Block<D>>,
+    len: usize,
+    total_w: f64,
+}
+
+impl<const D: usize> Window<D> {
+    /// The window of `history` under per-sample `weights` summing to
+    /// `total_w`. Lanes past the last sample hold finite filler that the
+    /// objective computes but never adds.
+    fn new(history: &VecDeque<Sample<D>>, weights: &[f64], total_w: f64) -> Self {
+        let filler = Block {
+            axes: [[0.0; LANES]; D],
+            heights: [0.0; LANES],
+            rtts: [1.0; LANES],
+            weights: [0.0; LANES],
+        };
+        let mut blocks = vec![filler; history.len().div_ceil(LANES)];
+        for (i, (s, &w)) in history.iter().zip(weights).enumerate() {
+            let (block, lane) = (&mut blocks[i / LANES], i % LANES);
+            for (col, x) in block.axes.iter_mut().zip(s.peer.pos()) {
+                col[lane] = *x;
+            }
+            block.heights[lane] = s.peer.height();
+            block.rtts[lane] = s.rtt;
+            block.weights[lane] = w;
+        }
+        Window {
+            blocks,
+            len: history.len(),
+            total_w,
+        }
+    }
+
+    /// The fit objective at candidate `p` (position, then the height when
+    /// `use_height`): the weighted squared error of `Coord::distance`
+    /// against each RTT, normalized by the RTT — a compromise between
+    /// absolute error (dominated by long trans-continental paths) and
+    /// relative error (dominated by short local paths) that measurably
+    /// beats either extreme on wide-area matrices.
+    ///
+    /// Each sample keeps `Coord::distance`'s operations in its order —
+    /// squared axis differences summed from 0.0 axis by axis, the root,
+    /// the candidate's height, then the peer's — and the terms are added
+    /// to one running sum in window order, block by block.
+    fn objective(&self, p: &[f64], use_height: bool) -> f64 {
+        // The height parameter is free during the search; negative trial
+        // values are clamped to zero (heights model a physical delay).
+        let height = if use_height { p[D].max(0.0) } else { 0.0 };
+        let mut acc = 0.0;
+        for (b, block) in self.blocks.iter().enumerate() {
+            let mut sq = [0.0; LANES];
+            for (c, col) in p.iter().zip(&block.axes) {
+                for (s, x) in sq.iter_mut().zip(col) {
+                    let d = c - x;
+                    *s += d * d;
+                }
+            }
+            let mut terms = [0.0; LANES];
+            for (lane, t) in terms.iter_mut().enumerate() {
+                let e = sq[lane].sqrt() + height + block.heights[lane] - block.rtts[lane];
+                *t = block.weights[lane] * e * e / block.rtts[lane];
+            }
+            let live = (self.len - b * LANES).min(LANES);
+            for t in &terms[..live] {
+                acc += t;
+            }
+        }
+        acc / self.total_w
+    }
+}
+
 /// Node-local state of the RNP protocol.
 ///
 /// # Example
@@ -158,60 +245,14 @@ impl<const D: usize> Rnp<D> {
             return;
         }
 
-        // The window, copied once into column-major arrays: one column per
-        // position axis (`axes[axis * n + sample]`), then the peers'
-        // heights and the RTTs. Every objective evaluation runs over these
-        // contiguous columns and reuses one column of terms.
-        let mut axes = vec![0.0; D * n];
-        let mut heights = Vec::with_capacity(n);
-        let mut rtts = Vec::with_capacity(n);
-        for (j, s) in self.history.iter().enumerate() {
-            for (axis, x) in s.peer.pos().iter().enumerate() {
-                axes[axis * n + j] = *x;
-            }
-            heights.push(s.peer.height());
-            rtts.push(s.rtt);
-        }
-        let mut terms = vec![0.0; n];
+        let window = Window::new(&self.history, &weights, total_w);
         let use_height = self.config.use_height;
-        let objective = |p: &[f64]| -> f64 {
-            // The height parameter is free during the search; negative
-            // trial values are clamped to zero (heights model a physical
-            // delay).
-            let height = if use_height { p[D].max(0.0) } else { 0.0 };
-            // `Coord::distance` from the candidate to each peer, with its
-            // operations in its order: squared axis differences summed from
-            // 0.0 axis by axis, the root, the candidate's height, then the
-            // peer's height.
-            terms.fill(0.0);
-            for (c, col) in p.iter().zip(axes.chunks_exact(n)) {
-                for (t, x) in terms.iter_mut().zip(col) {
-                    let d = c - x;
-                    *t += d * d;
-                }
-            }
-            // Squared error normalized by the RTT: a compromise between
-            // absolute error (dominated by long trans-continental paths)
-            // and relative error (dominated by short local paths). Dividing
-            // once by the RTT keeps both regimes in play, which measurably
-            // beats either extreme on wide-area matrices.
-            for (((t, h), rtt), w) in terms.iter_mut().zip(&heights).zip(&rtts).zip(&weights) {
-                let e = t.sqrt() + height + h - rtt;
-                *t = w * e * e / rtt;
-            }
-            // Summed sequentially in window order.
-            let mut acc = 0.0;
-            for t in &terms {
-                acc += t;
-            }
-            acc / total_w
-        };
 
         // The median retained RTT sets a sensible probe scale for the
         // simplex: coordinates live on the scale of RTT milliseconds.
-        let mut sorted = rtts.clone();
-        sorted.sort_by(f64::total_cmp);
-        let scale = (sorted[n / 2] * 0.25).max(1.0);
+        let mut rtts: Vec<f64> = self.history.iter().map(|s| s.rtt).collect();
+        let (_, median, _) = rtts.select_nth_unstable_by(n / 2, f64::total_cmp);
+        let scale = (*median * 0.25).max(1.0);
 
         let mut start: Vec<f64> = self.coord.pos().to_vec();
         if use_height {
@@ -224,7 +265,7 @@ impl<const D: usize> Rnp<D> {
                 initial_step: scale,
                 ..Default::default()
             },
-            objective,
+            |p| window.objective(p, use_height),
         );
 
         let mut pos = [0.0; D];
@@ -328,6 +369,85 @@ mod tests {
             c.component(1)
         );
         assert!(node.error() < 0.05);
+    }
+
+    /// The fit objective as a plain loop: `Coord::distance` per sample,
+    /// one running sum in window order.
+    fn naive_objective<const D: usize>(
+        history: &VecDeque<Sample<D>>,
+        weights: &[f64],
+        p: &[f64],
+        use_height: bool,
+    ) -> f64 {
+        let mut pos = [0.0; D];
+        pos.copy_from_slice(&p[..D]);
+        let candidate = if use_height {
+            Coord::new(pos).with_height(p[D].max(0.0))
+        } else {
+            Coord::new(pos)
+        };
+        let total_w: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        for (s, w) in history.iter().zip(weights) {
+            let e = candidate.distance(&s.peer) - s.rtt;
+            acc += w * e * e / s.rtt;
+        }
+        acc / total_w
+    }
+
+    /// Every window length from 1 to 96 (so every block tail runs), both
+    /// height modes, at `D` dimensions.
+    fn check_fused_objective<const D: usize>(seed: u64) {
+        let mut state = seed;
+        let mut draw = |scale: f64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale
+        };
+        for len in 1..=96 {
+            let history: VecDeque<Sample<D>> = (0..len)
+                .map(|_| Sample {
+                    peer: Coord::new(std::array::from_fn(|_| draw(300.0)))
+                        .with_height(draw(20.0).abs()),
+                    rtt: 1.0 + draw(400.0).abs(),
+                    reliability: 0.1 + draw(1.0).abs(),
+                })
+                .collect();
+            let weights: Vec<f64> = history
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.reliability * 0.98f64.powi((len - 1 - i) as i32))
+                .collect();
+            let total_w: f64 = weights.iter().sum();
+            let window = Window::new(&history, &weights, total_w);
+            // The last entry of a probe is its height; random probes
+            // range over negative heights too, which the objective clamps
+            // to zero. The far probe makes every term infinite, where an
+            // added filler lane (0 · ∞) would turn the sum into NaN.
+            let mut probes: Vec<Vec<f64>> = (0..4)
+                .map(|_| (0..=D).map(|_| draw(500.0)).collect())
+                .collect();
+            probes.push(vec![1e300; D + 1]);
+            for p in probes {
+                for use_height in [true, false] {
+                    let fused = window.objective(&p, use_height);
+                    let naive = naive_objective(&history, &weights, &p, use_height);
+                    assert_eq!(
+                        fused.to_bits(),
+                        naive.to_bits(),
+                        "D {D}, len {len}, use_height {use_height}: {fused} vs {naive}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_objective_matches_per_sample_distances_bit_for_bit() {
+        check_fused_objective::<1>(1);
+        check_fused_objective::<3>(3);
+        check_fused_objective::<7>(7);
     }
 
     #[test]

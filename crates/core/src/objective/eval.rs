@@ -70,36 +70,59 @@ pub struct WeightedCosts {
 impl WeightedCosts {
     /// Weighted costs of `table` under per-row `weights`.
     pub fn new(table: &CostTable, weights: &[f64]) -> Self {
+        let mut costs = WeightedCosts::empty();
+        costs.refill(table, weights);
+        costs
+    }
+
+    /// A slab over no table, for [`WeightedCosts::refill`] to fill.
+    pub(crate) fn empty() -> Self {
+        WeightedCosts {
+            wcost: Vec::new(),
+            floor: Vec::new(),
+            prunable: true,
+            margin: 1.0,
+            column_sums: Vec::new(),
+            n_rows: 0,
+        }
+    }
+
+    /// Rebuilds the slab in place as the weighted costs of `table` under
+    /// per-row `weights` — bit-identical to [`WeightedCosts::new`], reusing
+    /// the slab's allocations, so a solver that re-solves as its weights
+    /// change pays for the fill and not for the memory.
+    pub(crate) fn refill(&mut self, table: &CostTable, weights: &[f64]) {
         assert_eq!(weights.len(), table.n_rows(), "one weight per demand row");
-        let wcost = table.weighted_costs(weights);
-        let prunable = wcost.iter().all(|&c| c >= 0.0);
         let n = table.n_rows();
-        let floor = if prunable && n > 0 {
-            let mut floor = vec![f64::INFINITY; n];
-            for chunk in wcost.chunks_exact(n) {
-                for (f, &c) in floor.iter_mut().zip(chunk) {
-                    if c < *f {
-                        *f = c;
-                    }
+        table.weighted_costs_into(weights, &mut self.wcost);
+        self.floor.clear();
+        self.column_sums.clear();
+        if n == 0 {
+            self.prunable = true;
+            self.column_sums.resize(table.n_candidates(), 0.0);
+        } else {
+            // One branch-free pass finds every row's floor and whether any
+            // cost is negative (or NaN); an unprunable slab keeps no floor.
+            self.floor.resize(n, f64::INFINITY);
+            let mut negative = false;
+            for col in self.wcost.chunks_exact(n) {
+                for (f, &c) in self.floor.iter_mut().zip(col) {
+                    negative |= (c < 0.0) | c.is_nan();
+                    *f = if c < *f { c } else { *f };
                 }
             }
-            floor
-        } else {
-            Vec::new()
-        };
-        let column_sums = if n > 0 {
-            wcost.chunks_exact(n).map(|col| col.iter().sum()).collect()
-        } else {
-            vec![0.0; table.n_candidates()]
-        };
-        WeightedCosts {
-            wcost,
-            floor,
-            prunable,
-            margin: 1.0 - 8.0 * (n as f64 + 8.0) * f64::EPSILON,
-            column_sums,
-            n_rows: n,
+            self.prunable = !negative;
+            if negative {
+                self.floor.clear();
+            }
+            let sums = self
+                .wcost
+                .chunks_exact(n)
+                .map(|col| col.iter().sum::<f64>());
+            self.column_sums.extend(sums);
         }
+        self.margin = 1.0 - 8.0 * (n as f64 + 8.0) * f64::EPSILON;
+        self.n_rows = n;
     }
 
     /// The objective of each single-replica placement `{slot}`, candidate
@@ -594,6 +617,109 @@ mod tests {
         assert_eq!(eval.total(), table.total_delay(&w, &[5, 1]));
         // Further trials remain exact after the rebuild.
         assert_eq!(eval.swap_total(1, 3), table.total_delay(&w, &[5, 3]));
+    }
+
+    /// Every field of a slab, floats as bits.
+    type SlabBits = (Vec<u64>, Vec<u64>, bool, u64, Vec<u64>, usize);
+
+    fn slab_bits(c: &WeightedCosts) -> SlabBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&c.wcost),
+            bits(&c.floor),
+            c.prunable,
+            c.margin.to_bits(),
+            bits(&c.column_sums),
+            c.n_rows,
+        )
+    }
+
+    /// The slab built the plain way: products pushed candidate by
+    /// candidate, `all` for prunability, a conditional-store floor, and
+    /// each column's `Iterator::sum`.
+    fn plain_slab(table: &CostTable, weights: &[f64]) -> SlabBits {
+        let n = table.n_rows();
+        let mut wcost = Vec::new();
+        for slot in 0..table.n_candidates() {
+            for (d, &w) in table.row(slot).iter().zip(weights) {
+                wcost.push(w * d);
+            }
+        }
+        let prunable = wcost.iter().all(|&c| c >= 0.0);
+        let mut floor = Vec::new();
+        if prunable && n > 0 {
+            floor = vec![f64::INFINITY; n];
+            for chunk in wcost.chunks_exact(n) {
+                for (f, &c) in floor.iter_mut().zip(chunk) {
+                    if c < *f {
+                        *f = c;
+                    }
+                }
+            }
+        }
+        let column_sums: Vec<f64> = if n > 0 {
+            wcost.chunks_exact(n).map(|col| col.iter().sum()).collect()
+        } else {
+            vec![0.0; table.n_candidates()]
+        };
+        let margin = 1.0 - 8.0 * (n as f64 + 8.0) * f64::EPSILON;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&wcost),
+            bits(&floor),
+            prunable,
+            margin.to_bits(),
+            bits(&column_sums),
+            n,
+        )
+    }
+
+    #[test]
+    fn refill_matches_new_bit_for_bit() {
+        // One slab refilled across growing, shrinking and empty shapes
+        // (rows × candidates), so stale contents of a larger fill would
+        // show.
+        let mut slab = WeightedCosts::empty();
+        for (rows, cands, seed) in [
+            (6, 6, 1),
+            (0, 4, 2),
+            (9, 3, 3),
+            (2, 8, 4),
+            (0, 0, 5),
+            (7, 7, 6),
+            (1, 1, 7),
+            (5, 19, 8),
+            (12, 17, 9),
+            (3, 0, 10),
+        ] {
+            let (m, w) = instance(rows.max(cands).max(2), seed);
+            let clients: Vec<usize> = (0..rows).collect();
+            let candidates: Vec<usize> = (0..cands).collect();
+            let oracle = MatrixDelay::new(&m, &clients);
+            let table = CostTable::from_oracle(&oracle, &candidates, m.len(), rows);
+            // Positive weights; all −0.0 (prunable, and `Iterator::sum`
+            // starts at −0.0, so the column sums keep the sign); and one
+            // negative weight, which makes the slab unprunable.
+            let mut mixed = w[..rows].to_vec();
+            if let Some(first) = mixed.first_mut() {
+                *first = -1.5;
+            }
+            for weights in [w[..rows].to_vec(), vec![-0.0; rows], mixed] {
+                slab.refill(&table, &weights);
+                let fresh = WeightedCosts::new(&table, &weights);
+                assert_eq!(slab_bits(&slab), slab_bits(&fresh), "{rows} × {cands}");
+                assert_eq!(
+                    slab_bits(&slab),
+                    plain_slab(&table, &weights),
+                    "{rows} × {cands}"
+                );
+                assert_eq!(slab.column_sums().len(), cands);
+                if rows > 0 && weights.iter().all(|w| w.to_bits() == (-0.0f64).to_bits()) {
+                    assert!(slab.is_prunable());
+                    assert!(slab.column_sums().iter().all(|s| s.is_sign_negative()));
+                }
+            }
+        }
     }
 
     proptest! {

@@ -148,19 +148,17 @@ impl CostTable {
         total
     }
 
-    /// Demand-weighted costs, candidate-major like [`CostTable::row`]:
+    /// Writes the demand-weighted costs into `out`, replacing its contents
+    /// and keeping its allocation: candidate-major like [`CostTable::row`],
     /// `w_row · delay(slot, row)`. The incremental evaluator precomputes
-    /// this so its inner loops skip the per-trial multiplication.
-    pub fn weighted_costs(&self, weights: &[f64]) -> Vec<f64> {
+    /// these so its inner loops skip the per-trial multiplication.
+    pub fn weighted_costs_into(&self, weights: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(weights.len(), self.n_rows);
-        let mut out = Vec::with_capacity(self.delays.len());
+        out.clear();
+        out.reserve(self.delays.len());
         for slot in 0..self.candidates.len() {
-            let row_costs = self.row(slot);
-            for (d, &w) in row_costs.iter().zip(weights) {
-                out.push(w * d);
-            }
+            out.extend(self.row(slot).iter().zip(weights).map(|(d, &w)| w * d));
         }
-        out
     }
 }
 
@@ -221,7 +219,8 @@ mod tests {
     fn weighted_costs_premultiply() {
         let t = table();
         let w = [2.0, 1.0, 0.5];
-        let wc = t.weighted_costs(&w);
+        let mut wc = vec![1.0; 9];
+        t.weighted_costs_into(&w, &mut wc);
         assert_eq!(&wc[..3], &[20.0, 20.0, 20.0]);
         assert_eq!(&wc[3..], &[80.0, 30.0, 5.0]);
     }

@@ -38,6 +38,8 @@
 //! `tests/decentralized_equivalence.rs` pins all of this differentially
 //! against the central solver across the five topology families.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use georep_net::rtt::RttMatrix;
@@ -46,7 +48,7 @@ use georep_net::sim::{
 };
 
 use crate::hash::{fnv1a, mix64, splitmix64_next, FNV_OFFSET};
-use crate::objective::{CostTable, IncrementalEval, MatrixDelay};
+use crate::objective::{CostTable, IncrementalEval, MatrixDelay, WeightedCosts};
 use crate::strategy::greedy::open_then_swap;
 use crate::strategy::PlaceError;
 use crate::telemetry::{NullRecorder, Recorder};
@@ -149,7 +151,7 @@ fn check_config(cfg: &DecentralConfig) {
     assert!(cfg.quiet_rounds >= 1, "quiescence needs at least one round");
     assert!(cfg.refine_round >= 1, "refinement round must be positive");
     assert!(
-        cfg.max_rounds > cfg.refine_round + cfg.quiet_rounds,
+        u64::from(cfg.max_rounds) > u64::from(cfg.refine_round) + u64::from(cfg.quiet_rounds),
         "round budget too small to ever reach quiescence"
     );
     assert!(
@@ -215,6 +217,14 @@ struct PlaceNode {
     view: VersionedView<ShardSummary>,
     /// Own refined summary, published at `refine_round`.
     fine: ShardSummary,
+    /// Per-row demand weights of the last re-solve, refilled in place.
+    weights: Vec<f64>,
+    /// The weighted cost slab every re-solve of the run refills in place.
+    /// The simulator runs one handler at a time and a refill overwrites
+    /// the whole slab, so sharing it carries nothing from one solve to the
+    /// next: it only keeps one slab in host memory instead of one per node
+    /// (64 candidates × 192 clients would otherwise hold 64 × 96 KiB).
+    costs: Rc<RefCell<WeightedCosts>>,
     /// Current local placement, as candidate slots in commit order.
     placement_slots: Vec<usize>,
     round: u32,
@@ -237,6 +247,24 @@ impl PlaceNode {
                 self.tally.deltas += 1;
             }
         }
+    }
+
+    /// Re-derives the placement from the current view, refilling the
+    /// weights and the cost slab in place; returns whether the placement
+    /// moved.
+    fn resolve(&mut self) -> bool {
+        weights_from_view(&self.view, &mut self.weights);
+        let next = {
+            let mut costs = self.costs.borrow_mut();
+            costs.refill(&self.table, &self.weights);
+            local_solve(&self.table, &costs, self.cfg.k)
+        };
+        let moved = next != self.placement_slots;
+        if moved {
+            self.placement_slots = next;
+            self.tally.moves += 1;
+        }
+        moved
     }
 
     fn send_accounted(&mut self, to: NodeId, msg: PlaceMsg, ctx: &mut ProcessCtx<PlaceMsg>) {
@@ -306,16 +334,7 @@ impl Process<PlaceMsg> for PlaceNode {
         // the placement a node holds depends only on the view it holds,
         // never on the order deltas arrived in.
         let dirty = std::mem::take(&mut self.dirty);
-        let mut moved = false;
-        if dirty || self.placement_slots.is_empty() {
-            let weights = weights_from_view(&self.view, self.table.n_rows());
-            let next = local_solve(&self.table, &weights, self.cfg.k);
-            moved = next != self.placement_slots;
-            if moved {
-                self.placement_slots = next;
-                self.tally.moves += 1;
-            }
-        }
+        let moved = (dirty || self.placement_slots.is_empty()) && self.resolve();
 
         // Quiescence rule: K consecutive rounds with no view delta and no
         // accepted move — plus a complete refined view, so a node isolated
@@ -360,11 +379,12 @@ impl Process<PlaceMsg> for PlaceNode {
     }
 }
 
-/// Per-client demand weights a view implies: every known shard contributes
-/// its pairs. Shards partition the client rows, so each row receives at
-/// most one contribution per origin and the sum order cannot matter.
-fn weights_from_view(view: &VersionedView<ShardSummary>, n_rows: usize) -> Vec<f64> {
-    let mut weights = vec![0.0; n_rows];
+/// Writes the per-client demand weights a view implies into `weights`,
+/// keeping its length: every known shard contributes its pairs. Shards
+/// partition the client rows, so each row receives at most one
+/// contribution per origin and the sum order cannot matter.
+fn weights_from_view(view: &VersionedView<ShardSummary>, weights: &mut [f64]) {
+    weights.fill(0.0);
     for origin in 0..view.origins() {
         if let Some(shard) = view.entry(origin) {
             for &(row, w) in shard {
@@ -372,16 +392,15 @@ fn weights_from_view(view: &VersionedView<ShardSummary>, n_rows: usize) -> Vec<f
             }
         }
     }
-    weights
 }
 
 /// The deterministic local solver every node runs — the same open-and-swap
 /// search as [`super::swap::SwapLocalSearch`]: greedy open steps to `k`,
 /// then per-position best-improvement swap passes (ties to the first
 /// candidate in scan order) until a pass improves nothing. A pure function
-/// of `(table, weights, k)` — the bedrock of cross-node agreement.
-fn local_solve(table: &CostTable, weights: &[f64], k: usize) -> Vec<usize> {
-    let mut eval = IncrementalEval::new(table, weights);
+/// of `(table, costs, k)` — the bedrock of cross-node agreement.
+fn local_solve(table: &CostTable, costs: &WeightedCosts, k: usize) -> Vec<usize> {
+    let mut eval = IncrementalEval::with_costs(table, costs);
     open_then_swap(&mut eval, k);
     eval.slots().to_vec()
 }
@@ -536,6 +555,7 @@ pub fn run_decentralized_with<R: Recorder>(
         cfg.stagger_seed
     };
     let interval_micros = cfg.round_interval.as_micros().max(1);
+    let costs = Rc::new(RefCell::new(WeightedCosts::empty()));
     let nodes: Vec<PlaceNode> = (0..m)
         .map(|slot| {
             let mut view = VersionedView::new(m);
@@ -549,6 +569,8 @@ pub fn run_decentralized_with<R: Recorder>(
                 table: Arc::clone(&table),
                 view,
                 fine: fine[slot].clone(),
+                weights: vec![0.0; clients.len()],
+                costs: Rc::clone(&costs),
                 placement_slots: Vec::new(),
                 round: 0,
                 quiet: 0,
@@ -594,7 +616,7 @@ pub fn run_decentralized_with<R: Recorder>(
 
     // The differential baseline: the same open/swap machinery, run
     // centrally on the full demand.
-    let central_slots = local_solve(&table, weights, cfg.k);
+    let central_slots = local_solve(&table, &WeightedCosts::new(&table, weights), cfg.k);
     let central_delay_ms = table.total_delay(weights, &central_slots);
     let decentral_delay_ms = table.total_delay(weights, &placements[0]);
     let gap = if central_delay_ms > 0.0 {
@@ -693,7 +715,7 @@ pub fn central_placement(
     check_inputs(matrix.len(), candidates, clients, weights, k)?;
     let oracle = MatrixDelay::new(matrix, clients);
     let table = CostTable::from_oracle(&oracle, candidates, matrix.len(), clients.len());
-    let slots = local_solve(&table, weights, k);
+    let slots = local_solve(&table, &WeightedCosts::new(&table, weights), k);
     let delay = table.total_delay(weights, &slots);
     let mut placement: Vec<usize> = slots.iter().map(|&sl| table.site_of(sl)).collect();
     placement.sort_unstable();
@@ -877,6 +899,82 @@ mod tests {
         ));
         assert!(central_placement(&m, &[0, 0, 3], &clients, &weights, 2).is_err());
         assert!(central_placement(&m, &[0, 3], &clients, &bad, 1).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "round budget")]
+    fn a_refine_round_past_the_budget_is_rejected() {
+        // `refine_round + quiet_rounds` overflows `u32`; the budget check
+        // must still see a budget too small to ever refine.
+        let cfg = DecentralConfig {
+            refine_round: u32::MAX,
+            ..quick_cfg(2)
+        };
+        let m = matrix(12);
+        let candidates: Vec<usize> = (0..12).step_by(3).collect();
+        let _ = run_decentralized(&m, &candidates, &cfg);
+    }
+
+    #[test]
+    fn re_solves_refill_one_slab_in_place() {
+        let m = matrix(18);
+        let candidates: Vec<usize> = (0..18).step_by(2).collect();
+        let clients: Vec<usize> = (0..18).collect();
+        let oracle = MatrixDelay::new(&m, &clients);
+        let table = Arc::new(CostTable::from_oracle(&oracle, &candidates, 18, 18));
+        let shard = |slot: usize| -> ShardSummary {
+            (0..18)
+                .filter(|row| row % candidates.len() == slot)
+                .map(|row| (row as u32, 1.0 + slot as f64))
+                .collect()
+        };
+        let costs = Rc::new(RefCell::new(WeightedCosts::empty()));
+        let mut nodes: Vec<PlaceNode> = (0..2)
+            .map(|slot| {
+                let mut view = VersionedView::new(candidates.len());
+                view.publish(slot, shard(slot));
+                PlaceNode {
+                    slot,
+                    cfg: quick_cfg(2),
+                    first_offset: SimDuration::from_micros(1),
+                    rng_state: 1,
+                    table: Arc::clone(&table),
+                    view,
+                    fine: Vec::new(),
+                    placement_slots: Vec::new(),
+                    weights: vec![0.0; clients.len()],
+                    costs: Rc::clone(&costs),
+                    round: 0,
+                    quiet: 0,
+                    dirty: true,
+                    converged_round: None,
+                    tally: NodeTally::default(),
+                }
+            })
+            .collect();
+        let buffers = |nodes: &[PlaceNode]| {
+            let slab = costs.borrow();
+            (
+                nodes.iter().map(|n| n.weights.as_ptr()).collect::<Vec<_>>(),
+                slab.wcost().as_ptr(),
+                slab.column_sums().as_ptr(),
+            )
+        };
+        nodes[0].resolve();
+        let first = buffers(&nodes);
+        for slot in 2..candidates.len() {
+            // Each re-solve sees one more shard, so the weights differ,
+            // and the two nodes take turns with the slab.
+            for node in &mut nodes {
+                node.view.publish(slot, shard(slot));
+                node.resolve();
+                let central = WeightedCosts::new(&table, &node.weights);
+                assert_eq!(node.placement_slots, local_solve(&table, &central, 2));
+                assert_eq!(costs.borrow().wcost(), central.wcost());
+                assert_eq!(costs.borrow().column_sums(), central.column_sums());
+            }
+            assert_eq!(buffers(&nodes), first, "re-solves must reuse their buffers");
+        }
     }
 
     #[test]

@@ -420,6 +420,17 @@ pub fn run_scenario_with_recorder<R: Recorder>(
             "need ≥ 2 ticks per phase and a positive rebalance cadence",
         ));
     }
+    let Some(run_ticks) = p
+        .checked_mul(3)
+        .filter(|&t| cfg.tick.as_micros().checked_mul(u64::from(t)).is_some())
+    else {
+        return Err(ScenarioError::Setup(
+            "3 × phase_ticks ticks overflow the simulated clock",
+        ));
+    };
+    if cfg.embed_duration == SimDuration::ZERO || cfg.detect_duration == SimDuration::ZERO {
+        return Err(ScenarioError::Setup("gossip durations must be positive"));
+    }
     let candidates: Vec<usize> = (0..n).step_by(3).collect();
     if cfg.k >= candidates.len() {
         return Err(ScenarioError::Setup("k must be below the candidate count"));
@@ -491,7 +502,7 @@ pub fn run_scenario_with_recorder<R: Recorder>(
     let mut pre_fault_delay_ms = 0.0;
     let mut prev_signature = (Vec::new(), Vec::new());
 
-    for tick in 0..3 * p {
+    for tick in 0..run_ticks {
         let now = SimTime::ZERO + cfg.tick.mul(tick as u64);
         if tick == 0 {
             trace.push(TraceEvent::PhaseStart {
@@ -1045,5 +1056,46 @@ mod tests {
             ),
             Err(ScenarioError::Setup(_))
         ));
+    }
+
+    fn rejected_at_setup(cfg: ScenarioConfig) -> bool {
+        matches!(
+            run_scenario(&matrix(12), ScenarioKind::SingleDcCrash, cfg),
+            Err(ScenarioError::Setup(_))
+        )
+    }
+
+    #[test]
+    fn phase_ticks_whose_run_length_overflows_are_rejected() {
+        let cfg = ScenarioConfig {
+            phase_ticks: 0x6000_0000,
+            ..quick_cfg()
+        };
+        assert!(rejected_at_setup(cfg));
+    }
+
+    #[test]
+    fn zero_gossip_durations_are_rejected() {
+        for cfg in [
+            ScenarioConfig {
+                embed_duration: SimDuration::ZERO,
+                ..quick_cfg()
+            },
+            ScenarioConfig {
+                detect_duration: SimDuration::ZERO,
+                ..quick_cfg()
+            },
+        ] {
+            assert!(rejected_at_setup(cfg), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_tick_whose_run_overflows_the_clock_is_rejected() {
+        let cfg = ScenarioConfig {
+            tick: SimDuration::from_micros(u64::MAX / 4),
+            ..quick_cfg()
+        };
+        assert!(rejected_at_setup(cfg));
     }
 }

@@ -36,8 +36,12 @@
 //!   again holds ~[`TARGET_OCCUPANCY`] events per year. A batch per visited
 //!   bucket keeps the ring cache-sized and lets the CPU overlap the arena
 //!   reads, and the power-of-two width makes the bucket hash a
-//!   shift-and-mask. A full fruitless rotation (all events more than a year
-//!   ahead) teleports the cursor straight to the earliest event's window.
+//!   shift-and-mask. The queue also rebuilds on a full fruitless rotation
+//!   (all events more than a year ahead): that is how a ring that never
+//!   crosses the occupancy thresholds — the first 16-bucket, 1 µs-wide
+//!   ring, at up to 1 024 pending — still tunes its width to the event
+//!   spacing, so a pop costs O(1) slot reads at any occupancy instead of
+//!   a sweep of every live event.
 //!
 //! The tie-breaking contract is identical to the reference engine — strict
 //! `(timestamp, sequence number)` order — and `tests/sim_equivalence.rs`
@@ -59,10 +63,11 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// uses ~1; batching a few dozen beats that on real hardware — the ring
 /// shrinks by the same factor (so rotations stay in L2), and each visited
 /// bucket issues a batch of independent arena reads the CPU can overlap
-/// instead of one dependent miss per rotation. Measured on a hold-model
-/// workload (the shape of the repo benchmark's `net.sim.hold_events_per_s`
-/// probe), 16–64 all sit on a plateau ~2× faster than 4; the front heap
-/// stays ≤ ~2× this size, so pops stay cheap.
+/// instead of one dependent miss per rotation. The front heap stays
+/// ≤ ~2× this size, so pops stay cheap. On the repo benchmark's hold-model
+/// probe (`net.sim.hold_events_per_s`, 1 024 pending) 4, 16, 32 and 64 all
+/// read 7.5–7.9 M events/s (median of 5 runs each, 2-vCPU host,
+/// 2026-10-17): at that size the choice is inside run-to-run noise.
 const TARGET_OCCUPANCY: usize = 32;
 
 /// Handle to a scheduled event, for [`Simulation::cancel`] /
@@ -108,6 +113,10 @@ struct CalendarQueue<W> {
     /// Live (scheduled, not cancelled, not run) events anywhere.
     len: usize,
     next_seq: u64,
+    /// Slot reads made by bucket visits and rebuilds: the per-pop work the
+    /// tuning exists to bound.
+    #[cfg(test)]
+    slot_reads: u64,
 }
 
 impl<W> Default for CalendarQueue<W> {
@@ -124,6 +133,8 @@ impl<W> Default for CalendarQueue<W> {
             front: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
+            #[cfg(test)]
+            slot_reads: 0,
         }
     }
 }
@@ -223,6 +234,10 @@ impl<W> CalendarQueue<W> {
         let end = self.cursor_end();
         let mut i = 0;
         while i < self.buckets[cursor].len() {
+            #[cfg(test)]
+            {
+                self.slot_reads += 1;
+            }
             let idx = self.buckets[cursor][i];
             let slot = &self.slots[idx as usize];
             let (at, seq, dead) = (slot.at, slot.seq, slot.f.is_none());
@@ -236,19 +251,6 @@ impl<W> CalendarQueue<W> {
                 i += 1;
             }
         }
-    }
-
-    /// Earliest live event time across the ring (used to teleport after a
-    /// fruitless rotation). `None` when the ring holds no live event.
-    fn scan_min(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .flatten()
-            .filter_map(|&idx| {
-                let slot = &self.slots[idx as usize];
-                slot.f.is_some().then_some(slot.at)
-            })
-            .min()
     }
 
     /// Advances the cursor until the front heap holds at least one event.
@@ -265,14 +267,10 @@ impl<W> CalendarQueue<W> {
             }
         }
         // A full fruitless rotation: every live event is more than a year
-        // ahead. Jump straight to the window of the earliest one (its
-        // window maps back to exactly one bucket, so one collect suffices).
-        let min_at = self
-            .scan_min()
-            .expect("len > 0 but the ring holds no live event");
-        self.cursor_start = ((min_at >> self.width_log2) as u128) << self.width_log2;
-        self.cursor = self.bucket_of(min_at);
-        self.collect_current();
+        // ahead, so the width no longer fits the event spacing. Retune —
+        // the rebuild re-derives the width from the live span and moves the
+        // earliest event's window into the front.
+        self.rebuild();
     }
 
     fn ensure_front(&mut self) {
@@ -314,6 +312,10 @@ impl<W> CalendarQueue<W> {
         let mut rings: Vec<Vec<u32>> = std::mem::take(&mut self.buckets);
         for ring in &mut rings {
             keys.append(ring);
+        }
+        #[cfg(test)]
+        {
+            self.slot_reads += keys.len() as u64;
         }
         let mut live: Vec<u32> = Vec::with_capacity(self.len);
         for idx in keys {
@@ -711,9 +713,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_far_apart_events_teleport_correctly() {
+    fn sparse_far_apart_events_retune_the_calendar() {
         // Events separated by far more than a ring "year" force the
-        // fruitless-rotation teleport path.
+        // fruitless-rotation rebuild path.
         let mut sim = Simulation::new(Vec::<u64>::new());
         for t in [3u64, 5_000_000, 40_000_000_000, 40_000_000_001] {
             sim.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| {
@@ -747,6 +749,41 @@ mod tests {
         let log = sim.world();
         assert_eq!(log.len(), 2_000);
         assert!(log.windows(2).all(|w| w[0] <= w[1]), "out of order");
+    }
+
+    /// Slot reads per pop under the hold model: `pending` events, each of
+    /// which reschedules itself a pseudo-random 1 µs – 1 s ahead when it
+    /// fires (the shape of the repo benchmark's engine probe).
+    fn hold_reads_per_pop(pending: u64) -> f64 {
+        fn hold(world: &mut u64, ctx: &mut Context<u64>) {
+            *world = world
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ctx.schedule_in(SimDuration::from_micros(1 + (*world >> 44)), hold);
+        }
+        let mut sim = Simulation::new(1u64);
+        for i in 0..pending {
+            sim.schedule_in(SimDuration::from_micros(1 + i * 977), hold);
+        }
+        let pops = 20_000;
+        assert_eq!(sim.run_to_completion(Some(pops)), pops);
+        sim.queue.slot_reads as f64 / pops as f64
+    }
+
+    #[test]
+    fn hold_model_work_per_pop_is_bounded_at_every_occupancy() {
+        // Before fruitless rotations rebuilt, a ring at or below the
+        // insert-side rebuild threshold (1 024 pending) kept its first 16 µs
+        // year, so nearly every pop swept the whole ring: 17.9, 271.8,
+        // 1 072.3 and 1.2 reads per pop at 16, 256, 1 024 and 4 096 pending
+        // (not counting the teleport's extra scan). Now: 0.5, 1.0, 1.1, 1.2.
+        for pending in [16, 256, 1_024, 4_096] {
+            let reads = hold_reads_per_pop(pending);
+            assert!(
+                reads < 4.0,
+                "{reads:.1} slot reads per pop at {pending} pending"
+            );
+        }
     }
 
     #[test]

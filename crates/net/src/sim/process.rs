@@ -87,10 +87,11 @@ struct World<P, M> {
     network: Network,
     messages_delivered: u64,
     messages_dropped: u64,
-    /// Engine handles of armed, possibly-still-pending timers, keyed by
-    /// `(node, timer id)`. Pruned of fired entries whenever a node arms or
-    /// cancels, so it stays proportional to the live timer count.
-    armed_timers: Vec<(NodeId, u64, EventId)>,
+    /// Engine handles of armed, possibly-still-pending timers: one
+    /// `(timer id, event)` list per node. A node's list is pruned of fired
+    /// entries whenever that node arms or cancels, so it stays proportional
+    /// to the node's live timer count and no node scans another's.
+    armed_timers: Vec<Vec<(u64, EventId)>>,
     _marker: std::marker::PhantomData<M>,
 }
 
@@ -161,7 +162,7 @@ impl<P: Process<M>, M: 'static> ProcessNet<P, M> {
             network,
             messages_delivered: 0,
             messages_dropped: 0,
-            armed_timers: Vec::new(),
+            armed_timers: vec![Vec::new(); n],
             _marker: std::marker::PhantomData,
         };
         let mut sim = Simulation::new(world);
@@ -275,12 +276,13 @@ fn apply_actions<P: Process<M>, M: 'static>(
                     w.procs[node].on_timer(id, &mut pctx);
                     apply_actions(node, pctx, w, ctx);
                 });
-                w.armed_timers.retain(|&(_, _, e)| ctx.is_pending(e));
-                w.armed_timers.push((node, id, event));
+                let armed = &mut w.armed_timers[node];
+                armed.retain(|&(_, e)| ctx.is_pending(e));
+                armed.push((id, event));
             }
             Action::CancelTimer { id } => {
-                w.armed_timers.retain(|&(n, i, e)| {
-                    if n == node && i == id {
+                w.armed_timers[node].retain(|&(i, e)| {
+                    if i == id {
                         ctx.cancel(e);
                         false
                     } else {
@@ -552,6 +554,43 @@ mod tests {
         let mut net = ProcessNet::new(Network::new(matrix(2)), vec![Canceller, Canceller]);
         net.run_to_completion(None);
         assert_eq!(net.stats().events_executed, 2); // just the two on_starts
+    }
+
+    /// Both nodes arm a timer with the same id; only node 0 cancels it.
+    struct SameIdTimers {
+        fired: Vec<u64>,
+    }
+
+    const SHARED_TIMER: u64 = 7;
+    const CANCEL_TIMER: u64 = 1;
+
+    impl Process<()> for SameIdTimers {
+        fn on_start(&mut self, ctx: &mut ProcessCtx<()>) {
+            ctx.set_timer(SimDuration::from_ms(500.0), SHARED_TIMER);
+            if ctx.node() == 0 {
+                ctx.set_timer(SimDuration::from_ms(100.0), CANCEL_TIMER);
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut ProcessCtx<()>) {}
+        fn on_timer(&mut self, id: u64, ctx: &mut ProcessCtx<()>) {
+            self.fired.push(id);
+            if id == CANCEL_TIMER {
+                ctx.cancel_timer(SHARED_TIMER);
+            }
+        }
+    }
+
+    #[test]
+    fn cancelling_a_timer_leaves_other_nodes_timers_armed() {
+        let procs = (0..2).map(|_| SameIdTimers { fired: Vec::new() }).collect();
+        let mut net = ProcessNet::new(Network::new(matrix(2)), procs);
+        net.run_to_completion(None);
+        assert_eq!(net.process(0).fired, vec![CANCEL_TIMER]);
+        assert_eq!(
+            net.process(1).fired,
+            vec![SHARED_TIMER],
+            "node 0's cancel disarmed node 1's timer"
+        );
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! trusted oracle.
 
 use georep_net::rtt::RttMatrix;
+use georep_net::sim::reference::{
+    Context as RefContext, EventId as RefEventId, Simulation as RefSimulation,
+};
 use georep_net::sim::{reference, Delivery, DeliveryStats, FaultPlan, Network};
-use georep_net::sim::{SimDuration, SimTime, Simulation};
+use georep_net::sim::{Context, EventId, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 
 /// Runs a static schedule (all events known up front) through either
@@ -416,4 +419,140 @@ proptest! {
         prop_assert_eq!(log_a, log_b);
         prop_assert_eq!(stats_a, stats_b);
     }
+}
+
+/// The hold model in either engine: `pending` self-rescheduling chains,
+/// each firing again a pseudo-random whole number of milliseconds (1 ms –
+/// 1 s) ahead, so equal timestamps are common. Logs `(at_us, chain)` per
+/// execution.
+macro_rules! run_hold {
+    ($Sim:ident, $Ctx:ident, $pending:expr, $pops:expr) => {{
+        type W = (u64, Vec<(u64, u32)>);
+        fn hold(chain: u32) -> impl FnOnce(&mut W, &mut $Ctx<W>) + 'static {
+            move |w: &mut W, ctx: &mut $Ctx<W>| {
+                w.1.push((ctx.now().as_micros(), chain));
+                let ms = 1 + lcg(&mut w.0) % 1_000;
+                ctx.schedule_in(SimDuration::from_ms(ms as f64), hold(chain));
+            }
+        }
+        let mut sim = $Sim::new((0x5EED_u64, Vec::new()));
+        for chain in 0..$pending {
+            let first = SimDuration::from_micros(1 + u64::from(chain) * 977);
+            sim.schedule_in(first, hold(chain));
+        }
+        let ran = sim.run_to_completion(Some($pops));
+        (sim.now(), ran, sim.queued(), sim.into_world().1)
+    }};
+}
+
+#[test]
+fn low_occupancy_hold_models_execute_identically_across_engines() {
+    // At most 1 024 pending: the occupancy the calendar's insert-side
+    // rebuild never reaches, so the ring tunes only on fruitless rotations.
+    for pending in [16u32, 256, 1_024] {
+        let a = run_hold!(Simulation, Context, pending, 20_000);
+        let b = run_hold!(RefSimulation, RefContext, pending, 20_000);
+        assert_eq!(a, b, "{pending} pending");
+        assert_eq!(a.1, 20_000);
+        assert_eq!(a.2, pending as usize);
+    }
+}
+
+/// One node's ping state in the gossip-shaped schedule, generic over the
+/// engine's event handle.
+struct PingWorld<Id> {
+    rng: u64,
+    nodes: usize,
+    /// The most recently armed timeout of each node.
+    timeout: Vec<Option<Id>>,
+    /// `(at_us, kind, node, detail)`; kinds: 0 ping (detail = attempt),
+    /// 1 reply, 2 reply's cancel of the timeout (detail = cancelled),
+    /// 3 timeout fired (detail = attempt), 4 random cancel (detail =
+    /// cancelled).
+    log: Vec<(u64, u8, usize, u32)>,
+}
+
+/// The event shape gossip failure detection runs on, in either engine:
+/// every node pings a random peer each 250 ms round, arms a per-ping
+/// timeout that doubles with each retry, and a reply cancels the timeout;
+/// a quarter of the pings are lost, and one round in eight also cancels a
+/// random node's pending timeout.
+macro_rules! run_pings {
+    ($Sim:ident, $Ctx:ident, $Id:ident, $nodes:expr, $rounds:expr) => {{
+        type W = PingWorld<$Id>;
+        fn ping(w: &mut W, ctx: &mut $Ctx<W>, node: usize, attempt: u32) {
+            let now = ctx.now().as_micros();
+            w.log.push((now, 0, node, attempt));
+            let peer = (node + 1 + lcg(&mut w.rng) as usize % (w.nodes - 1)) % w.nodes;
+            if lcg(&mut w.rng) % 4 != 0 {
+                let rtt_ms = 5 + (node * 7 + peer * 13) % 40;
+                ctx.schedule_in(
+                    SimDuration::from_ms(rtt_ms as f64),
+                    move |w: &mut W, ctx: &mut $Ctx<W>| {
+                        let now = ctx.now().as_micros();
+                        w.log.push((now, 1, node, attempt));
+                        if let Some(id) = w.timeout[node].take() {
+                            w.log.push((now, 2, node, u32::from(ctx.cancel(id))));
+                        }
+                    },
+                );
+            }
+            let id = ctx.schedule_in(
+                SimDuration::from_ms(100.0 * f64::from(1u32 << attempt)),
+                move |w: &mut W, ctx: &mut $Ctx<W>| {
+                    w.log.push((ctx.now().as_micros(), 3, node, attempt));
+                    if attempt < 3 {
+                        ping(w, ctx, node, attempt + 1);
+                    }
+                },
+            );
+            w.timeout[node] = Some(id);
+        }
+        fn round(node: usize, left: u32) -> impl FnOnce(&mut W, &mut $Ctx<W>) + 'static {
+            move |w: &mut W, ctx: &mut $Ctx<W>| {
+                if left > 1 {
+                    ctx.schedule_in(SimDuration::from_ms(250.0), round(node, left - 1));
+                }
+                ping(w, ctx, node, 0);
+                if lcg(&mut w.rng) % 8 == 0 {
+                    let victim = lcg(&mut w.rng) as usize % w.nodes;
+                    if let Some(id) = w.timeout[victim] {
+                        let cancelled = ctx.is_pending(id) && ctx.cancel(id);
+                        let now = ctx.now().as_micros();
+                        w.log.push((now, 4, victim, u32::from(cancelled)));
+                    }
+                }
+            }
+        }
+        let nodes: usize = $nodes;
+        let mut sim = $Sim::new(PingWorld {
+            rng: 0x9E37_79B9,
+            nodes,
+            timeout: (0..nodes).map(|_| None).collect(),
+            log: Vec::new(),
+        });
+        for node in 0..nodes {
+            sim.schedule_at(SimTime::ZERO, round(node, $rounds));
+        }
+        sim.run_to_completion(None);
+        (sim.now(), sim.executed(), sim.into_world().log)
+    }};
+}
+
+#[test]
+fn gossip_shaped_pings_with_timeouts_execute_identically_across_engines() {
+    let a = run_pings!(Simulation, Context, EventId, 48, 40);
+    let b = run_pings!(RefSimulation, RefContext, RefEventId, 48, 40);
+    assert_eq!(a, b);
+    let kinds = |k: u8| a.2.iter().filter(|e| e.1 == k).count();
+    assert!(kinds(3) > 0, "some timeouts must fire");
+    assert!(kinds(0) > 48 * 40, "fired timeouts must retry");
+    assert!(
+        a.2.iter().any(|e| e.1 == 2 && e.3 == 1),
+        "replies must cancel pending timeouts"
+    );
+    assert!(
+        a.2.iter().any(|e| e.1 == 4 && e.3 == 1),
+        "random cancels must hit pending timeouts"
+    );
 }

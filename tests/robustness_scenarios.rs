@@ -55,6 +55,9 @@ fn suite_cfg() -> ScenarioConfig {
 /// can. Update it only with a change that means to move a report.
 const REACTIVE_REPORTS_FINGERPRINT: u64 = 0x7eb4_73c6_f193_8323;
 
+/// The same fold over every kind's decentralized report.
+const DECENTRALIZED_REPORTS_FINGERPRINT: u64 = 0x6901_68a2_9ae9_b4e2;
+
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
@@ -64,12 +67,14 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Each kind runs twice per mode, reactive and decentralized, and the
-/// second run's report and trace hash equal the first's. The reactive
-/// reports also fold into [`REACTIVE_REPORTS_FINGERPRINT`].
+/// second run's report and trace hash equal the first's. The reports also
+/// fold into [`REACTIVE_REPORTS_FINGERPRINT`] and
+/// [`DECENTRALIZED_REPORTS_FINGERPRINT`].
 #[test]
 fn reports_are_bit_identical_across_1_2_and_8_threads() {
     let m = matrix(24);
-    let mut fingerprint = 0xCBF2_9CE4_8422_2325;
+    let mut reactive = 0xCBF2_9CE4_8422_2325;
+    let mut decentralized = reactive;
     for kind in ALL_SCENARIOS {
         for mode in [PlacementMode::Reactive, PlacementMode::Decentralized] {
             let cfg = ScenarioConfig {
@@ -86,14 +91,21 @@ fn reports_are_bit_identical_across_1_2_and_8_threads() {
                 "{} {mode:?}: trace hash diverged",
                 kind.name()
             );
-            if mode == PlacementMode::Reactive {
-                fingerprint = fnv1a(fingerprint, format!("{base:?}").as_bytes());
-            }
+            let fingerprint = if mode == PlacementMode::Reactive {
+                &mut reactive
+            } else {
+                &mut decentralized
+            };
+            *fingerprint = fnv1a(*fingerprint, format!("{base:?}").as_bytes());
         }
     }
     assert_eq!(
-        fingerprint, REACTIVE_REPORTS_FINGERPRINT,
-        "a reactive scenario report moved: {fingerprint:#018x}"
+        reactive, REACTIVE_REPORTS_FINGERPRINT,
+        "a reactive scenario report moved: {reactive:#018x}"
+    );
+    assert_eq!(
+        decentralized, DECENTRALIZED_REPORTS_FINGERPRINT,
+        "a decentralized scenario report moved: {decentralized:#018x}"
     );
 }
 

@@ -1,7 +1,6 @@
 //! Weighted pseudo-points.
 
 use georep_coord::Coord;
-use serde::{Deserialize, Serialize};
 
 /// A coordinate with an attached weight.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let p = WeightedPoint::new(Coord::new([1.0, 2.0]), 3.5);
 /// assert_eq!(p.weight, 3.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedPoint<const D: usize> {
     /// The point's position.
     pub coord: Coord<D>,

@@ -16,7 +16,6 @@ use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use georep_coord::Coord;
-use serde::{Deserialize, Serialize};
 
 use crate::micro::MicroCluster;
 
@@ -65,7 +64,7 @@ impl fmt::Display for SummaryError {
 impl Error for SummaryError {}
 
 /// One micro-cluster, dimension-erased for transport.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Number of accesses summarized.
     pub count: u64,
@@ -98,7 +97,7 @@ pub struct ClusterSnapshot {
 /// assert_eq!(back, summary);
 /// # Ok::<(), georep_cluster::summary::SummaryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessSummary {
     /// Coordinate dimensionality the clusters were built in.
     pub dims: u8,

@@ -8,10 +8,6 @@
 //! at zero the space degenerates to plain Euclidean space, which is what the
 //! clustering layers of the paper operate on.
 
-use serde::de::{self, SeqAccess, Visitor};
-use serde::ser::SerializeTuple;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// A network coordinate in `D`-dimensional Euclidean space plus a height.
 ///
 /// `Coord` is `Copy` and cheap to pass by value. All arithmetic helpers are
@@ -34,56 +30,6 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 pub struct Coord<const D: usize> {
     pos: [f64; D],
     height: f64,
-}
-
-// Serde cannot derive for const-generic arrays, so `Coord` serializes as a
-// flat tuple of `D + 1` floats: the position components followed by the
-// height.
-impl<const D: usize> Serialize for Coord<D> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut tup = serializer.serialize_tuple(D + 1)?;
-        for x in &self.pos {
-            tup.serialize_element(x)?;
-        }
-        tup.serialize_element(&self.height)?;
-        tup.end()
-    }
-}
-
-impl<'de, const D: usize> Deserialize<'de> for Coord<D> {
-    fn deserialize<Dz: Deserializer<'de>>(deserializer: Dz) -> Result<Self, Dz::Error> {
-        struct CoordVisitor<const D: usize>;
-
-        impl<'de, const D: usize> Visitor<'de> for CoordVisitor<D> {
-            type Value = Coord<D>;
-
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(
-                    f,
-                    "a tuple of {} floats (position components then height)",
-                    D + 1
-                )
-            }
-
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Coord<D>, A::Error> {
-                let mut pos = [0.0; D];
-                for (i, slot) in pos.iter_mut().enumerate() {
-                    *slot = seq
-                        .next_element()?
-                        .ok_or_else(|| de::Error::invalid_length(i, &self))?;
-                }
-                let height: f64 = seq
-                    .next_element()?
-                    .ok_or_else(|| de::Error::invalid_length(D, &self))?;
-                if !(height.is_finite() && height >= 0.0) {
-                    return Err(de::Error::custom("height must be finite and non-negative"));
-                }
-                Ok(Coord { pos, height })
-            }
-        }
-
-        deserializer.deserialize_tuple(D + 1, CoordVisitor::<D>)
-    }
 }
 
 impl<const D: usize> Default for Coord<D> {

@@ -32,7 +32,6 @@
 //! `tests/domain_scenarios.rs` pins.
 
 use georep_net::sim::{FaultPlan, SimTime};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -44,7 +43,7 @@ use crate::hash::splitmix64;
 /// rack, node) flips its own independent coin per sampled scenario.
 /// Defaults follow the usual ordering — individual machines and rack
 /// switches fail far more often than whole data centers or regions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainConfig {
     /// Number of regions (≥ 1).
     pub regions: usize,
@@ -104,7 +103,7 @@ impl fmt::Display for DomainError {
 impl Error for DomainError {}
 
 /// One sampled correlated-failure draw over a [`DomainTree`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outage {
     /// Node ids down in this draw, ascending.
     pub downed: Vec<usize>,
@@ -149,7 +148,7 @@ impl Outage {
 /// );
 /// # Ok::<(), georep_core::domains::DomainError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainTree {
     nodes: usize,
     config: DomainConfig,

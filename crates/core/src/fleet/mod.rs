@@ -20,9 +20,10 @@
 //!   then owners absorb their buckets in parallel across disjoint `&mut`
 //!   chunks;
 //! * **budgeted migration** ([`scheduler`]) — owners propose rebalances
-//!   independently; a deterministic greedy batch commits the best
-//!   gain-per-dollar moves under a global bandwidth budget and defers the
-//!   rest.
+//!   independently, each on its recorded summaries ([`Plan::Recorded`]);
+//!   a deterministic greedy batch commits the best gain-per-dollar moves
+//!   under a global bandwidth budget and defers the rest. Forecast-driven
+//!   placement runs only in [`crate::strategy::predictive::run_mode`].
 //!
 //! # The bit-identity contract
 //!
@@ -48,7 +49,6 @@ use std::sync::Arc;
 
 use georep_coord::Coord;
 
-use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError};
 use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::migration::MigrationDecision;
 use crate::objective::{CoordDelay, CostTable};
@@ -162,10 +162,6 @@ impl FleetStats {
         }
     }
 }
-
-/// One optional demand override per owner, as
-/// [`FleetManager::rebalance_on`] takes them.
-type Overrides<const D: usize> = [Option<Vec<(Coord<D>, f64)>>];
 
 /// A fleet of logical objects sharded across per-object replica managers.
 ///
@@ -393,37 +389,6 @@ impl<const D: usize> FleetManager<D> {
     /// [`FleetError::Manager`] when an owner's macro-clustering fails; the
     /// error of the lowest-numbered failing owner is reported.
     pub fn rebalance(&mut self) -> Result<FleetRound, FleetError> {
-        self.round(None)
-    }
-
-    /// [`FleetManager::rebalance`] with per-owner demand overrides: owner
-    /// `i` proposes on [`Plan::Demand`]`(predicted[i])` when it is `Some`
-    /// (the forecast path) and on [`Plan::Recorded`] otherwise. Budget
-    /// batching and the period lifecycle are those of the reactive round,
-    /// so a call with all-`None` overrides is [`FleetManager::rebalance`]
-    /// bit for bit. [`FleetPredictor::predict_gated`] produces the override
-    /// vector from per-owner histories, already confidence-gated.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidSetup`] when `predicted` is not one entry per
-    /// owner; [`FleetError::Manager`] as [`FleetManager::rebalance`], or
-    /// when an override holds a non-finite weight or coordinate.
-    pub fn rebalance_on(
-        &mut self,
-        predicted: &[Option<Vec<(Coord<D>, f64)>>],
-    ) -> Result<FleetRound, FleetError> {
-        if predicted.len() != self.owners.len() {
-            return Err(FleetError::InvalidSetup(
-                "rebalance_on needs one (optional) demand override per owner",
-            ));
-        }
-        self.round(Some(predicted))
-    }
-
-    /// The round behind both entry points: propose fan-out → schedule →
-    /// commit or defer. `overrides`, when given, is one entry per owner.
-    fn round(&mut self, overrides: Option<&Overrides<D>>) -> Result<FleetRound, FleetError> {
         let owner_count = self.owners.len();
         let threads = self.resolve_threads().min(owner_count).max(1);
 
@@ -433,18 +398,11 @@ impl<const D: usize> FleetManager<D> {
         proposals.resize_with(owner_count, || None);
         let per = owner_count.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (chunk, (mgr_chunk, out_chunk)) in self
-                .owners
-                .chunks_mut(per)
-                .zip(proposals.chunks_mut(per))
-                .enumerate()
+            for (mgr_chunk, out_chunk) in self.owners.chunks_mut(per).zip(proposals.chunks_mut(per))
             {
                 scope.spawn(move || {
-                    for ((mgr, out), owner) in
-                        mgr_chunk.iter_mut().zip(out_chunk).zip(chunk * per..)
-                    {
-                        let demand = overrides.and_then(|o| o[owner].as_deref());
-                        *out = Some(mgr.propose(demand.map_or(Plan::Recorded, Plan::Demand)));
+                    for (mgr, out) in mgr_chunk.iter_mut().zip(out_chunk) {
+                        *out = Some(mgr.propose(Plan::Recorded));
                     }
                 });
             }
@@ -626,97 +584,6 @@ impl<const D: usize> FleetManager<D> {
     }
 }
 
-/// Per-owner demand forecasting for a fleet: one [`DemandHistory`] per
-/// owner, all over the same region grid, fed from the keyed access stream
-/// by the same object → owner routing the fleet uses. Pair with
-/// [`FleetManager::rebalance_on`]: [`FleetPredictor::predict_gated`]
-/// yields the per-owner override vector, `Some` only where that owner's
-/// confidence gate engages — owners with short histories, poor backtests,
-/// or stationary demand keep their reactive behavior untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetPredictor<const D: usize> {
-    histories: Vec<DemandHistory<D>>,
-    config: ForecastConfig,
-    /// Pooled per-owner scatter buckets (same discipline as the fleet's
-    /// ingest buckets: cleared, never shrunk).
-    buckets: Vec<Vec<(Coord<D>, f64)>>,
-}
-
-impl<const D: usize> FleetPredictor<D> {
-    /// One history per owner, each over `regions` (typically the fleet's
-    /// candidate coordinates).
-    ///
-    /// # Errors
-    ///
-    /// [`ForecastError::NoRegions`] on an empty region set, or any
-    /// [`ForecastConfig::validate`] failure.
-    pub fn new(
-        owner_count: usize,
-        regions: Vec<Coord<D>>,
-        config: ForecastConfig,
-    ) -> Result<Self, ForecastError> {
-        config.validate()?;
-        let histories = vec![DemandHistory::new(regions)?; owner_count];
-        Ok(FleetPredictor {
-            buckets: vec![Vec::new(); owner_count],
-            histories,
-            config,
-        })
-    }
-
-    /// Folds one period's keyed accesses into the per-owner histories,
-    /// routing each access through `tiering` exactly as the fleet's ingest
-    /// does. Owners that saw no access record a zero-demand period, so
-    /// every history stays period-aligned.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an object id is outside `tiering`'s key space, or when
-    /// `tiering` disagrees with the predictor's owner count.
-    pub fn observe_period(&mut self, tiering: &Tiering, accesses: &[(u64, Coord<D>, f64)]) {
-        assert_eq!(
-            tiering.owner_count(),
-            self.histories.len(),
-            "tiering and predictor owner counts must match"
-        );
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        for &(object, coord, weight) in accesses {
-            self.buckets[tiering.owner_of(object)].push((coord, weight));
-        }
-        for (history, bucket) in self.histories.iter_mut().zip(&self.buckets) {
-            history.push_period(bucket);
-        }
-    }
-
-    /// The per-owner demand overrides for the next
-    /// [`FleetManager::rebalance_on`] round: `Some(forecast)` where the
-    /// owner's confidence gate engages, `None` (reactive) everywhere else.
-    /// Never fails — an owner whose forecast errors simply stays reactive.
-    pub fn predict_gated(&self) -> Vec<Option<Vec<(Coord<D>, f64)>>> {
-        self.histories
-            .iter()
-            .map(|history| {
-                if !forecast::gate(history, &self.config).engaged() {
-                    return None;
-                }
-                history.forecast_next(self.config.season).ok()
-            })
-            .collect()
-    }
-
-    /// One owner's history (for inspection in tests and tooling).
-    pub fn history(&self, owner: usize) -> &DemandHistory<D> {
-        &self.histories[owner]
-    }
-
-    /// Periods observed so far (uniform across owners).
-    pub fn periods(&self) -> usize {
-        self.histories.first().map_or(0, |h| h.periods())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,92 +707,6 @@ mod tests {
             assert!(fleet.stats().hot_fraction() > 0.0);
             assert_eq!(fleet.stats().accesses, 15_000);
         }
-    }
-
-    #[test]
-    fn all_none_overrides_reproduce_the_reactive_round() {
-        let mut reactive = small_fleet();
-        let mut forecasted = small_fleet();
-        let accesses = keyed_stream(20_000, 100, 0xACCE55);
-        for chunk in accesses.chunks(5_000) {
-            reactive.ingest_period(chunk);
-            forecasted.ingest_period(chunk);
-            let r = reactive.rebalance().unwrap();
-            let none: Vec<Option<Vec<(Coord<1>, f64)>>> = vec![None; forecasted.owner_count()];
-            let f = forecasted.rebalance_on(&none).unwrap();
-            assert_eq!(r.decisions, f.decisions);
-            assert_eq!(r.spent_usd, f.spent_usd);
-        }
-        assert_eq!(reactive.stats(), forecasted.stats());
-        for owner in 0..reactive.owner_count() {
-            assert_eq!(
-                reactive.owner(owner).placement(),
-                forecasted.owner(owner).placement()
-            );
-        }
-    }
-
-    #[test]
-    fn rebalance_on_rejects_a_missized_override_vector() {
-        let mut fleet = small_fleet();
-        let short: Vec<Option<Vec<(Coord<1>, f64)>>> = vec![None; 2];
-        assert!(matches!(
-            fleet.rebalance_on(&short),
-            Err(FleetError::InvalidSetup(_))
-        ));
-    }
-
-    #[test]
-    fn rebalance_on_rejects_non_finite_demand_instead_of_panicking() {
-        let mut fleet = small_fleet();
-        fleet.ingest_period(&keyed_stream(2_000, 100, 0xBAD));
-        let mut overrides = vec![None; fleet.owner_count()];
-        overrides[1] = Some(vec![(Coord::new([48.0]), f64::INFINITY)]);
-        assert!(matches!(
-            fleet.rebalance_on(&overrides),
-            Err(FleetError::Manager(ManagerError::InvalidSetup(_)))
-        ));
-        assert_eq!(fleet.owner(1).stats().rounds, 0);
-    }
-
-    #[test]
-    fn fleet_predictor_stays_reactive_on_stationary_demand() {
-        let fleet = small_fleet();
-        let regions: Vec<Coord<1>> = [0usize, 3, 5].iter().map(|&c| line_coords(6)[c]).collect();
-        let mut predictor = FleetPredictor::new(
-            fleet.owner_count(),
-            regions,
-            ForecastConfig::new(2).unwrap(),
-        )
-        .unwrap();
-        let accesses = keyed_stream(4_000, 100, 0x57A7);
-        for _ in 0..6 {
-            predictor.observe_period(fleet.tiering(), &accesses);
-        }
-        assert_eq!(predictor.periods(), 6);
-        // Identical periods: every owner's gate declines as stationary.
-        assert!(predictor.predict_gated().iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn fleet_predictor_engages_on_a_planted_swing() {
-        let fleet = small_fleet();
-        let regions: Vec<Coord<1>> = [0usize, 3, 5].iter().map(|&c| line_coords(6)[c]).collect();
-        let mut predictor = FleetPredictor::new(
-            fleet.owner_count(),
-            regions,
-            ForecastConfig::new(4).unwrap(),
-        )
-        .unwrap();
-        // Object 0's demand swings end-to-end with period 4; the other
-        // owners see nothing (zero-demand periods, gate declines).
-        for t in 0..16 {
-            let x = if t % 4 < 2 { 0.0 } else { 50.0 };
-            predictor.observe_period(fleet.tiering(), &[(0u64, Coord::new([x]), 5.0)]);
-        }
-        let gated = predictor.predict_gated();
-        assert!(gated[0].is_some(), "owner 0's swing must engage the gate");
-        assert!(gated[1..].iter().all(Option::is_none));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! each period lands on a fixed set of *regions*, fit a seasonal-plus-
 //! linear-trend model per region, and predict the next period's demand
 //! so the manager can migrate **before** the shift arrives
-//! ([`crate::strategy::predictive`] drives the re-placement).
+//! ([`crate::strategy::predictive::run_mode`], the one driver that carries
+//! a forecaster, drives the re-placement).
 //!
 //! # Model
 //!
@@ -45,9 +46,7 @@
 //!
 //! Everything here is straight-line serial arithmetic over `Vec`s: no RNG,
 //! no threads, no hash maps. Forecasts are a pure function of the pushed
-//! period history, and pushing a period in chunks
-//! ([`DemandHistory::push_period_chunked`]) accumulates in the same order
-//! as one concatenated slice, so chunking cannot perturb a single bit.
+//! period history, and each period's weights accumulate in input order.
 
 use std::error::Error;
 use std::fmt;
@@ -291,21 +290,9 @@ impl<const D: usize> DemandHistory<D> {
         })
     }
 
-    /// The region coordinates.
-    pub fn regions(&self) -> &[Coord<D>] {
-        &self.regions
-    }
-
     /// Recorded periods.
     pub fn periods(&self) -> usize {
         self.periods
-    }
-
-    /// One region's weight series across all recorded periods.
-    pub fn series(&self, region: usize) -> Vec<f64> {
-        (0..self.periods)
-            .map(|p| self.weights[p * self.regions.len() + region])
-            .collect()
     }
 
     /// The last recorded period's weights, one per region.
@@ -321,23 +308,12 @@ impl<const D: usize> DemandHistory<D> {
     /// to its nearest region (lowest index on ties), weights accumulate in
     /// input order. An empty `demand` records a zero-access period.
     pub fn push_period(&mut self, demand: &[(Coord<D>, f64)]) {
-        self.push_period_chunked(std::iter::once(demand));
-    }
-
-    /// [`DemandHistory::push_period`] over demand delivered in chunks —
-    /// bit-identical to pushing the concatenation, whatever the chunking.
-    pub fn push_period_chunked<'a, I>(&mut self, chunks: I)
-    where
-        I: IntoIterator<Item = &'a [(Coord<D>, f64)]>,
-    {
         let n = self.regions.len();
         let base = self.weights.len();
         self.weights.resize(base + n, 0.0);
-        for chunk in chunks {
-            for &(coord, weight) in chunk {
-                let region = self.nearest_region(&coord);
-                self.weights[base + region] += weight;
-            }
+        for &(coord, weight) in demand {
+            let region = self.nearest_region(&coord);
+            self.weights[base + region] += weight;
         }
         self.periods += 1;
     }
@@ -582,35 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_pushes_match_concatenated_pushes() {
-        let points: Vec<(Coord<2>, f64)> = (0..23)
-            .map(|i| {
-                (
-                    Coord::new([(i % 7) as f64 * 13.0, (i % 5) as f64 * 29.0]),
-                    0.1 + i as f64 * 0.37,
-                )
-            })
-            .collect();
-        let regions: Vec<Coord<2>> = vec![
-            Coord::new([0.0, 0.0]),
-            Coord::new([40.0, 60.0]),
-            Coord::new([80.0, 120.0]),
-        ];
-        let mut whole = DemandHistory::new(regions.clone()).unwrap();
-        let mut chunked = DemandHistory::new(regions).unwrap();
-        for period in 0..5 {
-            whole.push_period(&points);
-            let split = 1 + (period * 5) % (points.len() - 1);
-            chunked.push_period_chunked([&points[..split], &points[split..]]);
-        }
-        assert_eq!(whole, chunked);
-        assert_eq!(
-            whole.forecast_next(4).unwrap(),
-            chunked.forecast_next(4).unwrap()
-        );
-    }
-
-    #[test]
     fn degenerate_inputs_error_or_fall_back_cleanly() {
         let h = history_1d(&[0.0, 10.0]);
         // Empty history: typed errors, no panic.
@@ -737,37 +684,6 @@ mod tests {
                 let series = vec![value; len];
                 let model = fit_seasonal_trend(&series, season).unwrap();
                 prop_assert_eq!(model.predict(len), value);
-            }
-
-            /// Fitting is invariant to how the period demand was chunked.
-            #[test]
-            fn forecast_invariant_to_period_chunking(
-                weights in proptest::collection::vec(0.0f64..100.0, 4..40),
-                split in 1usize..8,
-                season in 1usize..6,
-            ) {
-                let points: Vec<(Coord<1>, f64)> = weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| (Coord::new([(i % 3) as f64 * 50.0]), w))
-                    .collect();
-                let regions = vec![
-                    Coord::new([0.0]),
-                    Coord::new([50.0]),
-                    Coord::new([100.0]),
-                ];
-                let mut whole = DemandHistory::new(regions.clone()).unwrap();
-                let mut chunked = DemandHistory::new(regions).unwrap();
-                for p in 0..4 {
-                    whole.push_period(&points);
-                    let at = 1 + (split + p) % (points.len() - 1);
-                    chunked.push_period_chunked([&points[..at], &points[at..]]);
-                }
-                prop_assert_eq!(&whole, &chunked);
-                prop_assert_eq!(
-                    whole.forecast_next(season).unwrap(),
-                    chunked.forecast_next(season).unwrap()
-                );
             }
 
             /// Predictions are never negative and always finite for finite

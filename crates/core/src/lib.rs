@@ -81,7 +81,7 @@ pub mod threads;
 
 pub use domains::{DomainConfig, DomainError, DomainTree, Outage};
 pub use experiment::{Experiment, RunSummary, StrategyKind};
-pub use fleet::{FleetConfig, FleetError, FleetManager, FleetPredictor, FleetRound, FleetStats};
+pub use fleet::{FleetConfig, FleetError, FleetManager, FleetRound, FleetStats};
 pub use forecast::{DemandHistory, ForecastConfig, ForecastError, GateDecision};
 pub use manager::{ManagerConfig, Plan, ReplicaManager};
 pub use objective::{CostTable, DelayOracle, IncrementalEval};

@@ -21,7 +21,6 @@ use georep_cluster::point::WeightedPoint;
 use georep_cluster::summary::AccessSummary;
 use georep_cluster::weighted::weighted_kmeans_with_stats;
 use georep_coord::Coord;
-use serde::{Deserialize, Serialize};
 
 use crate::migration::{moved_replicas, MigrationCostModel, MigrationDecision};
 use crate::strategy::nearest_distinct_candidates;
@@ -116,7 +115,7 @@ impl ManagerConfig {
 }
 
 /// Cumulative manager statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ManagerStats {
     /// Rebalance rounds executed.
     pub rounds: u64,

@@ -1,9 +1,7 @@
 //! Delay statistics and comparison helpers.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a set of delay samples (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayStats {
     /// Number of samples.
     pub samples: usize,

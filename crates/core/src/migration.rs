@@ -5,10 +5,8 @@
 //! quality of service compared to the migration cost is higher than a
 //! certain threshold" — paper Section III-C, citing Amazon EC2 pricing.
 
-use serde::{Deserialize, Serialize};
-
 /// Dollar cost of moving replicas between data centers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCostModel {
     /// Size of the replicated object, GB.
     pub object_size_gb: f64,
@@ -39,7 +37,7 @@ pub fn moved_replicas(old: &[usize], new: &[usize]) -> usize {
 }
 
 /// Outcome of one re-placement round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationDecision {
     /// Placement before the round.
     pub old: Vec<usize>,

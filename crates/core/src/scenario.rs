@@ -6,7 +6,10 @@
 //! 1. coordinates come from RNP gossip over the simulator
 //!    ([`crate::gossip::embed_via_simulation`]);
 //! 2. a [`ReplicaManager`] routes synthetic client demand and periodically
-//!    rebalances (migration-gated by [`crate::migration`] pricing);
+//!    rebalances (migration-gated by [`crate::migration`] pricing) on its
+//!    recorded summaries or on a decentralized gossip consensus — the
+//!    forecast modes run only in [`crate::strategy::predictive::run_mode`]
+//!    and are rejected here at setup;
 //! 3. when the fault signature changes, a gossip run *under the fault plan*
 //!    that fits no coordinates ([`crate::gossip::detect_with_faults`])
 //!    feeds the quorum failure detector
@@ -43,13 +46,12 @@ use georep_net::rtt::RttMatrix;
 use georep_net::sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::failure::degraded_mean_delay;
-use crate::forecast::ForecastConfig;
 use crate::gossip::{detect_with_faults, detected_failures, embed_via_simulation, GossipConfig};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::problem::{PlacementProblem, ProblemError};
 use crate::strategy::decentralized::{run_decentralized_with, DecentralConfig};
-use crate::strategy::predictive::{PlacementMode, Predictor};
+use crate::strategy::predictive::PlacementMode;
 use crate::telemetry::{NullRecorder, Recorder};
 
 /// The five named robustness scenarios.
@@ -108,15 +110,11 @@ pub struct ScenarioConfig {
     /// Simulated duration of each failure-detection gossip run.
     pub detect_duration: SimDuration,
     /// What drives re-placement: the recorded summaries
-    /// ([`PlacementMode::Reactive`], the default and the historical
-    /// behavior), the forecast next tick when the confidence gate engages
-    /// ([`PlacementMode::Predictive`] — the scenario's per-fault-state
-    /// demand is stationary, so the gate declines and the report stays
-    /// bit-identical to reactive), the actual next tick
-    /// ([`PlacementMode::Oracle`]), or a peer-to-peer gossip solve over the
-    /// live candidates with no central solver in the loop
+    /// ([`PlacementMode::Reactive`], the default), or a peer-to-peer gossip
+    /// solve over the live candidates with no central solver in the loop
     /// ([`PlacementMode::Decentralized`] — the consensus placement still
-    /// passes the manager's migration gate).
+    /// passes the manager's migration gate). The forecast modes run only in
+    /// [`crate::strategy::predictive::run_mode`]; a scenario rejects them.
     pub mode: PlacementMode,
 }
 
@@ -431,6 +429,11 @@ pub fn run_scenario_with_recorder<R: Recorder>(
     if cfg.embed_duration == SimDuration::ZERO || cfg.detect_duration == SimDuration::ZERO {
         return Err(ScenarioError::Setup("gossip durations must be positive"));
     }
+    if matches!(cfg.mode, PlacementMode::Predictive | PlacementMode::Oracle) {
+        return Err(ScenarioError::Setup(
+            "forecast modes run only in strategy::predictive::run_mode",
+        ));
+    }
     let candidates: Vec<usize> = (0..n).step_by(3).collect();
     if cfg.k >= candidates.len() {
         return Err(ScenarioError::Setup("k must be below the candidate count"));
@@ -479,18 +482,6 @@ pub fn run_scenario_with_recorder<R: Recorder>(
     let initial: Vec<usize> = candidates.iter().copied().take(cfg.k).collect();
     let mut mgr = ReplicaManager::new(embed.coords.clone(), candidates.clone(), initial, mgr_cfg)?;
     let problem = PlacementProblem::new(matrix, candidates.clone(), clients.clone())?;
-
-    // The forecaster summarizes each tick's demand onto the candidate
-    // coordinates; one seasonal cycle = one rebalance cadence. On this
-    // harness's stationary per-fault-state demand the gate declines, so
-    // predictive mode reproduces the reactive report bit for bit — the
-    // predictive machinery is wired in, never worse, and a future
-    // non-stationary demand model engages it for free.
-    let regions: Vec<Coord<_>> = candidates.iter().map(|&c| embed.coords[c]).collect();
-    let forecast_cfg =
-        ForecastConfig::new(cfg.rebalance_every.max(1) as usize).expect("positive season");
-    let mut predictor =
-        Predictor::new(regions, forecast_cfg).map_err(|_| ScenarioError::Setup("predictor"))?;
 
     let mut trace: Vec<TraceEvent> = Vec::new();
     let mut timeline: Vec<TimelinePoint> = Vec::new();
@@ -648,24 +639,15 @@ pub fn run_scenario_with_recorder<R: Recorder>(
                 }
                 // The degradation loop responds immediately: re-placement,
                 // still gated by migration cost.
-                rebalance_round(
-                    &mut mgr,
-                    &predictor,
-                    &ctx,
-                    &mut trace,
-                    &mut replacements,
-                    rec,
-                )?;
+                rebalance_round(&mut mgr, &ctx, &mut trace, &mut replacements, rec)?;
             }
         }
 
         // Demand: every client the coordinator can currently hear from,
         // recorded on this thread.
-        let demand = ctx.demand_at(tick);
-        for &(coord, weight) in &demand {
+        for (coord, weight) in ctx.demand() {
             mgr.record_access(coord, weight);
         }
-        predictor.observe(&demand);
 
         // Truth-score this tick.
         let (mean, unreachable) = fault_aware_delay(matrix, mgr.placement(), &scoring_plan, now);
@@ -682,14 +664,7 @@ pub fn run_scenario_with_recorder<R: Recorder>(
         }
 
         if (tick + 1) % cfg.rebalance_every == 0 {
-            rebalance_round(
-                &mut mgr,
-                &predictor,
-                &ctx,
-                &mut trace,
-                &mut replacements,
-                rec,
-            )?;
+            rebalance_round(&mut mgr, &ctx, &mut trace, &mut replacements, rec)?;
         }
     }
 
@@ -762,54 +737,40 @@ struct TickCtx<'a, const D: usize> {
 }
 
 impl<const D: usize> TickCtx<'_, D> {
-    /// Whether the coordinator can hear from client `c` at `tick` — one
-    /// predicate for the ingest path, the oracle's foresight and the
-    /// decentralized demand weights, so they cannot drift.
-    fn reachable(&self, c: usize, tick: u32) -> bool {
-        let now = SimTime::ZERO + self.cfg.tick.mul(tick as u64);
+    /// Whether the coordinator can hear from client `c` this tick — one
+    /// predicate for the ingest path and the decentralized demand weights,
+    /// so they cannot drift.
+    fn reachable(&self, c: usize) -> bool {
+        let now = SimTime::ZERO + self.cfg.tick.mul(self.tick as u64);
         !self.plan.node_down(c, now) && !self.plan.partitioned(c, self.coordinator, now)
     }
 
-    /// The reachable-client demand of `tick`.
-    fn demand_at(&self, tick: u32) -> Vec<(Coord<D>, f64)> {
-        let reachable = self.clients.iter().filter(|&&c| self.reachable(c, tick));
-        reachable.map(|&c| (self.coords[c], 1.0)).collect()
+    /// This tick's reachable-client demand.
+    fn demand(&self) -> impl Iterator<Item = (Coord<D>, f64)> + '_ {
+        let reachable = self.clients.iter().filter(|&&c| self.reachable(c));
+        reachable.map(|&c| (self.coords[c], 1.0))
     }
 }
 
 /// One re-placement of the run under the configured mode, committed and
-/// logged. The demand comes from [`Predictor::demand_for`]; the oracle's
-/// foresight is the *next* tick's demand under the scoring plan as
-/// currently built (the fault plan itself is only constructed at fault
-/// onset — foresight does not extend to faults that have not been planned
-/// yet), and nothing past the last tick. Decentralized mode swaps the
-/// solver instead: the gossip consensus goes through
+/// logged. Reactive mode proposes on the recorded summaries. Decentralized
+/// mode swaps the solver: the gossip consensus goes through
 /// [`Plan::Placement`], so the migration cost gate applies to it exactly
 /// as to any centrally computed proposal (reactive fallback when no solve
 /// is possible).
 fn rebalance_round<const D: usize, R: Recorder>(
     mgr: &mut ReplicaManager<D>,
-    predictor: &Predictor<D>,
     ctx: &TickCtx<'_, D>,
     trace: &mut Vec<TraceEvent>,
     replacements: &mut u64,
     rec: &R,
 ) -> Result<(), ScenarioError> {
-    let (mode, tick) = (ctx.cfg.mode, ctx.tick);
-    let next = (tick + 1 < 3 * ctx.cfg.phase_ticks).then(|| ctx.demand_at(tick + 1));
-    let demand = predictor
-        .demand_for(mode, next.as_deref())
-        .map_err(|_| ScenarioError::Setup("forecast on empty history"))?;
-    let consensus = match mode {
+    let tick = ctx.tick;
+    let consensus = match ctx.cfg.mode {
         PlacementMode::Decentralized => decentralized_consensus(mgr, ctx, rec),
         _ => None,
     };
-    let plan = match (&consensus, &demand) {
-        (Some(placement), _) => Plan::Placement(placement),
-        (None, Some(demand)) => Plan::Demand(demand),
-        (None, None) => Plan::Recorded,
-    };
-    let pending = mgr.propose(plan)?;
+    let pending = mgr.propose(consensus.as_deref().map_or(Plan::Recorded, Plan::Placement))?;
     let d = mgr.commit_rebalance(pending);
 
     if d.applied && d.moved > 0 && tick >= ctx.cfg.phase_ticks {
@@ -856,7 +817,7 @@ fn decentralized_consensus<const D: usize, R: Recorder>(
     }
     // Demand the protocol shards: reachability as weights over the full
     // client list, so the cost-table rows stay stable across fault states.
-    let weight = |&c: &usize| if ctx.reachable(c, ctx.tick) { 1.0 } else { 0.0 };
+    let weight = |&c: &usize| if ctx.reachable(c) { 1.0 } else { 0.0 };
     let weights: Vec<f64> = ctx.clients.iter().map(weight).collect();
     let dcfg = DecentralConfig {
         quiet_rounds: 2,
@@ -1087,6 +1048,17 @@ mod tests {
             },
         ] {
             assert!(rejected_at_setup(cfg), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn forecast_modes_are_rejected_at_setup() {
+        for mode in [PlacementMode::Predictive, PlacementMode::Oracle] {
+            let cfg = ScenarioConfig {
+                mode,
+                ..quick_cfg()
+            };
+            assert!(rejected_at_setup(cfg), "{mode:?}");
         }
     }
 

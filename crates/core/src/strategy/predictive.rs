@@ -4,20 +4,23 @@
 //! demand a period *recorded*, so every migration trails the shift that
 //! justified it by one period — the delay of serving the shifted demand
 //! from the stale placement has already been paid. This module closes the
-//! loop (ROADMAP item 1, after Pfandzelter & Bermbach): a [`Predictor`]
+//! loop (ROADMAP item 1, after Pfandzelter & Bermbach): a forecaster
 //! folds each period's demand into a [`DemandHistory`], and when the
 //! [`forecast::gate`] engages, the next rebalance runs on the *predicted*
 //! next-period demand via [`crate::manager::Plan::Demand`] — the migration
 //! lands before the shift does.
 //!
-//! Three [`PlacementMode`]s share one driver, [`run_mode`]:
+//! Three [`PlacementMode`]s share one driver, [`run_mode`], the only one
+//! that carries a forecaster (the scenario runner, [`crate::scenario`],
+//! re-places reactively or by decentralized consensus and rejects the
+//! forecast modes at setup):
 //!
 //! * [`PlacementMode::Reactive`] — the unmodified manager loop, the
 //!   baseline;
 //! * [`PlacementMode::Predictive`] — forecast when the gate engages,
 //!   reactive fallback otherwise (so stationary workloads are served
 //!   **bit-identically** to the reactive baseline: the gate declines with
-//!   [`GateDecision::Stationary`] and the same recorded plan runs);
+//!   [`forecast::GateDecision::Stationary`] and the same recorded plan runs);
 //! * [`PlacementMode::Oracle`] — perfect foresight: the rebalance runs on
 //!   the *actual* next-period demand, aggregated onto the same region set
 //!   a forecast would use. Oracle regret is the floor any forecaster can
@@ -36,7 +39,7 @@
 
 use georep_coord::Coord;
 
-use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError, GateDecision};
+use crate::forecast::{self, DemandHistory, ForecastConfig, ForecastError};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::manager::{ManagerConfig, ManagerError, ManagerStats, Plan, ReplicaManager};
 
@@ -119,60 +122,18 @@ impl ModeConfig {
     }
 }
 
-/// The online forecaster one placement loop carries: a [`DemandHistory`]
-/// over a fixed region set plus the gate configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Predictor<const D: usize> {
+/// The online forecaster [`run_mode`] carries: a [`DemandHistory`] over
+/// a fixed region set plus the gate configuration.
+struct Predictor<const D: usize> {
     history: DemandHistory<D>,
     config: ForecastConfig,
 }
 
 impl<const D: usize> Predictor<D> {
-    /// A predictor over `regions` (typically the candidate data-center
-    /// coordinates — demand is summarized per nearest region).
-    ///
-    /// # Errors
-    ///
-    /// [`ForecastError::NoRegions`] on an empty region set, or any
-    /// [`ForecastConfig::validate`] failure.
-    pub fn new(regions: Vec<Coord<D>>, config: ForecastConfig) -> Result<Self, ForecastError> {
+    fn new(regions: Vec<Coord<D>>, config: ForecastConfig) -> Result<Self, ForecastError> {
         config.validate()?;
-        Ok(Predictor {
-            history: DemandHistory::new(regions)?,
-            config,
-        })
-    }
-
-    /// Folds one period's demand into the history.
-    pub fn observe(&mut self, demand: &[(Coord<D>, f64)]) {
-        self.history.push_period(demand);
-    }
-
-    /// The confidence gate over everything observed so far.
-    pub fn gate(&self) -> GateDecision {
-        forecast::gate(&self.history, &self.config)
-    }
-
-    /// Predicted next-period regional demand.
-    ///
-    /// # Errors
-    ///
-    /// [`ForecastError::EmptyHistory`] before the first observation.
-    pub fn predict_next(&self) -> Result<Vec<(Coord<D>, f64)>, ForecastError> {
-        self.history.forecast_next(self.config.season)
-    }
-
-    /// `demand` aggregated onto the predictor's region set — the oracle
-    /// feeds actual next-period demand through this so oracle and
-    /// predictive differ *only* in forecast accuracy, not in regional
-    /// granularity.
-    pub fn aggregate(&self, demand: &[(Coord<D>, f64)]) -> Vec<(Coord<D>, f64)> {
-        self.history.aggregate(demand)
-    }
-
-    /// Periods observed so far.
-    pub fn periods(&self) -> usize {
-        self.history.periods()
+        let history = DemandHistory::new(regions)?;
+        Ok(Predictor { history, config })
     }
 
     /// The demand `mode` solves the next round on; `None` means the
@@ -180,21 +141,20 @@ impl<const D: usize> Predictor<D> {
     /// the forecast when the gate engages and recorded otherwise (so a
     /// declined gate *is* the reactive round); the oracle is `next` — the
     /// actual next period, when there is one — aggregated onto the region
-    /// set; decentralized swaps the solver, not the demand.
-    ///
-    /// # Errors
-    ///
-    /// As [`Predictor::predict_next`].
-    pub fn demand_for(
+    /// set, so oracle and predictive differ *only* in forecast accuracy,
+    /// not in regional granularity.
+    fn demand_for(
         &self,
         mode: PlacementMode,
         next: Option<&[(Coord<D>, f64)]>,
     ) -> Result<Option<Vec<(Coord<D>, f64)>>, ForecastError> {
         Ok(match mode {
             PlacementMode::Reactive | PlacementMode::Decentralized => None,
-            PlacementMode::Predictive if self.gate().engaged() => Some(self.predict_next()?),
+            PlacementMode::Predictive if forecast::gate(&self.history, &self.config).engaged() => {
+                Some(self.history.forecast_next(self.config.season)?)
+            }
             PlacementMode::Predictive => None,
-            PlacementMode::Oracle => next.map(|next| self.aggregate(next)),
+            PlacementMode::Oracle => next.map(|next| self.history.aggregate(next)),
         })
     }
 }
@@ -277,9 +237,9 @@ impl ModeReport {
 ///    dollars were wasted;
 /// 3. ingest the period into the manager's summarizers and the predictor's
 ///    history;
-/// 4. re-place on [`Predictor::demand_for`]'s answer for `mode` (the
-///    oracle is reactive on the last period — there is no next period to
-///    foresee).
+/// 4. re-place on the demand `mode` solves on — recorded, forecast or
+///    the actual next period (the oracle is reactive on the last period —
+///    there is no next period to foresee).
 ///
 /// `regions` fixes the forecast/oracle aggregation grid (typically the
 /// candidate coordinates). The demand slices are borrowed per period so
@@ -348,7 +308,7 @@ pub fn run_mode<const D: usize>(
         for &(coord, weight) in demand {
             mgr.record_access(coord, weight);
         }
-        predictor.observe(demand);
+        predictor.history.push_period(demand);
 
         // 4. Re-place for the next period.
         let solve_on = predictor

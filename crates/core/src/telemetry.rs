@@ -20,8 +20,6 @@
 //! * [`TraceWriter`] — a JSONL sink (one object per line). Lines carry a
 //!   sequence number but **no wall-clock timestamp**, so a deterministic
 //!   caller produces a bit-identical trace file on every run.
-//! * [`Tee`] — fans one stream out to two recorders (e.g. aggregate in
-//!   memory *and* stream to a trace file).
 //!
 //! A finished [`InMemoryRecorder`] collapses into a [`RunReport`] — the
 //! JSON aggregate `examples/fleet.rs` prints and `tests/trace_roundtrip.rs`
@@ -57,9 +55,8 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One field value of a structured event.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,6 +343,14 @@ pub struct EventRecord {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
+/// Locks `mutex`, tolerating poison: a panic on another recording thread
+/// must not take the telemetry down with it. Every update under these
+/// locks is one collection or writer call, so a poisoned value is still
+/// whole.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Thread-safe in-memory aggregation of everything recorded.
 #[derive(Debug, Default)]
 pub struct InMemoryRecorder {
@@ -362,13 +367,12 @@ impl InMemoryRecorder {
 
     /// Current value of a counter (0 when never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
+        lock(&self.counters).get(name).copied().unwrap_or(0)
     }
 
     /// Snapshot of every counter, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counters
-            .lock()
+        lock(&self.counters)
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect()
@@ -376,13 +380,12 @@ impl InMemoryRecorder {
 
     /// Summary of a distribution, if any sample was observed.
     pub fn histogram(&self, name: &str) -> Option<HistogramSummary> {
-        self.histograms.lock().get(name).copied()
+        lock(&self.histograms).get(name).copied()
     }
 
     /// Snapshot of every histogram, sorted by name.
     pub fn histograms(&self) -> Vec<(String, HistogramSummary)> {
-        self.histograms
-            .lock()
+        lock(&self.histograms)
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect()
@@ -390,40 +393,39 @@ impl InMemoryRecorder {
 
     /// All structured events recorded so far, in order.
     pub fn events(&self) -> Vec<EventRecord> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// Number of structured events recorded so far.
     pub fn events_len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// Drops everything recorded so far.
     pub fn reset(&self) {
-        self.counters.lock().clear();
-        self.histograms.lock().clear();
-        self.events.lock().clear();
+        lock(&self.counters).clear();
+        lock(&self.histograms).clear();
+        lock(&self.events).clear();
     }
 }
 
 impl Recorder for InMemoryRecorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        *self.counters.lock().entry(name).or_insert(0) += delta;
+        *lock(&self.counters).entry(name).or_insert(0) += delta;
     }
 
     fn observe(&self, name: &'static str, value: f64) {
         if !value.is_finite() {
             return;
         }
-        self.histograms
-            .lock()
+        lock(&self.histograms)
             .entry(name)
             .or_insert_with(HistogramSummary::empty)
             .absorb(value);
     }
 
     fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        self.events.lock().push(EventRecord {
+        lock(&self.events).push(EventRecord {
             name,
             fields: fields.to_vec(),
         });
@@ -466,19 +468,19 @@ impl TraceWriter {
 
     /// Flushes buffered lines to disk.
     pub fn flush(&self) {
-        let _ = self.out.lock().flush();
+        let _ = lock(&self.out).flush();
     }
 
     fn emit(&self, body: &str) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut out = self.out.lock();
+        let mut out = lock(&self.out);
         let _ = writeln!(out, "{{\"seq\":{seq},{body}}}");
     }
 }
 
 impl Drop for TraceWriter {
     fn drop(&mut self) {
-        let _ = self.out.lock().flush();
+        let _ = lock(&self.out).flush();
     }
 }
 
@@ -506,28 +508,6 @@ impl Recorder for TraceWriter {
         }
         body.push('}');
         self.emit(&body);
-    }
-}
-
-/// Fans one instrumentation stream out to two recorders.
-#[derive(Debug, Clone, Copy)]
-pub struct Tee<'a, A: Recorder, B: Recorder>(pub &'a A, pub &'a B);
-
-impl<A: Recorder, B: Recorder> Recorder for Tee<'_, A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.0.counter(name, delta);
-        self.1.counter(name, delta);
-    }
-    fn observe(&self, name: &'static str, value: f64) {
-        self.0.observe(name, value);
-        self.1.observe(name, value);
-    }
-    fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        self.0.event(name, fields);
-        self.1.event(name, fields);
     }
 }
 
@@ -753,22 +733,6 @@ mod tests {
         let h = r.histogram("work_ms").unwrap();
         assert_eq!(h.count, 1);
         assert!(h.sum >= 0.0);
-    }
-
-    #[test]
-    fn tee_duplicates_to_both_sinks() {
-        let a = InMemoryRecorder::new();
-        let b = InMemoryRecorder::new();
-        let tee = Tee(&a, &b);
-        assert!(tee.enabled());
-        tee.counter("c", 2);
-        tee.observe("h", 1.5);
-        tee.event("e", &[]);
-        for r in [&a, &b] {
-            assert_eq!(r.counter_value("c"), 2);
-            assert_eq!(r.histogram("h").unwrap().count, 1);
-            assert_eq!(r.events_len(), 1);
-        }
     }
 
     #[test]

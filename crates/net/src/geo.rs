@@ -7,8 +7,6 @@
 //! is modelled by a configurable *routing inflation* factor in
 //! [`crate::topology`].
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6_371.0;
 
@@ -32,7 +30,7 @@ pub const FIBER_KM_PER_MS: f64 = 204.0;
 /// // Lower bound on the RTT between the two (propagation only, out + back).
 /// assert!(nyc.min_rtt_ms(&london) > 50.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat_deg: f64,
     lon_deg: f64,

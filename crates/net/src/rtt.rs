@@ -9,8 +9,6 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Error produced when constructing or parsing an [`RttMatrix`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RttError {
@@ -78,7 +76,7 @@ impl fmt::Display for RttError {
 impl Error for RttError {}
 
 /// Distribution statistics of the off-diagonal entries of a matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttStats {
     /// Smallest pairwise RTT, ms.
     pub min_ms: f64,
@@ -109,7 +107,7 @@ pub struct RttStats {
 /// assert_eq!(m.get(0, 0), 0.0);
 /// # Ok::<(), georep_net::rtt::RttError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RttMatrix {
     n: usize,
     /// Row-major `n × n`, diagonal zero, symmetric.

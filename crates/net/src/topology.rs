@@ -20,7 +20,6 @@ pub mod graph;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -28,7 +27,7 @@ use crate::geo::GeoPoint;
 use crate::rtt::RttMatrix;
 
 /// A geographic cluster of nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// Human-readable name, e.g. `"eu-west"`.
     pub name: String,
@@ -79,7 +78,7 @@ impl Region {
 }
 
 /// Parameters of the topology generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     /// Total number of nodes.
     pub nodes: usize,
@@ -165,7 +164,7 @@ impl fmt::Display for TopologyError {
 impl Error for TopologyError {}
 
 /// A node of a generated topology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeInfo {
     /// Index into [`Topology::regions`].
     pub region: usize,
@@ -188,7 +187,7 @@ pub struct NodeInfo {
 /// // average.
 /// # Ok::<(), georep_net::topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<NodeInfo>,
     regions: Vec<Region>,

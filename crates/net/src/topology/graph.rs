@@ -32,12 +32,11 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::rtt::RttMatrix;
 
 /// The five generated graph families.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphFamily {
     /// Preferential attachment: each new node brings `edges_per_node`
     /// edges to existing nodes chosen proportionally to degree.
@@ -98,7 +97,7 @@ impl GraphFamily {
 }
 
 /// Parameters of the graph generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphConfig {
     /// Which family to generate.
     pub family: GraphFamily,
@@ -173,7 +172,7 @@ impl Error for GraphError {}
 /// assert_eq!(m.triangle_violation_rate(), 0.0);
 /// # Ok::<(), georep_net::topology::graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     n: usize,
     /// Deduplicated edges `u < v`, in generation order.

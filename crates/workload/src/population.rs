@@ -9,7 +9,6 @@
 
 use georep_net::topology::Topology;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::{AliasTable, Zipf};
 
@@ -26,7 +25,7 @@ use crate::zipf::{AliasTable, Zipf};
 /// let heavy = (0..1000).filter(|_| pop.sample(&mut rng) == 0).count();
 /// assert!((700..800).contains(&heavy), "client 0 drew {heavy}/1000");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     weights: Vec<f64>,
     /// Cumulative weights for O(log n) sampling.

@@ -8,13 +8,12 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::population::Population;
 use crate::zipf::AliasTable;
 
 /// One client access to a replicated object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessEvent {
     /// When the access starts, in simulated milliseconds.
     pub at_ms: f64,
@@ -29,7 +28,7 @@ pub struct AccessEvent {
 }
 
 /// Arrival-process parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Mean accesses per millisecond (Poisson rate λ).
     pub rate_per_ms: f64,

@@ -10,8 +10,6 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::stream::AccessEvent;
 
 /// Error produced when building or parsing a [`Trace`].
@@ -47,7 +45,7 @@ impl fmt::Display for TraceError {
 impl Error for TraceError {}
 
 /// Per-trace summary statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of accesses.
     pub events: usize,
@@ -78,7 +76,7 @@ pub struct TraceStats {
 /// assert_eq!(back.len(), trace.len());
 /// # Ok::<(), georep_workload::trace::TraceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     events: Vec<AccessEvent>,
 }
@@ -212,29 +210,23 @@ impl FromStr for Trace {
                 continue;
             }
             let mut parts = content.split_whitespace();
-            let parse = |tok: Option<&str>| -> Result<f64, TraceError> {
-                tok.and_then(|t| t.parse().ok()).ok_or(TraceError::Parse {
-                    line,
-                    content: content.to_string(),
-                })
+            let bad = || TraceError::Parse {
+                line,
+                content: content.to_string(),
             };
-            let at_ms = parse(parts.next())?;
-            let client = parse(parts.next())? as usize;
-            let bytes_kib = parse(parts.next())?;
+            let at_ms: f64 = parts.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
+            // The client indexes coordinate tables downstream, so it must
+            // be a plain non-negative integer, never a float cast.
+            let client: usize = parts.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
+            let bytes_kib: f64 = parts.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
             // Optional 4th column: the object key (absent = single-object
             // trace, object 0).
             let object = match parts.next() {
                 None => 0,
-                Some(tok) => tok.parse::<u64>().map_err(|_| TraceError::Parse {
-                    line,
-                    content: content.to_string(),
-                })?,
+                Some(tok) => tok.parse::<u64>().map_err(|_| bad())?,
             };
             if parts.next().is_some() {
-                return Err(TraceError::Parse {
-                    line,
-                    content: content.to_string(),
-                });
+                return Err(bad());
             }
             events.push(AccessEvent {
                 at_ms,
@@ -345,6 +337,16 @@ mod tests {
             "abc def ghi".parse::<Trace>(),
             Err(TraceError::Parse { .. })
         ));
+        // The client column must be a non-negative integer.
+        for client in ["2.9", "-3", "NaN", "1e30"] {
+            assert!(
+                matches!(
+                    format!("1.0 {client} 3.0").parse::<Trace>(),
+                    Err(TraceError::Parse { line: 0, .. })
+                ),
+                "client {client}"
+            );
+        }
         // Comments and blanks are fine.
         let ok: Trace = "# hi\n\n5.0 1 2.0\n".parse().unwrap();
         assert_eq!(ok.len(), 1);

@@ -15,9 +15,9 @@
 //! * **fault transparency** — a deterministic fault schedule derived from
 //!   a [`FaultPlan`] (crash windows sampled at period boundaries) leaves
 //!   the fleet and its twins in identical states, at every thread count;
-//! * **override transparency** — `rebalance_on` with a mixed `Some`/`None`
-//!   override vector is its twins calling `propose` with the matching
-//!   [`Plan`], with and without a binding migration budget.
+//! * **budget transparency** — under a binding migration budget each owner
+//!   is its twin proposing on [`Plan::Recorded`] and taking the scheduler's
+//!   commit-or-defer verdict, and the round never overspends.
 
 use georep_coord::Coord;
 use georep_core::fleet::{FleetConfig, FleetManager, FleetRound};
@@ -301,37 +301,13 @@ fn fleets_stay_equivalent_under_a_fault_plan() {
 }
 
 #[test]
-fn mixed_overrides_match_independent_managers_proposing_the_same_plans() {
-    type Demand = Vec<(Coord<D>, f64)>;
+fn budgeted_fleets_match_independent_managers_taking_the_schedulers_verdict() {
     let periods = 4;
     let trace = keyed_trace(64, 0x0F0F, 8_000);
     let per = trace.len() / periods;
     let initial: Vec<usize> = candidates()[..2].to_vec();
     let base = fleet_config(64, 6, 2, 0x0DD5);
     let tiering = georep_core::fleet::Tiering::new(64, 6, 2).unwrap();
-    // Each period's owner-routed sub-traces.
-    let recorded: Vec<Vec<Demand>> = trace
-        .chunks(per)
-        .map(|chunk| {
-            let mut buckets = vec![Demand::new(); tiering.owner_count()];
-            for &(object, coord, weight) in chunk {
-                buckets[tiering.owner_of(object)].push((coord, weight));
-            }
-            buckets
-        })
-        .collect();
-    // Even owners pre-position on their actual next period (an oracle
-    // forecast), owner 1 is handed an empty forecast (the no-op round),
-    // every other owner stays reactive.
-    let overrides_for = |p: usize| -> Vec<Option<Demand>> {
-        let next = recorded[(p + 1) % periods].iter().cloned().enumerate();
-        next.map(|(owner, bucket)| match owner {
-            1 => Some(Demand::new()),
-            o if o % 2 == 0 => Some(bucket),
-            _ => None,
-        })
-        .collect()
-    };
 
     for budget in [f64::INFINITY, 0.25] {
         let mut reference: Option<Vec<FleetRound>> = None;
@@ -352,16 +328,16 @@ fn mixed_overrides_match_independent_managers_proposing_the_same_plans() {
 
             let mut rounds = Vec::new();
             for (p, chunk) in trace.chunks(per).enumerate() {
-                let overrides = overrides_for(p);
                 fleet.ingest_period(chunk);
-                let round = fleet.rebalance_on(&overrides).unwrap();
+                let round = fleet.rebalance().unwrap();
+                let mut buckets = vec![Vec::new(); solo.len()];
+                for &(object, coord, weight) in chunk {
+                    buckets[tiering.owner_of(object)].push((coord, weight));
+                }
                 let mut deferred = 0;
-                for (owner, mgr) in solo.iter_mut().enumerate() {
-                    mgr.ingest_period(&recorded[p][owner]);
-                    let plan = overrides[owner]
-                        .as_deref()
-                        .map_or(Plan::Recorded, Plan::Demand);
-                    let pending = mgr.propose(plan).unwrap();
+                for (owner, (mgr, bucket)) in solo.iter_mut().zip(&buckets).enumerate() {
+                    mgr.ingest_period(bucket);
+                    let pending = mgr.propose(Plan::Recorded).unwrap();
                     // The twin takes the scheduler's verdict, nothing else.
                     let decision = if round.decisions[owner].applied == pending.decision.applied {
                         mgr.commit_rebalance(pending)

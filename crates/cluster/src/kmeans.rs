@@ -133,17 +133,6 @@ pub struct Clustering<const D: usize> {
     pub converged: bool,
 }
 
-impl<const D: usize> Clustering<D> {
-    /// Total weight assigned to each centroid.
-    pub fn cluster_weights(&self, points: &[WeightedPoint<D>]) -> Vec<f64> {
-        let mut w = vec![0.0; self.centroids.len()];
-        for (p, &a) in points.iter().zip(&self.assignments) {
-            w[a] += p.weight;
-        }
-        w
-    }
-}
-
 /// Solver-effort counters aggregated across every restart of a run.
 ///
 /// A side channel next to [`Clustering`] — the clustering itself is
@@ -844,16 +833,6 @@ mod tests {
         let c = kmeans(&pts, KMeansConfig::new(3)).unwrap();
         assert_eq!(c.centroids.len(), 3);
         assert!(c.sse < 1e-9);
-    }
-
-    #[test]
-    fn cluster_weights_sum_to_total() {
-        let pts = two_blobs();
-        let weighted: Vec<WeightedPoint<2>> =
-            pts.iter().map(|&c| WeightedPoint::new(c, 2.0)).collect();
-        let (c, _) = lloyd(&weighted, KMeansConfig::new(2)).unwrap();
-        let w = c.cluster_weights(&weighted);
-        assert!((w.iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
 
     #[test]

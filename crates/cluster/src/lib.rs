@@ -41,9 +41,7 @@
 //! # Ok::<(), georep_cluster::kmeans::ClusterError>(())
 //! ```
 
-pub mod eval;
 pub mod kmeans;
-pub mod kmedians;
 pub mod micro;
 pub mod online;
 pub mod point;
@@ -53,7 +51,6 @@ pub mod summary;
 pub mod weighted;
 
 pub use kmeans::{kmeans, kmeans_with_stats, ClusterError, Clustering, KMeansConfig, KMeansStats};
-pub use kmedians::weighted_kmedians;
 pub use micro::MicroCluster;
 pub use online::{OnlineClusterer, StreamStats};
 pub use point::WeightedPoint;

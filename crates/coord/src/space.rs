@@ -101,16 +101,6 @@ impl<const D: usize> Coord<D> {
         s.sqrt()
     }
 
-    /// Squared Euclidean distance between position vectors.
-    pub fn euclidean_sq(&self, other: &Self) -> f64 {
-        let mut s = 0.0;
-        for i in 0..D {
-            let d = self.pos[i] - other.pos[i];
-            s += d * d;
-        }
-        s
-    }
-
     /// Euclidean norm of the position vector.
     pub fn norm(&self) -> f64 {
         self.euclidean(&Self::origin())
@@ -151,20 +141,6 @@ impl<const D: usize> Coord<D> {
         Coord {
             pos,
             height: self.height * s,
-        }
-    }
-
-    /// Moves the position `step` of the way toward `target` (heights are
-    /// interpolated as well). `step = 0` is a no-op, `step = 1` lands on
-    /// `target`.
-    pub fn lerp(&self, target: &Self, step: f64) -> Self {
-        let mut pos = self.pos;
-        for (p, t) in pos.iter_mut().zip(&target.pos) {
-            *p += (t - *p) * step;
-        }
-        Coord {
-            pos,
-            height: self.height + (target.height - self.height) * step,
         }
     }
 
@@ -214,30 +190,6 @@ impl<const D: usize> Coord<D> {
     pub fn is_finite(&self) -> bool {
         self.height.is_finite() && self.pos.iter().all(|x| x.is_finite())
     }
-
-    /// Weighted mean of a set of coordinates.
-    ///
-    /// Returns `None` when `points` is empty or all weights are zero.
-    /// Non-finite or negative weights are rejected by returning `None` as
-    /// well, so callers can surface the problem instead of propagating NaNs.
-    pub fn weighted_mean<I>(points: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = (Self, f64)>,
-    {
-        let mut acc = Self::origin();
-        let mut total = 0.0;
-        for (p, w) in points {
-            if !(w.is_finite() && w >= 0.0 && p.is_finite()) {
-                return None;
-            }
-            acc = acc.add(&p.scale(w));
-            total += w;
-        }
-        if total <= 0.0 {
-            return None;
-        }
-        Some(acc.scale(1.0 / total))
-    }
 }
 
 #[cfg(test)]
@@ -273,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints() {
-        let a = Coord::new([0.0, 0.0]);
-        let b = Coord::new([2.0, 4.0]).with_height(1.0);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert_eq!(mid.pos(), &[1.0, 2.0]);
-        assert_eq!(mid.height(), 0.5);
-    }
-
-    #[test]
     fn direction_from_is_unit() {
         let a = Coord::new([3.0, 4.0]);
         let b = Coord::new([0.0, 0.0]);
@@ -303,29 +244,6 @@ mod tests {
         let a = Coord::new([0.0]).with_height(1.0);
         assert_eq!(a.displace_height(-5.0).height(), 0.0);
         assert_eq!(a.displace_height(0.5).height(), 1.5);
-    }
-
-    #[test]
-    fn weighted_mean_basic() {
-        let pts = vec![(Coord::new([0.0, 0.0]), 1.0), (Coord::new([4.0, 0.0]), 3.0)];
-        let m = Coord::weighted_mean(pts).unwrap();
-        assert!((m.component(0) - 3.0).abs() < 1e-12);
-        assert_eq!(m.component(1), 0.0);
-    }
-
-    #[test]
-    fn weighted_mean_empty_or_zero_weight() {
-        assert!(Coord::<2>::weighted_mean(std::iter::empty()).is_none());
-        let pts = vec![(Coord::new([1.0, 1.0]), 0.0)];
-        assert!(Coord::weighted_mean(pts).is_none());
-    }
-
-    #[test]
-    fn weighted_mean_rejects_bad_weights() {
-        let pts = vec![(Coord::new([1.0]), f64::NAN)];
-        assert!(Coord::weighted_mean(pts).is_none());
-        let pts = vec![(Coord::new([1.0]), -1.0)];
-        assert!(Coord::weighted_mean(pts).is_none());
     }
 
     fn arb_coord() -> impl Strategy<Value = Coord<3>> {
@@ -362,11 +280,6 @@ mod tests {
         fn prop_scale_linearity(a in arb_coord(), s in 0.0..10.0f64) {
             let scaled = a.scale(s);
             prop_assert!((scaled.norm() - a.norm() * s).abs() < 1e-6);
-        }
-
-        #[test]
-        fn prop_lerp_stays_finite(a in arb_coord(), b in arb_coord(), t in 0.0..1.0f64) {
-            prop_assert!(a.lerp(&b, t).is_finite());
         }
     }
 }

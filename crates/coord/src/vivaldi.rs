@@ -131,13 +131,6 @@ impl<const D: usize> Vivaldi<D> {
         &self.config
     }
 
-    /// Overrides the current coordinate (useful for warm starts in tests and
-    /// simulations).
-    pub fn set_coordinate(&mut self, coord: Coord<D>) {
-        assert!(coord.is_finite(), "coordinate must be finite");
-        self.coord = coord;
-    }
-
     fn random_unit(&mut self) -> [f64; D] {
         // SplitMix64 over the tiebreak counter: deterministic, cheap, and
         // good enough to break the symmetry of coincident nodes.
@@ -311,20 +304,6 @@ mod tests {
             v.observe(peer, 0.2, 1.0); // tiny RTT pulls heights down
         }
         assert!(v.coordinate().height() >= v.config().min_height);
-    }
-
-    #[test]
-    fn set_coordinate_warm_start() {
-        let mut v: Vivaldi<2> = Vivaldi::new();
-        v.set_coordinate(Coord::new([7.0, -2.0]));
-        assert_eq!(v.coordinate().pos(), &[7.0, -2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn set_coordinate_rejects_nan() {
-        let mut v: Vivaldi<2> = Vivaldi::new();
-        v.set_coordinate(Coord::new([f64::NAN, 0.0]));
     }
 
     #[test]

@@ -53,47 +53,6 @@ impl Combinations {
             done,
         }
     }
-
-    /// The iterator positioned at lexicographic `rank` (0-based), yielding
-    /// that combination and everything after it. Ranks at or beyond
-    /// [`binomial`]`(n, k)` yield nothing.
-    ///
-    /// This is the combinadic unranking: slot `i` takes the smallest value
-    /// `v` such that fewer than the remaining rank combinations start with a
-    /// smaller value, i.e. repeatedly subtract `C(n − v − 1, k − i − 1)`
-    /// while it still fits. It lets exhaustive search partition its space
-    /// into contiguous rank chunks without enumerating from the start.
-    pub fn from_rank(n: usize, k: usize, rank: u128) -> Self {
-        if k > n || rank >= binomial(n, k) {
-            return Combinations {
-                n,
-                k,
-                current: (0..k).collect(),
-                done: true,
-            };
-        }
-        let mut rank = rank;
-        let mut current = Vec::with_capacity(k);
-        let mut v = 0usize;
-        for i in 0..k {
-            loop {
-                let with_v = binomial(n - v - 1, k - i - 1);
-                if rank < with_v {
-                    break;
-                }
-                rank -= with_v;
-                v += 1;
-            }
-            current.push(v);
-            v += 1;
-        }
-        Combinations {
-            n,
-            k,
-            current,
-            done: false,
-        }
-    }
 }
 
 impl Iterator for Combinations {
@@ -175,20 +134,6 @@ mod tests {
         assert_eq!(Combinations::new(2, 3).count(), 0);
     }
 
-    #[test]
-    fn from_rank_known_positions() {
-        assert_eq!(
-            Combinations::from_rank(4, 2, 3).next(),
-            Some(vec![1, 2]) // [01],[02],[03],[12] — rank 3 is the fourth
-        );
-        assert_eq!(Combinations::from_rank(4, 2, 0).next(), Some(vec![0, 1]));
-        assert_eq!(Combinations::from_rank(4, 2, 5).next(), Some(vec![2, 3]));
-        assert_eq!(Combinations::from_rank(4, 2, 6).next(), None);
-        assert_eq!(Combinations::from_rank(3, 0, 0).next(), Some(vec![]));
-        assert_eq!(Combinations::from_rank(3, 0, 1).next(), None);
-        assert_eq!(Combinations::from_rank(2, 3, 0).next(), None);
-    }
-
     proptest! {
         #[test]
         fn prop_count_matches_binomial(n in 0usize..12, k in 0usize..8) {
@@ -206,20 +151,6 @@ mod tests {
                 }
                 prop_assert!(*combo.last().unwrap() < n);
             }
-        }
-
-        #[test]
-        fn prop_from_rank_resumes_the_enumeration(n in 1usize..9, k in 1usize..5) {
-            prop_assume!(k <= n);
-            let all: Vec<Vec<usize>> = Combinations::new(n, k).collect();
-            for (rank, expected) in all.iter().enumerate() {
-                let rest: Vec<Vec<usize>> =
-                    Combinations::from_rank(n, k, rank as u128).collect();
-                prop_assert_eq!(rest.len(), all.len() - rank);
-                prop_assert_eq!(&rest[0], expected);
-                prop_assert_eq!(&rest[..], &all[rank..]);
-            }
-            prop_assert_eq!(Combinations::from_rank(n, k, all.len() as u128).count(), 0);
         }
 
         #[test]

@@ -383,7 +383,9 @@ pub struct DeploymentOutcome {
 /// # Panics
 ///
 /// Panics when fewer than `cfg.k` candidates are given, a candidate index
-/// is out of range, or `cfg.k == 0`.
+/// is out of range, `cfg.k == 0`, or `gossip_interval`, `access_interval`
+/// or `rebalance_interval` is zero (a zero interval re-arms its timer at
+/// the same instant, so the run would never reach its end).
 pub fn run_deployment(
     matrix: &RttMatrix,
     candidates: &[usize],
@@ -394,6 +396,18 @@ pub fn run_deployment(
     assert!(
         candidates.iter().all(|&c| c < matrix.len()),
         "candidate index out of range"
+    );
+    assert!(
+        cfg.gossip_interval > SimDuration::ZERO,
+        "gossip interval must be positive"
+    );
+    assert!(
+        cfg.access_interval > SimDuration::ZERO,
+        "access interval must be positive"
+    );
+    assert!(
+        cfg.rebalance_interval > SimDuration::ZERO,
+        "rebalance interval must be positive"
     );
     let n = matrix.len();
     let initial: Vec<(NodeId, Coord<DIMS>)> = candidates[..cfg.k]
@@ -435,12 +449,12 @@ pub fn run_deployment(
 
     // Aggregate the client-measured delays into rebalance periods.
     let period_us = cfg.rebalance_interval.as_micros();
-    let periods = (cfg.duration.as_micros() / period_us.max(1)) as usize;
+    let periods = (cfg.duration.as_micros() / period_us) as usize;
     let mut sums = vec![(0.0f64, 0usize); periods.max(1)];
     let mut accesses = 0;
     for p in &procs {
         for &(at, delay) in &p.access_log {
-            let idx = ((at.as_micros() / period_us.max(1)) as usize).min(sums.len() - 1);
+            let idx = ((at.as_micros() / period_us) as usize).min(sums.len() - 1);
             sums[idx].0 += delay;
             sums[idx].1 += 1;
             accesses += 1;
@@ -523,5 +537,38 @@ mod tests {
     fn too_few_candidates_rejected() {
         let (matrix, _) = fixture();
         let _ = run_deployment(&matrix, &[0], DeploymentConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "gossip interval must be positive")]
+    fn zero_gossip_interval_rejected() {
+        let (matrix, candidates) = fixture();
+        let cfg = DeploymentConfig {
+            gossip_interval: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let _ = run_deployment(&matrix, &candidates, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "access interval must be positive")]
+    fn zero_access_interval_rejected() {
+        let (matrix, candidates) = fixture();
+        let cfg = DeploymentConfig {
+            access_interval: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let _ = run_deployment(&matrix, &candidates, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "rebalance interval must be positive")]
+    fn zero_rebalance_interval_rejected() {
+        let (matrix, candidates) = fixture();
+        let cfg = DeploymentConfig {
+            rebalance_interval: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let _ = run_deployment(&matrix, &candidates, cfg);
     }
 }

@@ -508,15 +508,6 @@ impl Experiment {
         })
     }
 
-    /// Runs the four paper strategies, in legend order.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExperimentError`].
-    pub fn run_paper_strategies(&self) -> Result<Vec<RunSummary>, ExperimentError> {
-        StrategyKind::PAPER.iter().map(|&k| self.run(k)).collect()
-    }
-
     /// Runs one strategy for one seed.
     ///
     /// # Errors
@@ -646,7 +637,6 @@ impl Experiment {
             } else {
                 OnlineClustering {
                     mapping: self.mapping,
-                    ..Default::default()
                 }
                 .place(&round_ctx)?
             };

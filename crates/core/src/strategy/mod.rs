@@ -191,18 +191,6 @@ pub enum CentroidMapping {
     BestServing,
 }
 
-/// Which objective the central macro-clustering minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterCriterion {
-    /// Weighted k-means (`Σ w·d²`) — verbatim Algorithm 1.
-    #[default]
-    KMeans,
-    /// Weighted k-medians (`Σ w·d`) — aligned with the placement
-    /// objective, which is linear in distance; less prone to dedicating a
-    /// macro-cluster to a far-away sliver of demand.
-    KMedians,
-}
-
 /// A replica placement strategy.
 pub trait Placer<const D: usize> {
     /// Short human-readable name ("random", "online clustering", …).

@@ -1,14 +1,13 @@
 //! Online clustering placement — the paper's contribution (Algorithm 1).
 
 use georep_cluster::kmeans::KMeansConfig;
-use georep_cluster::kmedians::weighted_kmedians;
 use georep_cluster::micro::MicroCluster;
 use georep_cluster::point::WeightedPoint;
 use georep_cluster::weighted::weighted_kmeans;
 
 use super::{
-    best_serving_candidates, nearest_distinct_candidates, CentroidMapping, ClusterCriterion,
-    PlaceError, PlacementContext, Placer,
+    best_serving_candidates, nearest_distinct_candidates, CentroidMapping, PlaceError,
+    PlacementContext, Placer,
 };
 
 /// The paper's Macro-clustering (Algorithm 1):
@@ -29,9 +28,6 @@ use super::{
 pub struct OnlineClustering {
     /// Macro-cluster → data-center mapping rule.
     pub mapping: CentroidMapping,
-    /// Macro-clustering objective (k-means verbatim, or k-medians aligned
-    /// with the linear placement objective).
-    pub criterion: ClusterCriterion,
 }
 
 impl<const D: usize> Placer<D> for OnlineClustering {
@@ -60,13 +56,9 @@ impl<const D: usize> Placer<D> for OnlineClustering {
             ));
         }
 
-        // Step 2: k macro-clusters under the configured criterion.
+        // Step 2: k macro-clusters by weighted k-means.
         let k = ctx.k.min(pseudo.len());
-        let cfg = KMeansConfig::new(k).with_seed(ctx.seed);
-        let clustering = match self.criterion {
-            ClusterCriterion::KMeans => weighted_kmeans(&pseudo, cfg)?,
-            ClusterCriterion::KMedians => weighted_kmedians(&pseudo, cfg)?,
-        };
+        let clustering = weighted_kmeans(&pseudo, KMeansConfig::new(k).with_seed(ctx.seed))?;
 
         // Step 3 (lines 3–5): one data center per macro-cluster.
         match self.mapping {

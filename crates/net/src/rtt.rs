@@ -221,29 +221,6 @@ impl RttMatrix {
         self.data[i * self.n + j]
     }
 
-    /// The matrix restricted to the given nodes, in the given order.
-    /// Duplicate indices are allowed (useful for bootstrap resampling);
-    /// pairs of duplicated nodes get a 0.01 ms floor so the result remains a
-    /// valid matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`RttError::TooSmall`] if fewer than two indices are given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn submatrix(&self, indices: &[usize]) -> Result<RttMatrix, RttError> {
-        RttMatrix::from_fn(indices.len(), |a, b| {
-            let v = self.get(indices[a], indices[b]);
-            if v > 0.0 {
-                v
-            } else {
-                0.01
-            }
-        })
-    }
-
     /// Distribution statistics over the off-diagonal entries.
     pub fn stats(&self) -> RttStats {
         let mut vals: Vec<f64> = Vec::with_capacity(self.n * (self.n - 1) / 2);
@@ -485,22 +462,6 @@ mod tests {
         assert!(s.median_ms <= s.p90_ms);
         assert!(s.p90_ms <= s.max_ms);
         assert!(s.min_ms > 0.0);
-    }
-
-    #[test]
-    fn submatrix_selects_nodes() {
-        let m = sample();
-        let s = m.submatrix(&[0, 2]).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(0, 1), m.get(0, 2));
-        assert!(m.submatrix(&[1]).is_err());
-    }
-
-    #[test]
-    fn submatrix_handles_duplicates() {
-        let m = sample();
-        let s = m.submatrix(&[1, 1]).unwrap();
-        assert_eq!(s.get(0, 1), 0.01);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A [`Simulation`] owns a user-supplied *world* (the mutable state of the
 //! experiment) and a time-ordered queue of events. Each event is a closure
 //! receiving `(&mut World, &mut Context)`; the [`Context`] exposes the
-//! current simulated time and lets handlers schedule follow-up events and
-//! cancel pending ones. Events at equal timestamps run in FIFO scheduling
-//! order, so runs are fully deterministic.
+//! current simulated time and lets handlers schedule follow-up events.
+//! Events at equal timestamps run in FIFO scheduling order, so runs are
+//! fully deterministic. Nothing cancels an event: every protocol on this
+//! engine lets its timers fire and ignores the ones made moot.
 //!
 //! # The calendar queue
 //!
@@ -17,9 +18,7 @@
 //!
 //! * **Arena slots** — every event body lives in a slab (`Vec<Slot>`) with
 //!   a free list; the ring buckets and the front heap store 4-byte indices,
-//!   not boxed nodes, and cancellation is an O(1) tombstone
-//!   ([`EventId`] carries the slot index plus a sequence number, so a
-//!   recycled slot can never be cancelled by a stale handle).
+//!   not boxed nodes, and a slot is recycled the moment its event runs.
 //! * **Bucket ring** — an event at time `t` hangs in bucket
 //!   `(t / width) % nbuckets`, like a calendar where bucket = day-of-year:
 //!   events a "year" (`nbuckets × width`) apart share a bucket and are told
@@ -46,7 +45,7 @@
 //! The tie-breaking contract is identical to the reference engine — strict
 //! `(timestamp, sequence number)` order — and `tests/sim_equivalence.rs`
 //! proves both engines produce bit-identical schedules, including under
-//! cancellation and fault-plan drops.
+//! fault-plan drops.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,20 +69,8 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// 2026-10-17): at that size the choice is inside run-to-run noise.
 const TARGET_OCCUPANCY: usize = 32;
 
-/// Handle to a scheduled event, for [`Simulation::cancel`] /
-/// [`Context::cancel`].
-///
-/// The handle pairs the arena slot with the event's unique sequence number,
-/// so a handle kept after its event ran (and the slot was recycled) can
-/// never cancel an unrelated event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    seq: u64,
-}
-
-/// One arena cell. `f: None` marks a cancelled (or vacant) slot; the index
-/// is recycled once the containing bucket or the front heap sheds the key.
+/// One arena cell. `f: None` marks a vacant slot, one whose event ran and
+/// whose index sits on the free list.
 struct Slot<W> {
     at: u64,
     seq: u64,
@@ -110,7 +97,7 @@ struct CalendarQueue<W> {
     /// Min-heap over `(at, seq, slot)` of every live event with
     /// `at < cursor_start + width`. Pops come from here.
     front: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Live (scheduled, not cancelled, not run) events anywhere.
+    /// Pending (scheduled, not yet run) events anywhere.
     len: usize,
     next_seq: u64,
     /// Slot reads made by bucket visits and rebuilds: the per-pop work the
@@ -154,7 +141,7 @@ impl<W> CalendarQueue<W> {
         ((t >> self.width_log2) as usize) & (self.buckets.len() - 1)
     }
 
-    fn insert<F>(&mut self, at: SimTime, now: SimTime, f: F) -> EventId
+    fn insert<F>(&mut self, at: SimTime, now: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -196,39 +183,10 @@ impl<W> CalendarQueue<W> {
         {
             self.rebuild();
         }
-        EventId { slot: idx, seq }
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(slot) if slot.seq == id.seq && slot.f.is_some() => {
-                slot.f = None;
-                self.len -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn is_pending(&self, id: EventId) -> bool {
-        matches!(self.slots.get(id.slot as usize),
-                 Some(slot) if slot.seq == id.seq && slot.f.is_some())
-    }
-
-    /// Drops cancelled events off the top of the front heap, recycling
-    /// their slots.
-    fn clean_front(&mut self) {
-        while let Some(&Reverse((_, _, idx))) = self.front.peek() {
-            if self.slots[idx as usize].f.is_some() {
-                break;
-            }
-            self.front.pop();
-            self.free.push(idx);
-        }
     }
 
     /// Moves every current-window event of the cursor bucket into the
-    /// front heap in one batch, shedding tombstones along the way.
+    /// front heap in one batch.
     fn collect_current(&mut self) {
         let cursor = self.cursor;
         let end = self.cursor_end();
@@ -240,11 +198,8 @@ impl<W> CalendarQueue<W> {
             }
             let idx = self.buckets[cursor][i];
             let slot = &self.slots[idx as usize];
-            let (at, seq, dead) = (slot.at, slot.seq, slot.f.is_none());
-            if dead {
-                self.buckets[cursor].swap_remove(i);
-                self.free.push(idx);
-            } else if (at as u128) < end {
+            let (at, seq) = (slot.at, slot.seq);
+            if (at as u128) < end {
                 self.buckets[cursor].swap_remove(i);
                 self.front.push(Reverse((at, seq, idx)));
             } else {
@@ -274,19 +229,18 @@ impl<W> CalendarQueue<W> {
     }
 
     fn ensure_front(&mut self) {
-        self.clean_front();
         while self.front.is_empty() && self.len > 0 {
             self.advance();
         }
     }
 
-    /// Pops the earliest live event as `(at_micros, seq, handler)`.
+    /// Pops the earliest pending event as `(at_micros, seq, handler)`.
     fn pop(&mut self) -> Option<(u64, u64, EventFn<W>)> {
         self.ensure_front();
         let Reverse((at, seq, idx)) = self.front.pop()?;
         let slot = &mut self.slots[idx as usize];
         debug_assert_eq!(slot.seq, seq, "front held a stale key");
-        let f = slot.f.take().expect("front held a cancelled event");
+        let f = slot.f.take().expect("front held a vacant slot");
         self.free.push(idx);
         self.len -= 1;
         if self.buckets.len() > MIN_BUCKETS
@@ -297,7 +251,7 @@ impl<W> CalendarQueue<W> {
         Some((at, seq, f))
     }
 
-    /// Timestamp of the earliest live event, in microseconds.
+    /// Timestamp of the earliest pending event, in microseconds.
     fn peek_at(&mut self) -> Option<u64> {
         self.ensure_front();
         self.front.peek().map(|&Reverse((at, _, _))| at)
@@ -305,27 +259,19 @@ impl<W> CalendarQueue<W> {
 
     /// Re-sizes the ring to ~[`TARGET_OCCUPANCY`] events per bucket and
     /// re-derives the bucket width from the observed event-time span, then
-    /// re-hangs every live event.
+    /// re-hangs every pending event.
     fn rebuild(&mut self) {
-        let mut keys: Vec<u32> = Vec::with_capacity(self.len + 8);
-        keys.extend(self.front.drain().map(|Reverse((_, _, idx))| idx));
+        let mut live: Vec<u32> = Vec::with_capacity(self.len + 8);
+        live.extend(self.front.drain().map(|Reverse((_, _, idx))| idx));
         let mut rings: Vec<Vec<u32>> = std::mem::take(&mut self.buckets);
         for ring in &mut rings {
-            keys.append(ring);
+            live.append(ring);
         }
         #[cfg(test)]
         {
-            self.slot_reads += keys.len() as u64;
+            self.slot_reads += live.len() as u64;
         }
-        let mut live: Vec<u32> = Vec::with_capacity(self.len);
-        for idx in keys {
-            if self.slots[idx as usize].f.is_some() {
-                live.push(idx);
-            } else {
-                self.free.push(idx);
-            }
-        }
-        debug_assert_eq!(live.len(), self.len, "live-event accounting drifted");
+        debug_assert_eq!(live.len(), self.len, "pending-event accounting drifted");
 
         let n = (self.len / TARGET_OCCUPANCY)
             .max(1)
@@ -370,8 +316,8 @@ impl<W> CalendarQueue<W> {
     }
 }
 
-/// Handle given to running events, for reading the clock, scheduling
-/// follow-ups and cancelling pending events.
+/// Handle given to running events, for reading the clock and scheduling
+/// follow-ups.
 pub struct Context<W> {
     now: SimTime,
     queue: CalendarQueue<W>,
@@ -384,7 +330,7 @@ impl<W> Context<W> {
     }
 
     /// Schedules `f` to run `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -396,22 +342,11 @@ impl<W> Context<W> {
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
         self.queue.insert(at, self.now, f)
-    }
-
-    /// Cancels a pending event. Returns `false` if it already ran or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Whether `id` is still scheduled to run.
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.is_pending(id)
     }
 }
 
@@ -470,13 +405,13 @@ impl<W> Simulation<W> {
         self.executed
     }
 
-    /// Number of events currently queued (cancelled events excluded).
+    /// Number of events currently queued.
     pub fn queued(&self) -> usize {
         self.queue.len
     }
 
     /// Schedules `f` to run `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -488,22 +423,11 @@ impl<W> Simulation<W> {
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
         self.queue.insert(at, self.now, f)
-    }
-
-    /// Cancels a pending event. Returns `false` if it already ran or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Whether `id` is still scheduled to run.
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.is_pending(id)
     }
 
     /// Executes the next event, if any. Returns `false` when the queue is
@@ -665,51 +589,6 @@ mod tests {
         let mut sim = Simulation::new(());
         assert!(!sim.step());
         assert_eq!(sim.executed(), 0);
-    }
-
-    #[test]
-    fn cancelled_events_never_run_and_free_the_queue() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        let a = sim.schedule_at(SimTime::from_ms(10.0), |w: &mut Vec<u32>, _| w.push(1));
-        let _b = sim.schedule_at(SimTime::from_ms(20.0), |w: &mut Vec<u32>, _| w.push(2));
-        assert!(sim.is_pending(a));
-        assert!(sim.cancel(a));
-        assert!(!sim.cancel(a), "double cancel must report false");
-        assert!(!sim.is_pending(a));
-        assert_eq!(sim.queued(), 1);
-        sim.run_to_completion(None);
-        assert_eq!(sim.world(), &vec![2]);
-        assert!(!sim.cancel(a), "cancel after drain must report false");
-    }
-
-    #[test]
-    fn handlers_can_cancel_pending_events() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        let doomed = sim.schedule_at(SimTime::from_ms(50.0), |w: &mut Vec<u32>, _| w.push(99));
-        sim.schedule_at(SimTime::from_ms(10.0), move |w: &mut Vec<u32>, ctx| {
-            assert!(ctx.is_pending(doomed));
-            assert!(ctx.cancel(doomed));
-            assert!(!ctx.is_pending(doomed));
-            w.push(1);
-        });
-        sim.run_to_completion(None);
-        assert_eq!(sim.world(), &vec![1]);
-        assert_eq!(sim.executed(), 1);
-        assert_eq!(sim.now(), SimTime::from_ms(10.0));
-    }
-
-    #[test]
-    fn a_recycled_slot_rejects_stale_handles() {
-        let mut sim = Simulation::new(0u32);
-        let old = sim.schedule_at(SimTime::from_ms(1.0), |w: &mut u32, _| *w += 1);
-        sim.run_to_completion(None);
-        // The next event reuses the freed arena slot; the stale handle must
-        // not be able to cancel it.
-        let fresh = sim.schedule_at(SimTime::from_ms(2.0), |w: &mut u32, _| *w += 10);
-        assert!(!sim.cancel(old));
-        assert!(sim.is_pending(fresh));
-        sim.run_to_completion(None);
-        assert_eq!(*sim.world(), 11);
     }
 
     #[test]
@@ -884,39 +763,6 @@ mod tests {
                 for &(expected, actual) in sim.world() {
                     prop_assert_eq!(expected, actual);
                 }
-            }
-
-            /// Cancelling an arbitrary subset leaves exactly the survivors,
-            /// still in chronological FIFO order.
-            #[test]
-            fn prop_cancellation_runs_exactly_the_survivors(
-                times in prop::collection::vec(0u64..2_000, 1..120),
-                kill_mask in prop::collection::vec(any::<bool>(), 120),
-            ) {
-                let mut sim = Simulation::new(Vec::<usize>::new());
-                let ids: Vec<_> = times
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &t)| {
-                        sim.schedule_at(
-                            SimTime::from_micros(t),
-                            move |w: &mut Vec<usize>, _| w.push(i),
-                        )
-                    })
-                    .collect();
-                let mut expect: Vec<(u64, usize)> = Vec::new();
-                for (i, id) in ids.iter().enumerate() {
-                    if kill_mask[i] {
-                        prop_assert!(sim.cancel(*id));
-                    } else {
-                        expect.push((times[i], i));
-                    }
-                }
-                expect.sort_unstable();
-                sim.run_to_completion(None);
-                let got: Vec<usize> = sim.world().clone();
-                let want: Vec<usize> = expect.into_iter().map(|(_, i)| i).collect();
-                prop_assert_eq!(got, want);
             }
         }
     }

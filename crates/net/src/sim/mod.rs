@@ -47,7 +47,7 @@ pub mod reference;
 pub mod time;
 pub mod view;
 
-pub use engine::{Context, EventId, Simulation};
+pub use engine::{Context, Simulation};
 pub use fault::{Delivery, DropCause, FaultPlan};
 pub use network::{DeliveryStats, Network};
 pub use process::{NetStats, NodeId, Process, ProcessCtx, ProcessNet};

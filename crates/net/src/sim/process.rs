@@ -7,9 +7,11 @@
 //! [`Process`] per node of an [`RttMatrix`](crate::rtt::RttMatrix)-backed
 //! [`Network`]: messages are delivered after half an (optionally jittered)
 //! RTT, timers fire locally, and every handler can read the clock, send
-//! messages and arm timers through a [`ProcessCtx`].
+//! messages and arm timers through a [`ProcessCtx`]. Timers cannot be
+//! disarmed: a protocol whose timeout was made moot (say, by the reply
+//! arriving first) lets it fire and ignores it.
 
-use super::engine::{EventId, Simulation};
+use super::engine::Simulation;
 use super::network::Network;
 use super::time::{SimDuration, SimTime};
 
@@ -20,7 +22,6 @@ pub type NodeId = usize;
 enum Action<M> {
     Send { to: NodeId, msg: M },
     Timer { delay: SimDuration, id: u64 },
-    CancelTimer { id: u64 },
 }
 
 /// Handle passed to [`Process`] handlers.
@@ -51,16 +52,6 @@ impl<M> ProcessCtx<M> {
     pub fn set_timer(&mut self, delay: SimDuration, id: u64) {
         self.actions.push(Action::Timer { delay, id });
     }
-
-    /// Disarms every still-pending timer on this node carrying `id`
-    /// (e.g. a retry deadline made moot by the reply arriving). Timers
-    /// that already fired are unaffected; unknown ids are a no-op.
-    ///
-    /// Cancellation rides the engine's O(1) tombstones, so a disarmed
-    /// timer costs nothing at its would-have-been fire time.
-    pub fn cancel_timer(&mut self, id: u64) {
-        self.actions.push(Action::CancelTimer { id });
-    }
 }
 
 /// A node-local protocol state machine.
@@ -87,11 +78,6 @@ struct World<P, M> {
     network: Network,
     messages_delivered: u64,
     messages_dropped: u64,
-    /// Engine handles of armed, possibly-still-pending timers: one
-    /// `(timer id, event)` list per node. A node's list is pruned of fired
-    /// entries whenever that node arms or cancels, so it stays proportional
-    /// to the node's live timer count and no node scans another's.
-    armed_timers: Vec<Vec<(u64, EventId)>>,
     _marker: std::marker::PhantomData<M>,
 }
 
@@ -162,7 +148,6 @@ impl<P: Process<M>, M: 'static> ProcessNet<P, M> {
             network,
             messages_delivered: 0,
             messages_dropped: 0,
-            armed_timers: vec![Vec::new(); n],
             _marker: std::marker::PhantomData,
         };
         let mut sim = Simulation::new(world);
@@ -267,7 +252,7 @@ fn apply_actions<P: Process<M>, M: 'static>(
                 });
             }
             Action::Timer { delay, id } => {
-                let event = ctx.schedule_in(delay, move |w: &mut World<P, M>, ctx| {
+                ctx.schedule_in(delay, move |w: &mut World<P, M>, ctx| {
                     let mut pctx = ProcessCtx {
                         now: ctx.now(),
                         node,
@@ -275,19 +260,6 @@ fn apply_actions<P: Process<M>, M: 'static>(
                     };
                     w.procs[node].on_timer(id, &mut pctx);
                     apply_actions(node, pctx, w, ctx);
-                });
-                let armed = &mut w.armed_timers[node];
-                armed.retain(|&(_, e)| ctx.is_pending(e));
-                armed.push((id, event));
-            }
-            Action::CancelTimer { id } => {
-                w.armed_timers[node].retain(|&(i, e)| {
-                    if i == id {
-                        ctx.cancel(e);
-                        false
-                    } else {
-                        ctx.is_pending(e)
-                    }
                 });
             }
         }
@@ -462,135 +434,6 @@ mod tests {
         assert_eq!(stats.messages_delivered, (3 * 2) as u64);
         // 3 sends from node 3 + 3 sends to node 3.
         assert_eq!(stats.messages_dropped, 6);
-    }
-
-    /// A retry timer disarmed by the reply must never fire; one left armed
-    /// must.
-    struct Retrier {
-        reply_seen: bool,
-        retries: u32,
-    }
-
-    #[derive(Clone)]
-    enum RetryMsg {
-        Request,
-        Reply,
-    }
-
-    const RETRY_TIMER: u64 = 7;
-
-    impl Process<RetryMsg> for Retrier {
-        fn on_start(&mut self, ctx: &mut ProcessCtx<RetryMsg>) {
-            if ctx.node() == 0 {
-                ctx.send(1, RetryMsg::Request);
-                ctx.set_timer(SimDuration::from_ms(500.0), RETRY_TIMER);
-            }
-        }
-        fn on_message(&mut self, from: NodeId, msg: RetryMsg, ctx: &mut ProcessCtx<RetryMsg>) {
-            match msg {
-                RetryMsg::Request => ctx.send(from, RetryMsg::Reply),
-                RetryMsg::Reply => {
-                    self.reply_seen = true;
-                    ctx.cancel_timer(RETRY_TIMER);
-                }
-            }
-        }
-        fn on_timer(&mut self, id: u64, _ctx: &mut ProcessCtx<RetryMsg>) {
-            assert_eq!(id, RETRY_TIMER);
-            self.retries += 1;
-        }
-    }
-
-    #[test]
-    fn cancelled_retry_timers_never_fire() {
-        // RTT 120 ms < 500 ms timeout: the reply lands first and disarms
-        // the retry.
-        let m = RttMatrix::from_fn(2, |_, _| 120.0).unwrap();
-        let procs = vec![
-            Retrier {
-                reply_seen: false,
-                retries: 0,
-            },
-            Retrier {
-                reply_seen: false,
-                retries: 0,
-            },
-        ];
-        let mut net = ProcessNet::new(Network::new(m), procs);
-        net.run_to_completion(None);
-        assert!(net.process(0).reply_seen);
-        assert_eq!(net.process(0).retries, 0, "disarmed timer fired anyway");
-    }
-
-    #[test]
-    fn uncancelled_retry_timers_still_fire() {
-        // RTT 1200 ms > 500 ms timeout: the retry fires before the reply.
-        let m = RttMatrix::from_fn(2, |_, _| 1_200.0).unwrap();
-        let procs = vec![
-            Retrier {
-                reply_seen: false,
-                retries: 0,
-            },
-            Retrier {
-                reply_seen: false,
-                retries: 0,
-            },
-        ];
-        let mut net = ProcessNet::new(Network::new(m), procs);
-        net.run_to_completion(None);
-        assert!(net.process(0).reply_seen);
-        assert_eq!(net.process(0).retries, 1);
-    }
-
-    #[test]
-    fn cancelling_an_unknown_timer_is_a_noop() {
-        struct Canceller;
-        impl Process<()> for Canceller {
-            fn on_start(&mut self, ctx: &mut ProcessCtx<()>) {
-                ctx.cancel_timer(123);
-            }
-            fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut ProcessCtx<()>) {}
-        }
-        let mut net = ProcessNet::new(Network::new(matrix(2)), vec![Canceller, Canceller]);
-        net.run_to_completion(None);
-        assert_eq!(net.stats().events_executed, 2); // just the two on_starts
-    }
-
-    /// Both nodes arm a timer with the same id; only node 0 cancels it.
-    struct SameIdTimers {
-        fired: Vec<u64>,
-    }
-
-    const SHARED_TIMER: u64 = 7;
-    const CANCEL_TIMER: u64 = 1;
-
-    impl Process<()> for SameIdTimers {
-        fn on_start(&mut self, ctx: &mut ProcessCtx<()>) {
-            ctx.set_timer(SimDuration::from_ms(500.0), SHARED_TIMER);
-            if ctx.node() == 0 {
-                ctx.set_timer(SimDuration::from_ms(100.0), CANCEL_TIMER);
-            }
-        }
-        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut ProcessCtx<()>) {}
-        fn on_timer(&mut self, id: u64, ctx: &mut ProcessCtx<()>) {
-            self.fired.push(id);
-            if id == CANCEL_TIMER {
-                ctx.cancel_timer(SHARED_TIMER);
-            }
-        }
-    }
-
-    #[test]
-    fn cancelling_a_timer_leaves_other_nodes_timers_armed() {
-        let procs = (0..2).map(|_| SameIdTimers { fired: Vec::new() }).collect();
-        let mut net = ProcessNet::new(Network::new(matrix(2)), procs);
-        net.run_to_completion(None);
-        assert_eq!(net.process(0).fired, vec![CANCEL_TIMER]);
-        assert_eq!(
-            net.process(1).fired,
-            vec![SHARED_TIMER],
-            "node 0's cancel disarmed node 1's timer"
-        );
     }
 
     #[test]

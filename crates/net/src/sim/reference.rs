@@ -7,23 +7,13 @@
 //! bit-identical execution order, timestamps and statistics.
 //! The same pattern as `georep_cluster::reference`: never optimised, only
 //! trusted.
-//!
-//! The one addition over the historical engine is event cancellation
-//! ([`Simulation::cancel`] / [`Context::cancel`]), mirrored here so both
-//! engines expose the same contract: cancelling marks the sequence number
-//! dead and the entry is skipped (and dropped) when it surfaces at the top
-//! of the heap.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use super::time::{SimDuration, SimTime};
 
 type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Context<W>)>;
-
-/// Handle to a scheduled event, for [`Simulation::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 struct Entry<W> {
     at: SimTime,
@@ -60,8 +50,6 @@ impl<W> Ord for Entry<W> {
 /// [`Context`] by value (taken and restored around each handler call).
 struct Queue<W> {
     heap: BinaryHeap<Entry<W>>,
-    /// Sequence numbers of scheduled-but-not-yet-run, not-cancelled events.
-    live: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -69,61 +57,29 @@ impl<W> Default for Queue<W> {
     fn default() -> Self {
         Queue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
             next_seq: 0,
         }
     }
 }
 
 impl<W> Queue<W> {
-    fn insert<F>(&mut self, at: SimTime, now: SimTime, f: F) -> EventId
+    fn insert<F>(&mut self, at: SimTime, now: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
         assert!(at >= now, "cannot schedule into the past ({at} < {now})");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Entry {
             at,
             seq,
             f: Box::new(f),
         });
-        EventId(seq)
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        self.live.remove(&id.0)
-    }
-
-    fn is_pending(&self, id: EventId) -> bool {
-        self.live.contains(&id.0)
-    }
-
-    /// Pops the earliest live entry, discarding cancelled ones on the way.
-    fn pop(&mut self) -> Option<Entry<W>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.live.remove(&entry.seq) {
-                return Some(entry);
-            }
-        }
-        None
-    }
-
-    /// Timestamp of the earliest live entry, discarding cancelled heads.
-    fn peek_at(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.heap.peek() {
-            if self.live.contains(&head.seq) {
-                return Some(head.at);
-            }
-            self.heap.pop();
-        }
-        None
     }
 }
 
-/// Handle given to running events, for reading the clock, scheduling
-/// follow-ups and cancelling pending events.
+/// Handle given to running events, for reading the clock and scheduling
+/// follow-ups.
 pub struct Context<W> {
     now: SimTime,
     queue: Queue<W>,
@@ -136,7 +92,7 @@ impl<W> Context<W> {
     }
 
     /// Schedules `f` to run `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -148,22 +104,11 @@ impl<W> Context<W> {
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
         self.queue.insert(at, self.now, f)
-    }
-
-    /// Cancels a pending event. Returns `false` if it already ran or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Whether `id` is still scheduled to run.
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.is_pending(id)
     }
 }
 
@@ -179,7 +124,7 @@ impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("reference::Simulation")
             .field("now", &self.now)
-            .field("queued", &self.queue.live.len())
+            .field("queued", &self.queue.heap.len())
             .field("executed", &self.executed)
             .field("world", &self.world)
             .finish()
@@ -222,13 +167,13 @@ impl<W> Simulation<W> {
         self.executed
     }
 
-    /// Number of events currently queued (cancelled events excluded).
+    /// Number of events currently queued.
     pub fn queued(&self) -> usize {
-        self.queue.live.len()
+        self.queue.heap.len()
     }
 
     /// Schedules `f` to run `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
@@ -240,28 +185,17 @@ impl<W> Simulation<W> {
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Context<W>) + 'static,
     {
         self.queue.insert(at, self.now, f)
     }
 
-    /// Cancels a pending event. Returns `false` if it already ran or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Whether `id` is still scheduled to run.
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.is_pending(id)
-    }
-
     /// Executes the next event, if any. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(entry) = self.queue.pop() else {
+        let Some(entry) = self.queue.heap.pop() else {
             return false;
         };
         debug_assert!(entry.at >= self.now, "heap returned an event from the past");
@@ -279,8 +213,8 @@ impl<W> Simulation<W> {
     /// Runs events until the queue is empty or the next event lies strictly
     /// after `deadline`; the clock is then advanced to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(at) = self.queue.peek_at() {
-            if at > deadline {
+        while let Some(head) = self.queue.heap.peek() {
+            if head.at > deadline {
                 break;
             }
             self.step();
@@ -331,35 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_run_and_free_the_queue() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        let a = sim.schedule_at(SimTime::from_ms(10.0), |w: &mut Vec<u32>, _| w.push(1));
-        let _b = sim.schedule_at(SimTime::from_ms(20.0), |w: &mut Vec<u32>, _| w.push(2));
-        assert!(sim.cancel(a));
-        assert!(!sim.cancel(a), "double cancel must report false");
-        assert_eq!(sim.queued(), 1);
-        sim.run_to_completion(None);
-        assert_eq!(sim.world(), &vec![2]);
-        assert!(!sim.cancel(a), "cancel after drain must report false");
-    }
-
-    #[test]
-    fn handlers_can_cancel_pending_events() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        let doomed = sim.schedule_at(SimTime::from_ms(50.0), |w: &mut Vec<u32>, _| w.push(99));
-        sim.schedule_at(SimTime::from_ms(10.0), move |w: &mut Vec<u32>, ctx| {
-            assert!(ctx.is_pending(doomed));
-            assert!(ctx.cancel(doomed));
-            assert!(!ctx.is_pending(doomed));
-            w.push(1);
-        });
-        sim.run_to_completion(None);
-        assert_eq!(sim.world(), &vec![1]);
-        assert_eq!(sim.executed(), 1);
-        assert_eq!(sim.now(), SimTime::from_ms(10.0));
-    }
-
-    #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_panics() {
         let mut sim = Simulation::new(());
@@ -367,18 +272,5 @@ mod tests {
             ctx.schedule_at(SimTime::from_ms(5.0), |_, _| {});
         });
         sim.run_to_completion(None);
-    }
-
-    #[test]
-    fn run_until_skips_cancelled_heads() {
-        let mut sim = Simulation::new(0u32);
-        let head = sim.schedule_at(SimTime::from_ms(5.0), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_ms(50.0), |w: &mut u32, _| *w += 10);
-        sim.cancel(head);
-        sim.run_until(SimTime::from_ms(10.0));
-        assert_eq!(*sim.world(), 0);
-        assert_eq!(sim.now(), SimTime::from_ms(10.0));
-        sim.run_until(SimTime::from_ms(100.0));
-        assert_eq!(*sim.world(), 10);
     }
 }

@@ -35,7 +35,7 @@
 ///     assert!(b.merge(origin, version, entry.clone()));
 /// }
 /// assert_eq!(b.entry(0), Some(&"alpha"));
-/// assert!(b.is_complete());
+/// assert!(b.is_complete_at(1));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionedView<T> {
@@ -89,11 +89,6 @@ impl<T: Clone> VersionedView<T> {
         self.versions.iter().filter(|&&v| v > 0).count()
     }
 
-    /// `true` once every origin slot holds an entry.
-    pub fn is_complete(&self) -> bool {
-        self.versions.iter().all(|&v| v > 0)
-    }
-
     /// `true` once every origin slot has reached at least `version`.
     pub fn is_complete_at(&self, version: u64) -> bool {
         self.versions.iter().all(|&v| v >= version)
@@ -141,7 +136,7 @@ mod tests {
         assert_eq!(v.version(0), 2);
         assert_eq!(v.entry(0), Some(&11));
         assert_eq!(v.version(1), 0);
-        assert!(!v.is_complete());
+        assert!(!v.is_complete_at(1));
     }
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
             backward.merge(o, ver, e);
         }
         assert_eq!(forward, backward);
-        assert!(forward.is_complete());
+        assert!(forward.is_complete_at(1));
         assert!(!forward.is_complete_at(2));
     }
 

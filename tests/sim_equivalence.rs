@@ -3,19 +3,18 @@
 //! `georep_net::sim::engine` (the calendar queue) and
 //! `georep_net::sim::reference` (the original `BinaryHeap` loop) promise the
 //! exact same contract: events execute in strict `(timestamp, sequence
-//! number)` order, cancellation is by handle, and a fault-injected
-//! [`Network`] driven from event handlers sees the identical RNG stream.
+//! number)` order, and a fault-injected [`Network`] driven from event
+//! handlers sees the identical RNG stream. Neither engine cancels events:
+//! a timeout made moot still fires, and its handler ignores it.
 //! Every test here runs the same schedule through both engines and demands
 //! bit-identical results — execution order, timestamps, delivery logs and
 //! [`DeliveryStats`] — so the fast engine can never silently drift from the
 //! trusted oracle.
 
 use georep_net::rtt::RttMatrix;
-use georep_net::sim::reference::{
-    Context as RefContext, EventId as RefEventId, Simulation as RefSimulation,
-};
+use georep_net::sim::reference::{Context as RefContext, Simulation as RefSimulation};
 use georep_net::sim::{reference, Delivery, DeliveryStats, FaultPlan, Network};
-use georep_net::sim::{Context, EventId, SimDuration, SimTime, Simulation};
+use georep_net::sim::{Context, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 
 /// Runs a static schedule (all events known up front) through either
@@ -31,32 +30,6 @@ macro_rules! run_static {
         }
         sim.run_to_completion(None);
         (sim.now(), sim.executed(), sim.into_world())
-    }};
-}
-
-/// Schedules every event, cancels those under `kill`, runs to completion.
-/// Returns the per-cancel outcomes plus the execution log.
-macro_rules! run_cancelled {
-    ($Sim:ty, $times:expr, $kill:expr) => {{
-        let mut sim = <$Sim>::new(Vec::<(u64, usize)>::new());
-        let ids: Vec<_> = $times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                sim.schedule_at(
-                    SimTime::from_micros(t),
-                    move |w: &mut Vec<(u64, usize)>, _| w.push((t, i)),
-                )
-            })
-            .collect();
-        let mut outcomes = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if $kill[i % $kill.len()] {
-                outcomes.push((sim.is_pending(*id), sim.cancel(*id), sim.cancel(*id)));
-            }
-        }
-        sim.run_to_completion(None);
-        (outcomes, sim.into_world())
     }};
 }
 
@@ -177,27 +150,6 @@ fn ties_break_by_sequence_number_in_both_engines() {
     }
 }
 
-#[test]
-fn in_handler_cancellation_matches_the_reference() {
-    macro_rules! run {
-        ($Sim:ty) => {{
-            let mut sim = <$Sim>::new(Vec::<u32>::new());
-            let doomed = sim.schedule_at(SimTime::from_ms(50.0), |w: &mut Vec<u32>, _| w.push(99));
-            sim.schedule_at(SimTime::from_ms(10.0), move |w: &mut Vec<u32>, ctx| {
-                w.push(u32::from(ctx.cancel(doomed)));
-                w.push(u32::from(ctx.cancel(doomed)));
-                w.push(u32::from(ctx.is_pending(doomed)));
-            });
-            sim.run_to_completion(None);
-            (sim.executed(), sim.into_world())
-        }};
-    }
-    let a = run!(Simulation<Vec<u32>>);
-    let b = run!(reference::Simulation<Vec<u32>>);
-    assert_eq!(a, b);
-    assert_eq!(a.1, vec![1, 0, 0]);
-}
-
 proptest! {
     /// Arbitrary static schedules — a narrow timestamp range forces heavy
     /// same-timestamp ties — execute identically in both engines.
@@ -211,21 +163,6 @@ proptest! {
         prop_assert_eq!(log_a, log_b);
         prop_assert_eq!(now_a, now_b);
         prop_assert_eq!(ran_a, ran_b);
-    }
-
-    /// Cancelling an arbitrary subset produces the same cancel outcomes
-    /// (first cancel true, double cancel false, pending flags) and the same
-    /// surviving execution log.
-    #[test]
-    fn prop_cancellation_is_identical(
-        times in prop::collection::vec(0u64..2_000, 1..150),
-        kill in prop::collection::vec(any::<bool>(), 1..150),
-    ) {
-        let (out_a, log_a) = run_cancelled!(Simulation<Vec<(u64, usize)>>, times, kill);
-        let (out_b, log_b) =
-            run_cancelled!(reference::Simulation<Vec<(u64, usize)>>, times, kill);
-        prop_assert_eq!(out_a, out_b);
-        prop_assert_eq!(log_a, log_b);
     }
 
     /// Handler-scheduled follow-up chains land at identical instants.
@@ -458,55 +395,67 @@ fn low_occupancy_hold_models_execute_identically_across_engines() {
     }
 }
 
-/// One node's ping state in the gossip-shaped schedule, generic over the
-/// engine's event handle.
-struct PingWorld<Id> {
+/// The gossip-shaped ping schedule's state.
+struct PingWorld {
     rng: u64,
     nodes: usize,
-    /// The most recently armed timeout of each node.
-    timeout: Vec<Option<Id>>,
+    next_probe: u32,
+    /// Each node's unanswered probes.
+    outstanding: Vec<Vec<u32>>,
     /// `(at_us, kind, node, detail)`; kinds: 0 ping (detail = attempt),
-    /// 1 reply, 2 reply's cancel of the timeout (detail = cancelled),
-    /// 3 timeout fired (detail = attempt), 4 random cancel (detail =
-    /// cancelled).
+    /// 1 reply (detail = whether it cleared an outstanding probe), 2 timeout
+    /// on an answered probe (a no-op), 3 timeout on an unanswered probe
+    /// (detail = attempt).
     log: Vec<(u64, u8, usize, u32)>,
 }
 
-/// The event shape gossip failure detection runs on, in either engine:
-/// every node pings a random peer each 250 ms round, arms a per-ping
-/// timeout that doubles with each retry, and a reply cancels the timeout;
-/// a quarter of the pings are lost, and one round in eight also cancels a
-/// random node's pending timeout.
+/// The event shape `georep_core::gossip` failure detection runs on, in
+/// either engine: every node pings a random peer each 250 ms round and arms
+/// a per-probe timeout that doubles with each retry. A reply clears the
+/// probe from its node's outstanding list; every timeout fires, and one
+/// whose probe is still outstanding retries it while one whose probe was
+/// answered does nothing. A quarter of the pings are lost.
 macro_rules! run_pings {
-    ($Sim:ident, $Ctx:ident, $Id:ident, $nodes:expr, $rounds:expr) => {{
-        type W = PingWorld<$Id>;
+    ($Sim:ident, $Ctx:ident, $nodes:expr, $rounds:expr) => {{
+        type W = PingWorld;
         fn ping(w: &mut W, ctx: &mut $Ctx<W>, node: usize, attempt: u32) {
             let now = ctx.now().as_micros();
             w.log.push((now, 0, node, attempt));
+            let probe = w.next_probe;
+            w.next_probe += 1;
+            w.outstanding[node].push(probe);
             let peer = (node + 1 + lcg(&mut w.rng) as usize % (w.nodes - 1)) % w.nodes;
             if lcg(&mut w.rng) % 4 != 0 {
                 let rtt_ms = 5 + (node * 7 + peer * 13) % 40;
                 ctx.schedule_in(
                     SimDuration::from_ms(rtt_ms as f64),
                     move |w: &mut W, ctx: &mut $Ctx<W>| {
-                        let now = ctx.now().as_micros();
-                        w.log.push((now, 1, node, attempt));
-                        if let Some(id) = w.timeout[node].take() {
-                            w.log.push((now, 2, node, u32::from(ctx.cancel(id))));
+                        let open = &mut w.outstanding[node];
+                        let cleared = open.iter().position(|&p| p == probe);
+                        if let Some(pos) = cleared {
+                            open.swap_remove(pos);
                         }
+                        let now = ctx.now().as_micros();
+                        w.log.push((now, 1, node, u32::from(cleared.is_some())));
                     },
                 );
             }
-            let id = ctx.schedule_in(
+            ctx.schedule_in(
                 SimDuration::from_ms(100.0 * f64::from(1u32 << attempt)),
                 move |w: &mut W, ctx: &mut $Ctx<W>| {
-                    w.log.push((ctx.now().as_micros(), 3, node, attempt));
+                    let now = ctx.now().as_micros();
+                    let open = &mut w.outstanding[node];
+                    let Some(pos) = open.iter().position(|&p| p == probe) else {
+                        w.log.push((now, 2, node, attempt));
+                        return;
+                    };
+                    open.swap_remove(pos);
+                    w.log.push((now, 3, node, attempt));
                     if attempt < 3 {
                         ping(w, ctx, node, attempt + 1);
                     }
                 },
             );
-            w.timeout[node] = Some(id);
         }
         fn round(node: usize, left: u32) -> impl FnOnce(&mut W, &mut $Ctx<W>) + 'static {
             move |w: &mut W, ctx: &mut $Ctx<W>| {
@@ -514,21 +463,14 @@ macro_rules! run_pings {
                     ctx.schedule_in(SimDuration::from_ms(250.0), round(node, left - 1));
                 }
                 ping(w, ctx, node, 0);
-                if lcg(&mut w.rng) % 8 == 0 {
-                    let victim = lcg(&mut w.rng) as usize % w.nodes;
-                    if let Some(id) = w.timeout[victim] {
-                        let cancelled = ctx.is_pending(id) && ctx.cancel(id);
-                        let now = ctx.now().as_micros();
-                        w.log.push((now, 4, victim, u32::from(cancelled)));
-                    }
-                }
             }
         }
         let nodes: usize = $nodes;
         let mut sim = $Sim::new(PingWorld {
             rng: 0x9E37_79B9,
             nodes,
-            timeout: (0..nodes).map(|_| None).collect(),
+            next_probe: 0,
+            outstanding: vec![Vec::new(); nodes],
             log: Vec::new(),
         });
         for node in 0..nodes {
@@ -541,18 +483,15 @@ macro_rules! run_pings {
 
 #[test]
 fn gossip_shaped_pings_with_timeouts_execute_identically_across_engines() {
-    let a = run_pings!(Simulation, Context, EventId, 48, 40);
-    let b = run_pings!(RefSimulation, RefContext, RefEventId, 48, 40);
+    let a = run_pings!(Simulation, Context, 48, 40);
+    let b = run_pings!(RefSimulation, RefContext, 48, 40);
     assert_eq!(a, b);
     let kinds = |k: u8| a.2.iter().filter(|e| e.1 == k).count();
-    assert!(kinds(3) > 0, "some timeouts must fire");
-    assert!(kinds(0) > 48 * 40, "fired timeouts must retry");
+    assert!(kinds(2) > 0, "timeouts of answered probes must still fire");
+    assert!(kinds(3) > 0, "timeouts of unanswered probes must fire");
+    assert!(kinds(0) > 48 * 40, "unanswered timeouts must retry");
     assert!(
-        a.2.iter().any(|e| e.1 == 2 && e.3 == 1),
-        "replies must cancel pending timeouts"
-    );
-    assert!(
-        a.2.iter().any(|e| e.1 == 4 && e.3 == 1),
-        "random cancels must hit pending timeouts"
+        a.2.iter().any(|e| e.1 == 1 && e.3 == 1),
+        "replies must clear outstanding probes"
     );
 }

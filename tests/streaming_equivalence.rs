@@ -13,7 +13,6 @@
 //! or caching bug would change which index a `<`-scan picks first.
 
 use georep_cluster::kmeans::{kmeans, ClusterError, KMeansConfig};
-use georep_cluster::kmedians::weighted_kmedians;
 use georep_cluster::micro::MicroCluster;
 use georep_cluster::online::{OnlineClusterer, OnlineConfig};
 use georep_cluster::reference::{lloyd_reference, ReferenceMicroCluster, ReferenceOnlineClusterer};
@@ -80,25 +79,6 @@ proptest! {
         let fast = weighted_kmeans(&pts, cfg).unwrap();
         let slow = lloyd_reference(&pts, cfg).unwrap();
         prop_assert_eq!(fast, slow);
-    }
-
-    /// K-medians has no reference twin, so the restart rule is pinned
-    /// directly: replaying every restart alone (`seed + r`, one restart),
-    /// the public result is the cheapest replay, first index on ties.
-    #[test]
-    fn kmedians_restart_winner_is_the_cheapest_single_restart(
-        pts in grid_points(4..25),
-        k in 1usize..4,
-        seed in 0u64..300,
-    ) {
-        prop_assume!(k <= pts.len());
-        let cfg = KMeansConfig::new(k).with_seed(seed).with_restarts(6);
-        let public = weighted_kmedians(&pts, cfg).unwrap();
-        let cheapest = (0..cfg.restarts as u64)
-            .map(|r| weighted_kmedians(&pts, cfg.with_seed(seed + r).with_restarts(1)).unwrap())
-            .reduce(|best, replay| if replay.sse < best.sse { replay } else { best })
-            .unwrap();
-        prop_assert_eq!(public, cheapest);
     }
 }
 
@@ -318,10 +298,6 @@ fn zeroed_config_fields_error_instead_of_looping_zero_times() {
     for bad in [zero_iters, zero_restarts] {
         assert!(matches!(
             weighted_kmeans(&pts, bad),
-            Err(ClusterError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            weighted_kmedians(&pts, bad),
             Err(ClusterError::InvalidConfig(_))
         ));
         assert!(matches!(

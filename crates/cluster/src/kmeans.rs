@@ -231,7 +231,7 @@ pub fn kmeans_with_stats<const D: usize>(
 /// restart. The config checks exist because a zero `max_iters` or
 /// `restarts` written directly into the struct would otherwise make the
 /// solver silently loop zero times.
-pub(crate) fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterError> {
+fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterError> {
     if points == 0 {
         return Err(ClusterError::NoPoints);
     }
@@ -250,8 +250,10 @@ pub(crate) fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterE
     Ok(())
 }
 
-/// Runs `cfg.restarts` independent solver restarts, one after the other
-/// on the caller's thread, and picks the winner.
+/// Shared Lloyd implementation over weighted points (used by every k-means
+/// entry point; see [`crate::weighted::weighted_kmeans`] for the public
+/// API): `cfg.restarts` independent restarts, one after the other on the
+/// caller's thread, and the winner.
 ///
 /// Restart `r` always runs with seed `cfg.seed + r`, and the winner is the
 /// lowest SSE with ties broken by the lowest restart index (a strict `<`
@@ -259,14 +261,10 @@ pub(crate) fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterE
 /// over *all* restarts, not just the winner. This layer never spawns: a
 /// caller that runs many solves side by side owns the fan-out (DESIGN.md
 /// §8, "Restarts").
-pub(crate) fn run_restarts<const D: usize, F>(
+pub(crate) fn lloyd<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
-    mut once: F,
-) -> Result<(Clustering<D>, KMeansStats), ClusterError>
-where
-    F: FnMut(&[WeightedPoint<D>], KMeansConfig) -> (Clustering<D>, LloydCounters),
-{
+) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
     validate(points.len(), &cfg)?;
     let mut stats = KMeansStats {
         restarts: cfg.restarts as u64,
@@ -274,7 +272,7 @@ where
     };
     let mut best: Option<Clustering<D>> = None;
     for r in 0..cfg.restarts {
-        let (run, counters) = once(
+        let (run, counters) = lloyd_once(
             points,
             KMeansConfig {
                 seed: cfg.seed.wrapping_add(r as u64),
@@ -292,16 +290,6 @@ where
         }
     }
     Ok((best.expect("restarts ≥ 1"), stats))
-}
-
-/// Shared Lloyd implementation over weighted points (used by every k-means
-/// entry point; see [`crate::weighted::weighted_kmeans`] for the public
-/// API).
-pub(crate) fn lloyd<const D: usize>(
-    points: &[WeightedPoint<D>],
-    cfg: KMeansConfig,
-) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
-    run_restarts(points, cfg, lloyd_once)
 }
 
 // ---- The bounds-pruned Lloyd core. ----
@@ -457,14 +445,14 @@ fn top_two(delta: &[f64]) -> (f64, usize, f64) {
 /// three fields partition the per-point decisions, so their sum is always
 /// `iterations × n` for the restart.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LloydCounters {
+struct LloydCounters {
     pruned_upper: u64,
     pruned_tightened: u64,
     full_scans: u64,
 }
 
 /// One seeded Lloyd run plus its prune/scan tallies. Input is
-/// pre-validated by [`run_restarts`]. The counters are integer increments
+/// pre-validated by [`lloyd`]. The counters are integer increments
 /// on paths the solver already takes — no extra float arithmetic, no RNG
 /// draws — so they never influence the clustering.
 fn lloyd_once<const D: usize>(
@@ -856,19 +844,6 @@ mod tests {
         assert_eq!(stats.point_updates(), stats.iterations * pts.len() as u64);
         // Iteration 1 of every restart is always a full scan.
         assert!(stats.full_scans >= stats.restarts * pts.len() as u64);
-    }
-
-    #[test]
-    fn every_restart_runs_on_the_callers_thread() {
-        let pts: Vec<WeightedPoint<2>> = two_blobs().into_iter().map(WeightedPoint::unit).collect();
-        let cfg = KMeansConfig::new(3).with_seed(41).with_restarts(6);
-        let mut ran_on = Vec::new();
-        run_restarts(&pts, cfg, |p, c| {
-            ran_on.push(std::thread::current().id());
-            lloyd_once(p, c)
-        })
-        .unwrap();
-        assert_eq!(ran_on, vec![std::thread::current().id(); cfg.restarts]);
     }
 
     #[test]

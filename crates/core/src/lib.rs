@@ -86,7 +86,7 @@ pub use forecast::{DemandHistory, ForecastConfig, ForecastError, GateDecision};
 pub use manager::{ManagerConfig, Plan, ReplicaManager};
 pub use objective::{CostTable, DelayOracle, IncrementalEval};
 pub use problem::{PlacementProblem, ProblemError};
-pub use scenario::{run_scenario, run_scenario_with_recorder, ScenarioKind, ScenarioReport};
+pub use scenario::{run_scenario, ScenarioKind, ScenarioReport};
 pub use strategy::decentralized::{
     central_placement, run_decentralized, run_decentralized_with, DecentralConfig, DecentralReport,
 };

@@ -3,8 +3,9 @@
 //! Each [`ScenarioKind`] drives the *whole* stack through a three-phase
 //! timeline (healthy → fault → recovery) on a single deterministic clock:
 //!
-//! 1. coordinates come from RNP gossip over the simulator
-//!    ([`crate::gossip::embed_via_simulation`]);
+//! 1. coordinates come from RNP gossip over the healthy simulated network
+//!    ([`crate::gossip::embed_via_simulation`]), once per topology in
+//!    [`prepare`];
 //! 2. a [`ReplicaManager`] routes synthetic client demand and periodically
 //!    rebalances (migration-gated by [`crate::migration`] pricing) on its
 //!    recorded summaries or on a decentralized gossip consensus — the
@@ -22,12 +23,15 @@
 //!
 //! # Determinism contract
 //!
-//! A scenario run is a pure function of `(matrix, kind, config)`. All
-//! randomness is counter-based and seeded; all collections that influence
-//! decisions are `Vec`s; every mode, the decentralized one included, runs
-//! on the calling thread. Two runs with the same inputs produce
-//! bit-identical [`ScenarioReport`]s, which `tests/robustness_scenarios.rs`
-//! asserts for every kind.
+//! [`prepare`] embeds a topology once; the embedding is a pure function of
+//! `(matrix, seed, embed_duration)`. A run is a pure function of
+//! `(prepared embedding, kind, config)`, so [`Prepared::run`] on a held
+//! embedding and [`run_scenario`], which prepares afresh, return the same
+//! report. All randomness is counter-based and seeded; all collections
+//! that influence decisions are `Vec`s; every mode, the decentralized one
+//! included, runs on the calling thread. Two runs with the same inputs
+//! produce bit-identical [`ScenarioReport`]s, which
+//! `tests/robustness_scenarios.rs` asserts for every kind.
 //!
 //! # Serving model
 //!
@@ -46,7 +50,9 @@ use georep_net::rtt::RttMatrix;
 use georep_net::sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::failure::degraded_mean_delay;
-use crate::gossip::{detect_with_faults, detected_failures, embed_via_simulation, GossipConfig};
+use crate::gossip::{
+    detect_with_faults, detected_failures, embed_via_simulation, GossipConfig, GossipOutcome,
+};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::problem::{PlacementProblem, ProblemError};
@@ -205,7 +211,7 @@ pub struct ScenarioReport {
     pub trace_hash: u64,
 }
 
-/// Error produced by [`run_scenario`].
+/// Error produced by [`prepare`] and [`Prepared::run`].
 #[derive(Debug)]
 pub enum ScenarioError {
     /// The configuration or matrix was unusable.
@@ -250,6 +256,7 @@ impl From<ProblemError> for ScenarioError {
 
 /// The scenario's faults, expressed twice: absolute windows on the tick
 /// timeline (for truth-scoring), and a builder for detection-time plans.
+#[derive(Default)]
 struct Faults {
     /// `(node, from_tick, until_tick)` crash windows.
     crashes: Vec<(usize, u32, u32)>,
@@ -372,11 +379,8 @@ pub fn fault_aware_delay(
     }
 }
 
-/// Runs one scenario over `matrix` and returns its deterministic report.
-///
-/// Candidate data centers are every third node (the coordinator is
-/// candidate 0 — it is never chosen as a fault target); every node is a
-/// client with unit demand per tick.
+/// Runs one scenario over `matrix` and returns its deterministic report:
+/// [`prepare`] followed by one [`Prepared::run`] with no recorder.
 ///
 /// # Errors
 ///
@@ -386,26 +390,60 @@ pub fn run_scenario(
     kind: ScenarioKind,
     cfg: ScenarioConfig,
 ) -> Result<ScenarioReport, ScenarioError> {
-    run_scenario_with_recorder(matrix, kind, cfg, &NullRecorder)
+    prepare(matrix, &cfg)?.run(kind, cfg, &NullRecorder)
 }
 
-/// [`run_scenario`] with a [`Recorder`] attached. Every recorder call is a
-/// read-only side channel over values the run computes anyway — integer
-/// counters and already-computed floats — so the [`ScenarioReport`] is
-/// bit-identical whichever recorder is installed (asserted by
-/// `tests/robustness_scenarios.rs`).
+/// A topology ready for scenario runs: the candidate data centers and the
+/// coordinates RNP gossip assigns over the healthy network. The embedding
+/// depends only on `(matrix, cfg.seed, cfg.embed_duration)`, so every kind
+/// and mode runs on the one [`prepare`] computes.
+#[derive(Debug)]
+pub struct Prepared<'m> {
+    matrix: &'m RttMatrix,
+    candidates: Vec<usize>,
+    seed: u64,
+    embed_duration: SimDuration,
+    embed: GossipOutcome,
+}
+
+/// Validates `cfg` against `matrix`, picks the candidates and runs the
+/// healthy embedding, once.
+///
+/// Candidate data centers are every third node (the coordinator is
+/// candidate 0 — it is never chosen as a fault target); every node is a
+/// client with unit demand per tick.
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] when the inputs are inconsistent or any layer fails.
-pub fn run_scenario_with_recorder<R: Recorder>(
-    matrix: &RttMatrix,
-    kind: ScenarioKind,
-    cfg: ScenarioConfig,
-    rec: &R,
-) -> Result<ScenarioReport, ScenarioError> {
-    let _span = crate::span!("scenario.run");
-    let n = matrix.len();
+/// [`ScenarioError::Setup`] when the inputs are inconsistent.
+pub fn prepare<'m>(
+    matrix: &'m RttMatrix,
+    cfg: &ScenarioConfig,
+) -> Result<Prepared<'m>, ScenarioError> {
+    let candidates: Vec<usize> = (0..matrix.len()).step_by(3).collect();
+    validate(matrix.len(), &candidates, cfg)?;
+    let gossip_cfg = GossipConfig {
+        ping_interval: SimDuration::from_ms(250.0),
+        duration: cfg.embed_duration,
+        seed: cfg.seed,
+        ..GossipConfig::default()
+    };
+    let embed = {
+        let _span = crate::span!("scenario.embed");
+        embed_via_simulation(matrix, gossip_cfg)
+    };
+    Ok(Prepared {
+        matrix,
+        candidates,
+        seed: cfg.seed,
+        embed_duration: cfg.embed_duration,
+        embed,
+    })
+}
+
+/// The one setup check both [`prepare`] and [`Prepared::run`] make;
+/// returns the run length in ticks.
+fn validate(n: usize, candidates: &[usize], cfg: &ScenarioConfig) -> Result<u32, ScenarioError> {
     let p = cfg.phase_ticks;
     if n < 12 {
         return Err(ScenarioError::Setup("need at least 12 nodes"));
@@ -434,294 +472,298 @@ pub fn run_scenario_with_recorder<R: Recorder>(
             "forecast modes run only in strategy::predictive::run_mode",
         ));
     }
-    let candidates: Vec<usize> = (0..n).step_by(3).collect();
     if cfg.k >= candidates.len() {
         return Err(ScenarioError::Setup("k must be below the candidate count"));
     }
-    let clients: Vec<usize> = (0..n).collect();
-    let coordinator = candidates[0];
+    Ok(run_ticks)
+}
 
-    // 1. Coordinates from gossip over the healthy network.
-    let gossip_cfg = GossipConfig {
-        ping_interval: SimDuration::from_ms(250.0),
-        duration: cfg.embed_duration,
-        seed: cfg.seed,
-        ..GossipConfig::default()
-    };
-    let embed = {
-        let _span = crate::span!("scenario.embed");
-        embed_via_simulation(matrix, gossip_cfg)
-    };
-    let mut messages_dropped = embed.protocol.net.messages_dropped;
-    let mut retries = embed.protocol.retries;
-    if rec.enabled() {
-        rec.event(
-            "scenario.start",
-            &[
-                ("scenario", kind.name().into()),
-                ("nodes", n.into()),
-                ("k", cfg.k.into()),
-                ("seed", cfg.seed.into()),
-            ],
-        );
-        rec.counter("gossip.pings", embed.protocol.pings);
-        rec.counter("gossip.retries", embed.protocol.retries);
-        rec.counter("gossip.timeouts", embed.protocol.timeouts);
-        rec.counter("net.messages_dropped", embed.protocol.net.messages_dropped);
-        rec.observe("embed.median_rel_err", embed.report.median_rel_err);
-    }
+impl Prepared<'_> {
+    /// Runs one scenario kind, in `cfg.mode`, on the prepared embedding.
+    /// Every recorder call is a read-only side channel over values the run
+    /// computes anyway — integer counters and already-computed floats — so
+    /// the [`ScenarioReport`] is bit-identical whichever recorder is
+    /// installed (asserted by `tests/robustness_scenarios.rs`). The held
+    /// embedding's drops, retries and counters count toward every run.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Setup`] when `cfg` fails the setup check or its
+    /// `seed` or `embed_duration` differs from the prepared one;
+    /// [`ScenarioError`] when any layer fails.
+    pub fn run<R: Recorder>(
+        &self,
+        kind: ScenarioKind,
+        cfg: ScenarioConfig,
+        rec: &R,
+    ) -> Result<ScenarioReport, ScenarioError> {
+        let _span = crate::span!("scenario.run");
+        let (matrix, candidates, embed) = (self.matrix, &self.candidates, &self.embed);
+        let n = matrix.len();
+        let p = cfg.phase_ticks;
+        let run_ticks = validate(n, candidates, &cfg)?;
+        if cfg.seed != self.seed || cfg.embed_duration != self.embed_duration {
+            return Err(ScenarioError::Setup(
+                "seed and embed_duration must match the prepared embedding",
+            ));
+        }
+        let clients: Vec<usize> = (0..n).collect();
+        let coordinator = candidates[0];
 
-    // 2. The live pipeline: manager + objective scoring.
-    // Generous micro-cluster budget: with summaries this fine the macro
-    // input barely depends on how routing split the clients, so the
-    // optimizer's post-recovery proposal converges back to its pre-fault
-    // fixed point instead of a near-tied alternative.
-    let mut mgr_cfg = ManagerConfig::new(cfg.k, 8);
-    mgr_cfg.seed = cfg.seed;
-    mgr_cfg.gain_per_dollar = 0.02;
-    let initial: Vec<usize> = candidates.iter().copied().take(cfg.k).collect();
-    let mut mgr = ReplicaManager::new(embed.coords.clone(), candidates.clone(), initial, mgr_cfg)?;
-    let problem = PlacementProblem::new(matrix, candidates.clone(), clients.clone())?;
-
-    let mut trace: Vec<TraceEvent> = Vec::new();
-    let mut timeline: Vec<TimelinePoint> = Vec::new();
-    let mut replacements = 0u64;
-    let mut excluded: Vec<usize> = Vec::new();
-    let mut faults: Option<Faults> = None;
-    let mut scoring_plan = FaultPlan::new(cfg.seed);
-    let mut pre_fault_placement: Vec<usize> = Vec::new();
-    let mut pre_fault_delay_ms = 0.0;
-    let mut prev_signature = (Vec::new(), Vec::new());
-
-    for tick in 0..run_ticks {
-        let now = SimTime::ZERO + cfg.tick.mul(tick as u64);
-        if tick == 0 {
-            trace.push(TraceEvent::PhaseStart {
-                tick,
-                phase: "healthy",
-            });
+        let mut messages_dropped = embed.protocol.net.messages_dropped;
+        let mut retries = embed.protocol.retries;
+        if rec.enabled() {
             rec.event(
-                "phase",
-                &[("tick", tick.into()), ("phase", "healthy".into())],
+                "scenario.start",
+                &[
+                    ("scenario", kind.name().into()),
+                    ("nodes", n.into()),
+                    ("k", cfg.k.into()),
+                    ("seed", cfg.seed.into()),
+                ],
             );
+            rec.counter("gossip.pings", embed.protocol.pings);
+            rec.counter("gossip.retries", embed.protocol.retries);
+            rec.counter("gossip.timeouts", embed.protocol.timeouts);
+            rec.counter("net.messages_dropped", embed.protocol.net.messages_dropped);
+            rec.observe("embed.median_rel_err", embed.report.median_rel_err);
         }
-        // The fault targets depend on the demand-driven placement, so the
-        // plan is built at the fault-phase boundary.
-        if tick == p {
-            trace.push(TraceEvent::PhaseStart {
-                tick,
-                phase: "fault",
-            });
-            rec.event("phase", &[("tick", tick.into()), ("phase", "fault".into())]);
-            let mut placed: Vec<usize> = mgr.placement().to_vec();
-            placed.sort_unstable();
-            pre_fault_placement = placed;
-            pre_fault_delay_ms = problem.mean_delay(mgr.placement())?;
-            let f = build_faults(kind, &pre_fault_placement, coordinator, n, p);
-            scoring_plan = f.scoring_plan(cfg.seed, &cfg);
-            faults = Some(f);
-        }
-        if tick == 2 * p {
-            trace.push(TraceEvent::PhaseStart {
-                tick,
-                phase: "recovery",
-            });
-            rec.event(
-                "phase",
-                &[("tick", tick.into()), ("phase", "recovery".into())],
-            );
-        }
-        let ctx = TickCtx {
-            matrix,
-            clients: &clients,
-            coords: &embed.coords,
-            plan: &scoring_plan,
-            coordinator,
-            cfg: &cfg,
-            tick,
-        };
 
-        // Failure detection: rerun gossip under the current fault state
-        // whenever the crash/partition signature changes, plus once at
-        // fault onset for loss/surge-only scenarios (their signature is
-        // empty, but retry statistics and detector tolerance matter).
-        if let Some(f) = &faults {
-            let signature = f.signature(tick, p);
-            let noise_onset = tick == p && f.has_noise();
-            if signature != prev_signature || noise_onset {
-                let verdict = if signature == (Vec::new(), Vec::new()) && !noise_onset {
-                    Vec::new() // all clear — nothing to probe for
-                } else {
-                    let _span = crate::span!("scenario.detect");
-                    let detect = detect_with_faults(
-                        matrix,
-                        GossipConfig {
-                            ping_interval: SimDuration::from_ms(250.0),
-                            duration: cfg.detect_duration,
-                            seed: cfg.seed ^ 0xDE7EC7,
-                            ..GossipConfig::default()
-                        },
-                        f.detection_plan(tick, p, cfg.seed),
-                    );
-                    messages_dropped += detect.net.messages_dropped;
-                    retries += detect.retries;
+        // The live pipeline: manager + objective scoring.
+        // Generous micro-cluster budget: with summaries this fine the macro
+        // input barely depends on how routing split the clients, so the
+        // optimizer's post-recovery proposal converges back to its pre-fault
+        // fixed point instead of a near-tied alternative.
+        let mut mgr_cfg = ManagerConfig::new(cfg.k, 8);
+        mgr_cfg.seed = cfg.seed;
+        mgr_cfg.gain_per_dollar = 0.02;
+        let initial: Vec<usize> = candidates.iter().copied().take(cfg.k).collect();
+        let mut mgr =
+            ReplicaManager::new(embed.coords.clone(), candidates.clone(), initial, mgr_cfg)?;
+        let problem = PlacementProblem::new(matrix, candidates.clone(), clients.clone())?;
+
+        let mut trace: Vec<TraceEvent> = Vec::new();
+        let mut timeline: Vec<TimelinePoint> = Vec::new();
+        let mut replacements = 0u64;
+        let mut excluded: Vec<usize> = Vec::new();
+        let mut faults: Option<Faults> = None;
+        let mut scoring_plan = FaultPlan::new(cfg.seed);
+        let mut pre_fault_placement: Vec<usize> = Vec::new();
+        let mut pre_fault_delay_ms = 0.0;
+        let mut prev_signature = (Vec::new(), Vec::new());
+
+        for tick in 0..run_ticks {
+            let now = SimTime::ZERO + cfg.tick.mul(tick as u64);
+            let phase = [(0, "healthy"), (p, "fault"), (2 * p, "recovery")]
+                .into_iter()
+                .find(|&(start, _)| start == tick);
+            if let Some((_, phase)) = phase {
+                trace.push(TraceEvent::PhaseStart { tick, phase });
+                rec.event("phase", &[("tick", tick.into()), ("phase", phase.into())]);
+            }
+            // The fault targets depend on the demand-driven placement, so the
+            // plan is built at the fault-phase boundary.
+            if tick == p {
+                pre_fault_placement = mgr.placement().to_vec();
+                pre_fault_placement.sort_unstable();
+                pre_fault_delay_ms = problem.mean_delay(mgr.placement())?;
+                let f = build_faults(kind, &pre_fault_placement, coordinator, n, p);
+                scoring_plan = f.scoring_plan(cfg.seed, &cfg);
+                faults = Some(f);
+            }
+            let ctx = TickCtx {
+                matrix,
+                clients: &clients,
+                coords: &embed.coords,
+                plan: &scoring_plan,
+                coordinator,
+                cfg: &cfg,
+                tick,
+            };
+
+            // Failure detection: rerun gossip under the current fault state
+            // whenever the crash/partition signature changes, plus once at
+            // fault onset for loss/surge-only scenarios (their signature is
+            // empty, but retry statistics and detector tolerance matter).
+            if let Some(f) = &faults {
+                let signature = f.signature(tick, p);
+                let noise_onset = tick == p && f.has_noise();
+                if signature != prev_signature || noise_onset {
+                    let verdict = if signature == (Vec::new(), Vec::new()) && !noise_onset {
+                        Vec::new() // all clear — nothing to probe for
+                    } else {
+                        let _span = crate::span!("scenario.detect");
+                        let detect = detect_with_faults(
+                            matrix,
+                            GossipConfig {
+                                ping_interval: SimDuration::from_ms(250.0),
+                                duration: cfg.detect_duration,
+                                seed: cfg.seed ^ 0xDE7EC7,
+                                ..GossipConfig::default()
+                            },
+                            f.detection_plan(tick, p, cfg.seed),
+                        );
+                        messages_dropped += detect.net.messages_dropped;
+                        retries += detect.retries;
+                        if rec.enabled() {
+                            rec.counter("gossip.detect_runs", 1);
+                            rec.counter("gossip.pings", detect.pings);
+                            rec.counter("gossip.retries", detect.retries);
+                            rec.counter("gossip.timeouts", detect.timeouts);
+                            rec.counter("net.messages_dropped", detect.net.messages_dropped);
+                        }
+                        detected_failures(&detect.suspicion, coordinator)
+                    };
+                    prev_signature = signature;
+
+                    let failed_set: HashSet<usize> = verdict.iter().copied().collect();
+                    let degraded_ms = if verdict.is_empty() {
+                        None
+                    } else {
+                        degraded_mean_delay(&problem, mgr.placement(), &failed_set)?
+                    };
+                    trace.push(TraceEvent::Detected {
+                        tick,
+                        nodes: verdict.clone(),
+                        degraded_ms,
+                    });
                     if rec.enabled() {
-                        rec.counter("gossip.detect_runs", 1);
-                        rec.counter("gossip.pings", detect.pings);
-                        rec.counter("gossip.retries", detect.retries);
-                        rec.counter("gossip.timeouts", detect.timeouts);
-                        rec.counter("net.messages_dropped", detect.net.messages_dropped);
-                    }
-                    detected_failures(&detect.suspicion, coordinator)
-                };
-                prev_signature = signature;
-
-                let failed_set: HashSet<usize> = verdict.iter().copied().collect();
-                let degraded_ms = if verdict.is_empty() {
-                    None
-                } else {
-                    degraded_mean_delay(&problem, mgr.placement(), &failed_set)?
-                };
-                trace.push(TraceEvent::Detected {
-                    tick,
-                    nodes: verdict.clone(),
-                    degraded_ms,
-                });
-                if rec.enabled() {
-                    rec.event(
-                        "detected",
-                        &[
-                            ("tick", tick.into()),
-                            ("nodes", verdict.len().into()),
-                            ("degraded_ms", degraded_ms.unwrap_or(f64::NAN).into()),
-                        ],
-                    );
-                }
-
-                // Newly detected nodes leave the pipeline. Only candidate
-                // DCs matter here: a detected non-candidate hosts nothing
-                // and can host nothing (restoring it later would otherwise
-                // smuggle it into the candidate set).
-                for &node in &verdict {
-                    if excluded.contains(&node) || !candidates.contains(&node) {
-                        continue;
-                    }
-                    if mgr.placement().contains(&node) && mgr.fail_replica(node).is_ok() {
-                        trace.push(TraceEvent::ReplicaFailed { tick, node });
-                        rec.counter("scenario.replica_failures", 1);
                         rec.event(
-                            "replica_failed",
-                            &[("tick", tick.into()), ("node", node.into())],
+                            "detected",
+                            &[
+                                ("tick", tick.into()),
+                                ("nodes", verdict.len().into()),
+                                ("degraded_ms", degraded_ms.unwrap_or(f64::NAN).into()),
+                            ],
                         );
-                        excluded.push(node);
-                    } else if mgr.quarantine_candidate(node).is_ok() {
-                        trace.push(TraceEvent::Quarantined { tick, node });
-                        rec.counter("scenario.quarantines", 1);
-                        rec.event(
-                            "quarantined",
-                            &[("tick", tick.into()), ("node", node.into())],
-                        );
-                        excluded.push(node);
                     }
+
+                    // Newly detected nodes leave the pipeline. Only candidate
+                    // DCs matter here: a detected non-candidate hosts nothing
+                    // and can host nothing (restoring it later would otherwise
+                    // smuggle it into the candidate set).
+                    for &node in &verdict {
+                        if excluded.contains(&node) || !candidates.contains(&node) {
+                            continue;
+                        }
+                        if mgr.placement().contains(&node) && mgr.fail_replica(node).is_ok() {
+                            trace.push(TraceEvent::ReplicaFailed { tick, node });
+                            rec.counter("scenario.replica_failures", 1);
+                            rec.event(
+                                "replica_failed",
+                                &[("tick", tick.into()), ("node", node.into())],
+                            );
+                            excluded.push(node);
+                        } else if mgr.quarantine_candidate(node).is_ok() {
+                            trace.push(TraceEvent::Quarantined { tick, node });
+                            rec.counter("scenario.quarantines", 1);
+                            rec.event(
+                                "quarantined",
+                                &[("tick", tick.into()), ("node", node.into())],
+                            );
+                            excluded.push(node);
+                        }
+                    }
+                    // … and nodes no longer detected come back.
+                    let healed: Vec<usize> = excluded
+                        .iter()
+                        .copied()
+                        .filter(|node| !verdict.contains(node))
+                        .collect();
+                    for node in healed {
+                        mgr.restore_candidate(node)?;
+                        excluded.retain(|&e| e != node);
+                        trace.push(TraceEvent::Restored { tick, node });
+                        rec.counter("scenario.restores", 1);
+                        rec.event("restored", &[("tick", tick.into()), ("node", node.into())]);
+                    }
+                    // The degradation loop responds immediately: re-placement,
+                    // still gated by migration cost.
+                    rebalance_round(&mut mgr, &ctx, &mut trace, &mut replacements, rec)?;
                 }
-                // … and nodes no longer detected come back.
-                let healed: Vec<usize> = excluded
-                    .iter()
-                    .copied()
-                    .filter(|node| !verdict.contains(node))
-                    .collect();
-                for node in healed {
-                    mgr.restore_candidate(node)?;
-                    excluded.retain(|&e| e != node);
-                    trace.push(TraceEvent::Restored { tick, node });
-                    rec.counter("scenario.restores", 1);
-                    rec.event("restored", &[("tick", tick.into()), ("node", node.into())]);
+            }
+
+            // Demand: every client the coordinator can currently hear from,
+            // recorded on this thread.
+            for (coord, weight) in ctx.demand() {
+                mgr.record_access(coord, weight);
+            }
+
+            // Truth-score this tick.
+            let (mean, unreachable) =
+                fault_aware_delay(matrix, mgr.placement(), &scoring_plan, now);
+            timeline.push(TimelinePoint {
+                tick,
+                mean_delay_ms: mean,
+                unreachable,
+            });
+            if rec.enabled() {
+                if let Some(ms) = mean {
+                    rec.observe("tick.mean_delay_ms", ms);
                 }
-                // The degradation loop responds immediately: re-placement,
-                // still gated by migration cost.
+                rec.counter("tick.unreachable", unreachable as u64);
+            }
+
+            if (tick + 1) % cfg.rebalance_every == 0 {
                 rebalance_round(&mut mgr, &ctx, &mut trace, &mut replacements, rec)?;
             }
         }
 
-        // Demand: every client the coordinator can currently hear from,
-        // recorded on this thread.
-        for (coord, weight) in ctx.demand() {
-            mgr.record_access(coord, weight);
-        }
+        let mut final_placement: Vec<usize> = mgr.placement().to_vec();
+        final_placement.sort_unstable();
+        let final_delay_ms = problem.mean_delay(mgr.placement())?;
+        let peak_delay_ms = timeline
+            .iter()
+            .filter(|t| t.tick >= p)
+            .filter_map(|t| t.mean_delay_ms)
+            .fold(0.0, f64::max);
+        let trace_hash = fnv1a(FNV_OFFSET, format!("{trace:?}").as_bytes());
 
-        // Truth-score this tick.
-        let (mean, unreachable) = fault_aware_delay(matrix, mgr.placement(), &scoring_plan, now);
-        timeline.push(TimelinePoint {
-            tick,
-            mean_delay_ms: mean,
-            unreachable,
-        });
+        // Flush the lower layers' always-on tallies into the recorder once per
+        // run (the hot paths themselves never pay recorder dispatch).
         if rec.enabled() {
-            if let Some(ms) = mean {
-                rec.observe("tick.mean_delay_ms", ms);
-            }
-            rec.counter("tick.unreachable", unreachable as u64);
+            let ms = mgr.stats();
+            rec.counter("manager.accesses", ms.accesses);
+            rec.counter("manager.rounds", ms.rounds);
+            rec.counter("manager.replicas_moved", ms.replicas_moved);
+            rec.counter("manager.summary_bytes", ms.summary_bytes);
+            let ss = mgr.stream_stats();
+            rec.counter("stream.absorbed", ss.absorbed);
+            rec.counter("stream.created", ss.created);
+            rec.counter("stream.merged", ss.merged);
+            let ks = mgr.kmeans_stats();
+            rec.counter("kmeans.restarts", ks.restarts);
+            rec.counter("kmeans.iterations", ks.iterations);
+            rec.counter("kmeans.pruned_upper", ks.pruned_upper);
+            rec.counter("kmeans.pruned_tightened", ks.pruned_tightened);
+            rec.counter("kmeans.full_scans", ks.full_scans);
+            rec.event(
+                "scenario.end",
+                &[
+                    ("scenario", kind.name().into()),
+                    ("replacements", replacements.into()),
+                    ("messages_dropped", messages_dropped.into()),
+                    ("retries", retries.into()),
+                    ("peak_delay_ms", peak_delay_ms.into()),
+                ],
+            );
         }
 
-        if (tick + 1) % cfg.rebalance_every == 0 {
-            rebalance_round(&mut mgr, &ctx, &mut trace, &mut replacements, rec)?;
-        }
+        Ok(ScenarioReport {
+            name: kind.name(),
+            timeline,
+            trace,
+            pre_fault_placement,
+            final_placement,
+            pre_fault_delay_ms,
+            final_delay_ms,
+            peak_delay_ms,
+            replacements,
+            messages_dropped,
+            retries,
+            trace_hash,
+        })
     }
-
-    let mut final_placement: Vec<usize> = mgr.placement().to_vec();
-    final_placement.sort_unstable();
-    let final_delay_ms = problem.mean_delay(mgr.placement())?;
-    let peak_delay_ms = timeline
-        .iter()
-        .filter(|t| t.tick >= p)
-        .filter_map(|t| t.mean_delay_ms)
-        .fold(0.0, f64::max);
-    let trace_hash = fnv1a(FNV_OFFSET, format!("{trace:?}").as_bytes());
-
-    // Flush the lower layers' always-on tallies into the recorder once per
-    // run (the hot paths themselves never pay recorder dispatch).
-    if rec.enabled() {
-        let ms = mgr.stats();
-        rec.counter("manager.accesses", ms.accesses);
-        rec.counter("manager.rounds", ms.rounds);
-        rec.counter("manager.replicas_moved", ms.replicas_moved);
-        rec.counter("manager.summary_bytes", ms.summary_bytes);
-        let ss = mgr.stream_stats();
-        rec.counter("stream.absorbed", ss.absorbed);
-        rec.counter("stream.created", ss.created);
-        rec.counter("stream.merged", ss.merged);
-        let ks = mgr.kmeans_stats();
-        rec.counter("kmeans.restarts", ks.restarts);
-        rec.counter("kmeans.iterations", ks.iterations);
-        rec.counter("kmeans.pruned_upper", ks.pruned_upper);
-        rec.counter("kmeans.pruned_tightened", ks.pruned_tightened);
-        rec.counter("kmeans.full_scans", ks.full_scans);
-        rec.event(
-            "scenario.end",
-            &[
-                ("scenario", kind.name().into()),
-                ("replacements", replacements.into()),
-                ("messages_dropped", messages_dropped.into()),
-                ("retries", retries.into()),
-                ("peak_delay_ms", peak_delay_ms.into()),
-            ],
-        );
-    }
-
-    Ok(ScenarioReport {
-        name: kind.name(),
-        timeline,
-        trace,
-        pre_fault_placement,
-        final_placement,
-        pre_fault_delay_ms,
-        final_delay_ms,
-        peak_delay_ms,
-        replacements,
-        messages_dropped,
-        retries,
-        trace_hash,
-    })
 }
 
 /// What one tick's demand and re-placement read: the population, the fault
@@ -852,35 +894,29 @@ fn build_faults(
     targets.sort_unstable_by(|a, b| b.cmp(a));
     let primary = targets.first().copied().unwrap_or(n - 1);
     let secondary = targets.get(1).copied().unwrap_or(n - 2);
-    let empty = Faults {
-        crashes: Vec::new(),
-        partition_a: Vec::new(),
-        lossy: Vec::new(),
-        surges: Vec::new(),
-    };
     match kind {
         ScenarioKind::SingleDcCrash => Faults {
             crashes: vec![(primary, p, 2 * p)],
-            ..empty
+            ..Faults::default()
         },
         ScenarioKind::FlappingLink => Faults {
             lossy: vec![(primary, secondary, 0.5)],
-            ..empty
+            ..Faults::default()
         },
         ScenarioKind::Partition5050 => Faults {
             // The coordinator's side is the lower half.
             partition_a: (0..n / 2).collect(),
-            ..empty
+            ..Faults::default()
         },
         ScenarioKind::RegionalLatencySurge => Faults {
             surges: vec![((n / 2..n).collect(), 3.0)],
-            ..empty
+            ..Faults::default()
         },
         ScenarioKind::RollingRecovery => Faults {
             // Overlapping windows: primary dies first and recovers while
             // secondary is still dark.
             crashes: vec![(primary, p, p + (3 * p) / 4), (secondary, p + p / 4, 2 * p)],
-            ..empty
+            ..Faults::default()
         },
     }
 }
@@ -889,6 +925,7 @@ fn build_faults(
 mod tests {
     use super::*;
     use georep_net::topology::{Topology, TopologyConfig};
+    use std::sync::OnceLock;
 
     fn matrix(n: usize) -> RttMatrix {
         Topology::generate(TopologyConfig {
@@ -910,10 +947,23 @@ mod tests {
         }
     }
 
+    /// The 24-node topology, embedded once under [`quick_cfg`] for every
+    /// test that runs a scenario.
+    fn prepared() -> &'static Prepared<'static> {
+        static MATRIX: OnceLock<RttMatrix> = OnceLock::new();
+        static PREPARED: OnceLock<Prepared<'static>> = OnceLock::new();
+        PREPARED.get_or_init(|| {
+            prepare(MATRIX.get_or_init(|| matrix(24)), &quick_cfg()).expect("valid setup")
+        })
+    }
+
+    fn run(kind: ScenarioKind, cfg: ScenarioConfig) -> Result<ScenarioReport, ScenarioError> {
+        prepared().run(kind, cfg, &NullRecorder)
+    }
+
     #[test]
     fn single_crash_detects_fails_over_and_recovers() {
-        let m = matrix(24);
-        let report = run_scenario(&m, ScenarioKind::SingleDcCrash, quick_cfg()).unwrap();
+        let report = run(ScenarioKind::SingleDcCrash, quick_cfg()).unwrap();
         assert!(
             report
                 .trace
@@ -945,8 +995,7 @@ mod tests {
 
     #[test]
     fn flapping_link_retries_without_failover() {
-        let m = matrix(24);
-        let report = run_scenario(&m, ScenarioKind::FlappingLink, quick_cfg()).unwrap();
+        let report = run(ScenarioKind::FlappingLink, quick_cfg()).unwrap();
         assert!(report.messages_dropped > 0, "the lossy link must drop");
         assert!(
             !report
@@ -962,16 +1011,15 @@ mod tests {
     /// decentralized one.
     #[test]
     fn scenario_is_deterministic_and_thread_count_invariant() {
-        let m = matrix(24);
-        let run = |mode| {
+        let once = |mode| {
             let cfg = ScenarioConfig {
                 mode,
                 ..quick_cfg()
             };
-            run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap()
+            run(ScenarioKind::SingleDcCrash, cfg).unwrap()
         };
         for mode in [PlacementMode::Reactive, PlacementMode::Decentralized] {
-            assert_eq!(run(mode), run(mode), "{mode:?}");
+            assert_eq!(once(mode), once(mode), "{mode:?}");
         }
     }
 
@@ -979,12 +1027,11 @@ mod tests {
     /// second run with the same inputs gives the identical report.
     #[test]
     fn decentralized_mode_survives_a_crash_and_stays_thread_invariant() {
-        let m = matrix(24);
         let cfg = ScenarioConfig {
             mode: PlacementMode::Decentralized,
             ..quick_cfg()
         };
-        let base = run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap();
+        let base = run(ScenarioKind::SingleDcCrash, cfg).unwrap();
         assert_eq!(base.timeline.len(), 12);
         assert!(
             base.trace
@@ -999,31 +1046,43 @@ mod tests {
                 .any(|e| matches!(e, TraceEvent::Rebalance { .. })),
             "gossip-solved rebalances must appear in the trace"
         );
-        let again = run_scenario(&m, ScenarioKind::SingleDcCrash, cfg).unwrap();
+        let again = run(ScenarioKind::SingleDcCrash, cfg).unwrap();
         assert_eq!(again, base);
+    }
+
+    /// Both steps make the one setup check: `prepare` rejects `cfg` on the
+    /// smallest matrix it accepts, and a run on the held embedding rejects
+    /// it too.
+    fn rejected_at_setup(cfg: ScenarioConfig) -> bool {
+        matches!(prepare(&matrix(12), &cfg), Err(ScenarioError::Setup(_)))
+            && matches!(
+                run(ScenarioKind::SingleDcCrash, cfg),
+                Err(ScenarioError::Setup(_))
+            )
     }
 
     #[test]
     fn too_small_inputs_rejected() {
-        let m = matrix(12);
-        assert!(matches!(
-            run_scenario(
-                &m,
-                ScenarioKind::SingleDcCrash,
-                ScenarioConfig {
-                    k: 1,
-                    ..quick_cfg()
-                }
-            ),
-            Err(ScenarioError::Setup(_))
-        ));
+        assert!(rejected_at_setup(ScenarioConfig {
+            k: 1,
+            ..quick_cfg()
+        }));
     }
 
-    fn rejected_at_setup(cfg: ScenarioConfig) -> bool {
-        matches!(
-            run_scenario(&matrix(12), ScenarioKind::SingleDcCrash, cfg),
-            Err(ScenarioError::Setup(_))
-        )
+    /// A run must use the embedding it holds: a config that is valid on its
+    /// own but asks for another seed or embed duration is a setup error.
+    #[test]
+    fn a_config_off_the_prepared_embedding_is_rejected() {
+        let (mut seed, mut embed) = (quick_cfg(), quick_cfg());
+        seed.seed += 1;
+        embed.embed_duration = SimDuration::from_secs(21.0);
+        for cfg in [seed, embed] {
+            assert!(validate(24, &prepared().candidates, &cfg).is_ok());
+            assert!(matches!(
+                run(ScenarioKind::SingleDcCrash, cfg),
+                Err(ScenarioError::Setup(_))
+            ));
+        }
     }
 
     #[test]

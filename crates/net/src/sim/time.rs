@@ -31,13 +31,9 @@ impl SimTime {
     ///
     /// # Panics
     ///
-    /// Panics if `ms` is negative or not finite.
+    /// Panics if `ms` is negative, not finite, or past [`SimTime::MAX`].
     pub fn from_ms(ms: f64) -> Self {
-        assert!(
-            ms.is_finite() && ms >= 0.0,
-            "time must be finite and non-negative, got {ms}"
-        );
-        SimTime((ms * 1_000.0).round() as u64)
+        SimTime(SimDuration::from_ms(ms).0)
     }
 
     /// Microseconds since the epoch.
@@ -91,24 +87,30 @@ impl SimDuration {
         SimDuration(micros)
     }
 
+    /// Creates a duration from milliseconds, rounded to whole microseconds;
+    /// `None` when `ms` is negative, not finite, or more than `u64::MAX` µs.
+    pub fn checked_from_ms(ms: f64) -> Option<Self> {
+        let micros = (ms * 1_000.0).round();
+        // `u64::MAX as f64` rounds up to 2^64, the first value off the clock.
+        (ms >= 0.0 && micros < u64::MAX as f64).then_some(SimDuration(micros as u64))
+    }
+
     /// Creates a duration from milliseconds.
     ///
     /// # Panics
     ///
-    /// Panics if `ms` is negative or not finite.
+    /// Panics if `ms` is negative, not finite, or more than `u64::MAX` µs.
     pub fn from_ms(ms: f64) -> Self {
-        assert!(
-            ms.is_finite() && ms >= 0.0,
-            "duration must be finite and non-negative, got {ms}"
-        );
-        SimDuration((ms * 1_000.0).round() as u64)
+        Self::checked_from_ms(ms).unwrap_or_else(|| {
+            panic!("duration must be finite, non-negative and at most u64::MAX µs, got {ms}")
+        })
     }
 
     /// Creates a duration from seconds.
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative or not finite.
+    /// Panics if `secs` is negative, not finite, or more than `u64::MAX` µs.
     pub fn from_secs(secs: f64) -> Self {
         Self::from_ms(secs * 1_000.0)
     }
@@ -233,6 +235,16 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_ms_rejected() {
         let _ = SimDuration::from_ms(-1.0);
+    }
+
+    /// A finite value past the clock is rejected like a negative one, not
+    /// clamped to `u64::MAX` µs.
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn ms_beyond_the_clock_rejected() {
+        assert!(SimDuration::checked_from_ms(1.8e16).is_some());
+        assert_eq!(SimDuration::checked_from_ms(1e20), None);
+        let _ = SimTime::from_ms(1e20);
     }
 
     #[test]

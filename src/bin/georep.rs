@@ -157,13 +157,14 @@ fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
     })
 }
 
-/// `--duration`, rejected unless finite and non-negative.
+/// `--duration`, rejected unless finite, non-negative and within the
+/// simulated clock.
 fn duration_ms(opts: &Options) -> Result<f64, String> {
-    if opts.duration.is_finite() && opts.duration >= 0.0 {
+    if SimDuration::checked_from_ms(opts.duration).is_some() {
         Ok(opts.duration)
     } else {
         Err(format!(
-            "--duration must be finite and non-negative, got {}",
+            "--duration must be finite, non-negative and at most u64::MAX µs, got {}",
             opts.duration
         ))
     }
@@ -445,8 +446,10 @@ mod tests {
     fn simulate_rejects_zero_k_and_unusable_duration() {
         let o = parse(&["--k", "0", "--nodes", "40", "--dcs", "5"]).unwrap();
         assert!(cmd_simulate(&o).is_err());
-        let o = parse(&["--duration", "inf", "--nodes", "40", "--dcs", "5"]).unwrap();
-        assert!(cmd_simulate(&o).is_err());
+        for duration in ["inf", "1e20"] {
+            let o = parse(&["--duration", duration, "--nodes", "40", "--dcs", "5"]).unwrap();
+            assert!(cmd_simulate(&o).is_err(), "{duration}");
+        }
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! CI-gated robustness suite over the named fault scenarios.
 //!
-//! Two invariants hold for every scenario in
+//! The suite embeds its one topology once ([`scenario::prepare`]) and runs
+//! every kind on that embedding. Two invariants hold for every scenario in
 //! [`georep_core::scenario::ALL_SCENARIOS`]:
 //!
-//! 1. **Determinism** — a scenario run is a pure function of
-//!    `(matrix, kind, config)` and spawns nothing, so the reactive and the
-//!    decentralized modes are each pinned same-config-twice: not a single
-//!    bit of the report may move (trace, timeline, placements, hash).
+//! 1. **Determinism** — a run is a pure function of
+//!    `(prepared embedding, kind, config)` and spawns nothing, so the
+//!    reactive and the decentralized modes are each pinned
+//!    same-config-twice: not a single bit of the report may move (trace,
+//!    timeline, placements, hash). Two checked-in fingerprints, computed
+//!    when every run embedded afresh, pin the held embedding's reports to
+//!    what [`georep_core::scenario::run_scenario`] returns.
 //! 2. **Recovery** — once every fault window closes and quarantined data
 //!    centers are restored, the cost-gated re-placement loop must bring
 //!    the true mean client delay back within ε of the pre-fault optimum.
 //!
-//! A third test attaches an `InMemoryRecorder` and requires the identical
+//! A further test attaches an `InMemoryRecorder` and requires the identical
 //! report plus non-empty, run-to-run identical telemetry. The wall time of
 //! a scenario run is `core.scenario.run_ms_p50` on the repo benchmark's
 //! `decide_mesh` workload.
 
+use std::sync::OnceLock;
+
 use georep_core::scenario::{
-    run_scenario, run_scenario_with_recorder, ScenarioConfig, ScenarioKind, ALL_SCENARIOS,
+    self, Prepared, ScenarioConfig, ScenarioKind, ScenarioReport, ALL_SCENARIOS,
 };
 use georep_core::strategy::predictive::PlacementMode;
-use georep_core::telemetry::InMemoryRecorder;
+use georep_core::telemetry::{InMemoryRecorder, NullRecorder};
+use georep_net::rtt::RttMatrix;
 use georep_net::sim::SimDuration;
 use georep_net::topology::{Topology, TopologyConfig};
 
@@ -29,14 +36,17 @@ use georep_net::topology::{Topology, TopologyConfig};
 /// so exact equality is not guaranteed — closeness is.
 const EPSILON: f64 = 0.15;
 
-fn matrix(nodes: usize) -> georep_net::rtt::RttMatrix {
-    Topology::generate(TopologyConfig {
-        nodes,
-        seed: 11,
-        ..Default::default()
+fn matrix() -> &'static RttMatrix {
+    static MATRIX: OnceLock<RttMatrix> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        Topology::generate(TopologyConfig {
+            nodes: 24,
+            seed: 11,
+            ..Default::default()
+        })
+        .expect("topology generates for n ≥ 2")
+        .into_matrix()
     })
-    .expect("topology generates for n ≥ 2")
-    .into_matrix()
 }
 
 fn suite_cfg() -> ScenarioConfig {
@@ -47,6 +57,18 @@ fn suite_cfg() -> ScenarioConfig {
         detect_duration: SimDuration::from_secs(25.0),
         ..Default::default()
     }
+}
+
+/// The suite's topology, embedded once under [`suite_cfg`].
+fn prepared() -> &'static Prepared<'static> {
+    static PREPARED: OnceLock<Prepared<'static>> = OnceLock::new();
+    PREPARED.get_or_init(|| scenario::prepare(matrix(), &suite_cfg()).expect("valid setup"))
+}
+
+fn run(kind: ScenarioKind, cfg: ScenarioConfig) -> ScenarioReport {
+    prepared()
+        .run(kind, cfg, &NullRecorder)
+        .unwrap_or_else(|e| panic!("{} does not run: {e:?}", kind.name()))
 }
 
 /// FNV-1a over the `{:?}` of every kind's reactive report, in
@@ -69,10 +91,11 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// Each kind runs twice per mode, reactive and decentralized, and the
 /// second run's report and trace hash equal the first's. The reports also
 /// fold into [`REACTIVE_REPORTS_FINGERPRINT`] and
-/// [`DECENTRALIZED_REPORTS_FINGERPRINT`].
+/// [`DECENTRALIZED_REPORTS_FINGERPRINT`]. Both were computed when each run
+/// embedded the topology afresh, so they also pin every report on the held
+/// embedding, field for field, to the one `run_scenario` returns.
 #[test]
 fn reports_are_bit_identical_across_1_2_and_8_threads() {
-    let m = matrix(24);
     let mut reactive = 0xCBF2_9CE4_8422_2325;
     let mut decentralized = reactive;
     for kind in ALL_SCENARIOS {
@@ -81,9 +104,8 @@ fn reports_are_bit_identical_across_1_2_and_8_threads() {
                 mode,
                 ..suite_cfg()
             };
-            let base = run_scenario(&m, kind, cfg)
-                .unwrap_or_else(|e| panic!("{} does not run: {e:?}", kind.name()));
-            let again = run_scenario(&m, kind, cfg).expect("scenario runs");
+            let base = run(kind, cfg);
+            let again = run(kind, cfg);
             assert_eq!(again, base, "{} {mode:?}: rerun diverged", kind.name());
             assert_eq!(
                 again.trace_hash,
@@ -114,12 +136,12 @@ fn reports_are_bit_identical_across_1_2_and_8_threads() {
 /// report, and what the recorder captures must itself be deterministic.
 #[test]
 fn reports_are_bit_identical_with_a_recorder_attached() {
-    let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let plain = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
+        let plain = run(kind, suite_cfg());
         let rec = InMemoryRecorder::new();
-        let recorded =
-            run_scenario_with_recorder(&m, kind, suite_cfg(), &rec).expect("scenario runs");
+        let recorded = prepared()
+            .run(kind, suite_cfg(), &rec)
+            .expect("scenario runs");
         assert_eq!(
             recorded,
             plain,
@@ -141,8 +163,9 @@ fn reports_are_bit_identical_with_a_recorder_attached() {
 
         // And the captured telemetry is a pure function of the run.
         let rec2 = InMemoryRecorder::new();
-        let again =
-            run_scenario_with_recorder(&m, kind, suite_cfg(), &rec2).expect("scenario runs");
+        let again = prepared()
+            .run(kind, suite_cfg(), &rec2)
+            .expect("scenario runs");
         assert_eq!(again, plain);
         assert_eq!(
             rec.counters(),
@@ -161,9 +184,8 @@ fn reports_are_bit_identical_with_a_recorder_attached() {
 
 #[test]
 fn post_recovery_delay_returns_within_epsilon_of_the_pre_fault_optimum() {
-    let m = matrix(24);
     for kind in ALL_SCENARIOS {
-        let report = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
+        let report = run(kind, suite_cfg());
         assert!(
             report.pre_fault_delay_ms > 0.0,
             "{}: pre-fault baseline must be positive",
@@ -191,9 +213,8 @@ fn post_recovery_delay_returns_within_epsilon_of_the_pre_fault_optimum() {
 #[test]
 fn crash_scenarios_fail_over_and_restore() {
     use georep_core::scenario::TraceEvent;
-    let m = matrix(24);
     for kind in [ScenarioKind::SingleDcCrash, ScenarioKind::RollingRecovery] {
-        let report = run_scenario(&m, kind, suite_cfg()).expect("scenario runs");
+        let report = run(kind, suite_cfg());
         let failed = report
             .trace
             .iter()

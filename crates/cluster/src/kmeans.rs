@@ -65,6 +65,10 @@ impl fmt::Display for ClusterError {
 
 impl Error for ClusterError {}
 
+/// Convergence threshold on total centroid movement per Lloyd iteration,
+/// in coordinate units (milliseconds).
+pub(crate) const TOLERANCE: f64 = 1e-3;
+
 /// Parameters of a K-means run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
@@ -72,9 +76,6 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Maximum Lloyd iterations.
     pub max_iters: usize,
-    /// Convergence threshold on total centroid movement (in coordinate
-    /// units, i.e. milliseconds).
-    pub tolerance: f64,
     /// Seed for the k-means++ initialization.
     pub seed: u64,
     /// Number of independent restarts; the run with the lowest SSE wins.
@@ -91,7 +92,6 @@ impl KMeansConfig {
         KMeansConfig {
             k,
             max_iters: 1,
-            tolerance: 1e-3,
             seed: 0x5EED,
             restarts: 1,
         }
@@ -561,15 +561,11 @@ fn lloyd_once<const D: usize>(
             // The assignment vector is identical to the previous
             // iteration's and no repair rewrote a centroid, so recomputing
             // the sums would re-add the exact same terms in the exact same
-            // order: every centroid lands bit-for-bit where it already is,
-            // the movement the naive code would measure is exactly 0.0 and
-            // every delta exactly (0 + 0)·up = 0.0. Skip the O(n·D) update.
-            delta.fill(0.0);
-            if 0.0 <= cfg.tolerance {
-                converged = true;
-                break;
-            }
-            continue;
+            // order: every centroid lands bit-for-bit where it already is
+            // and the movement the naive code would measure is exactly 0.0,
+            // within TOLERANCE. Skip the O(n·D) update: the run converged.
+            converged = true;
+            break;
         }
 
         // Update step: the naive weighted-mean update, operation for
@@ -615,7 +611,7 @@ fn lloyd_once<const D: usize>(
             delta[c] = (euclid + dh) * up;
         }
 
-        if movement <= cfg.tolerance {
+        if movement <= TOLERANCE {
             converged = true;
             break;
         }

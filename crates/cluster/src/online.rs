@@ -11,15 +11,15 @@
 //! single access and therefore has standard deviation zero, which would
 //! prevent it from ever absorbing anything. Following the CluStream
 //! tradition the absorb threshold is therefore
-//! `max(radius_factor × σ, min_radius)`, with a small `min_radius` floor
-//! (5 ms by default — populations closer than that are indistinguishable
-//! for placement purposes anyway).
+//! `max(RADIUS_FACTOR × σ, MIN_RADIUS)`, with a small `MIN_RADIUS` floor
+//! (5 ms — populations closer than that are indistinguishable for placement
+//! purposes anyway).
 //!
 //! This is the hottest path in the system (one call per client access), so
 //! the implementation leans on two caches with *bit-identical* behaviour to
 //! the plain version preserved in [`crate::reference`]: micro-clusters keep
 //! their centroid and radius precomputed (see [`MicroCluster`]), and a
-//! [`PairCache`] keeps per-cluster nearest-forward-neighbor records so the
+//! `PairCache` keeps per-cluster nearest-forward-neighbor records so the
 //! overflow merge is an amortized update instead of a fresh O(m²) sweep.
 
 use georep_coord::Coord;
@@ -27,32 +27,11 @@ use georep_coord::Coord;
 use crate::micro::MicroCluster;
 use crate::point::WeightedPoint;
 
-/// Tuning constants for [`OnlineClusterer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineConfig {
-    /// Maximum number of micro-clusters (`m` in the paper).
-    pub max_clusters: usize,
-    /// Multiplier on the cluster's RMS deviation in the absorb test.
-    pub radius_factor: f64,
-    /// Lower bound on the absorb threshold, in coordinate units (ms).
-    pub min_radius: f64,
-}
+/// Multiplier on a micro-cluster's RMS deviation in the absorb test.
+pub(crate) const RADIUS_FACTOR: f64 = 1.0;
 
-impl OnlineConfig {
-    /// Default tuning for `m` micro-clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn new(m: usize) -> Self {
-        assert!(m > 0, "at least one micro-cluster is required");
-        OnlineConfig {
-            max_clusters: m,
-            radius_factor: 1.0,
-            min_radius: 5.0,
-        }
-    }
-}
+/// Lower bound on the absorb threshold, in coordinate units (ms).
+pub(crate) const MIN_RADIUS: f64 = 5.0;
 
 /// Lifetime accounting of the summarizer's structural decisions: how many
 /// accesses were absorbed into an existing micro-cluster, how many opened a
@@ -301,7 +280,8 @@ fn forward_scan<const D: usize>(clusters: &[MicroCluster<D>], r: usize) -> (usiz
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineClusterer<const D: usize> {
-    config: OnlineConfig,
+    /// Maximum number of micro-clusters (`m` in the paper).
+    m: usize,
     clusters: Vec<MicroCluster<D>>,
     observed: u64,
     stats: StreamStats,
@@ -316,54 +296,26 @@ pub struct OnlineClusterer<const D: usize> {
 // derived before the caches existed.
 impl<const D: usize> PartialEq for OnlineClusterer<D> {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.clusters == other.clusters
-            && self.observed == other.observed
+        self.m == other.m && self.clusters == other.clusters && self.observed == other.observed
     }
 }
 
 impl<const D: usize> OnlineClusterer<D> {
-    /// A summarizer with default tuning and at most `m` micro-clusters.
+    /// A summarizer with at most `m` micro-clusters.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn new(m: usize) -> Self {
-        Self::with_config(OnlineConfig::new(m))
-    }
-
-    /// A summarizer with explicit tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_clusters` is zero, `radius_factor` is not positive, or
-    /// `min_radius` is negative.
-    pub fn with_config(config: OnlineConfig) -> Self {
-        assert!(
-            config.max_clusters > 0,
-            "at least one micro-cluster is required"
-        );
-        assert!(
-            config.radius_factor.is_finite() && config.radius_factor > 0.0,
-            "radius_factor must be positive"
-        );
-        assert!(
-            config.min_radius.is_finite() && config.min_radius >= 0.0,
-            "min_radius must be non-negative"
-        );
+        assert!(m > 0, "at least one micro-cluster is required");
         OnlineClusterer {
-            clusters: Vec::with_capacity(config.max_clusters),
-            pairs: PairCache::new(config.max_clusters),
-            scan: Vec::with_capacity(config.max_clusters.saturating_add(1)),
-            config,
+            m,
+            clusters: Vec::with_capacity(m),
             observed: 0,
             stats: StreamStats::default(),
+            pairs: PairCache::new(m),
+            scan: Vec::with_capacity(m.saturating_add(1)),
         }
-    }
-
-    /// The tuning in effect.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.config
     }
 
     /// Current number of micro-clusters (`≤ m`).
@@ -466,7 +418,7 @@ impl<const D: usize> OnlineClusterer<D> {
         }
         self.clusters.push(cluster);
         self.pairs.push_with_distances(&self.scan);
-        if self.clusters.len() > self.config.max_clusters {
+        if self.clusters.len() > self.m {
             self.merge_closest_pair();
         }
     }
@@ -505,8 +457,7 @@ impl<const D: usize> OnlineClusterer<D> {
             }
         }
 
-        let threshold = (self.config.radius_factor * self.clusters[nearest_idx].radius())
-            .max(self.config.min_radius);
+        let threshold = (RADIUS_FACTOR * self.clusters[nearest_idx].radius()).max(MIN_RADIUS);
 
         if nearest_dist <= threshold {
             self.stats.absorbed += 1;
@@ -516,7 +467,7 @@ impl<const D: usize> OnlineClusterer<D> {
             self.stats.created += 1;
             self.clusters.push(MicroCluster::from_access(coord, weight));
             self.pairs.push_with_distances(&self.scan);
-            if self.clusters.len() > self.config.max_clusters {
+            if self.clusters.len() > self.m {
                 self.merge_closest_pair();
             }
         }
@@ -629,30 +580,25 @@ mod tests {
 
     #[test]
     fn radius_grows_then_absorbs_wider() {
-        let mut oc: OnlineClusterer<1> = OnlineClusterer::with_config(OnlineConfig {
-            max_clusters: 4,
-            radius_factor: 1.0,
-            min_radius: 9.0,
-        });
-        // Feed a population spread over ±8, widening outward from 0 (every
-        // point stays within the 9 ms floor of the single cluster's
+        let mut oc: OnlineClusterer<1> = OnlineClusterer::new(4);
+        // Feed a population spread over ±4, widening outward from 0 (every
+        // point stays within the MIN_RADIUS floor of the single cluster's
         // centroid): one cluster absorbs everything and its radius converges
-        // to the true spread (σ of Uniform{-8..8} ≈ 4.9).
-        for round in 0..12 {
-            for i in 0..17 {
+        // to the true spread (σ of Uniform{-4..4} ≈ 2.58).
+        for _ in 0..12 {
+            for i in 0..9 {
                 let x = if i % 2 == 0 {
                     (i / 2) as f64
                 } else {
                     -((i / 2 + 1) as f64)
                 };
-                let _ = round;
                 oc.observe(Coord::new([x]), 1.0);
             }
         }
         assert_eq!(oc.len(), 1);
-        assert_eq!(oc.total_count(), 12 * 17);
+        assert_eq!(oc.total_count(), 12 * 9);
         let r = oc.clusters()[0].radius();
-        assert!((r - 4.9).abs() < 1.0, "radius {r}");
+        assert!((r - 2.58).abs() < 0.5, "radius {r}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The pre-refactor streaming implementations, kept verbatim.
 //!
-//! The bounds-pruned Lloyd in [`crate::kmeans`] and the cached/incremental
+//! The bounds-pruned Lloyd in [`crate::kmeans`](mod@crate::kmeans) and the cached/incremental
 //! online clusterer in [`crate::online`] are *bit-for-bit* equivalence
 //! refactors: same assignments, same SSE, same micro-cluster accumulators,
 //! down to the last `f64` bit. This module preserves the straightforward
@@ -17,9 +17,9 @@ use georep_coord::Coord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kmeans::{seed_plus_plus, ClusterError, Clustering, KMeansConfig};
+use crate::kmeans::{seed_plus_plus, ClusterError, Clustering, KMeansConfig, TOLERANCE};
 use crate::micro::MicroCluster;
-use crate::online::OnlineConfig;
+use crate::online::{MIN_RADIUS, RADIUS_FACTOR};
 use crate::point::WeightedPoint;
 
 // ---- Weighted k-means: serial restarts, full-scan Lloyd. ----
@@ -97,7 +97,7 @@ fn lloyd_once_reference<const D: usize>(
             centroids[c] = next;
         }
 
-        if movement <= cfg.tolerance {
+        if movement <= TOLERANCE {
             converged = true;
             break;
         }
@@ -261,7 +261,7 @@ impl<const D: usize> ReferenceMicroCluster<D> {
 /// O(m²) closest-pair sweep on every overflow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceOnlineClusterer<const D: usize> {
-    config: OnlineConfig,
+    m: usize,
     clusters: Vec<ReferenceMicroCluster<D>>,
     observed: u64,
 }
@@ -269,14 +269,10 @@ pub struct ReferenceOnlineClusterer<const D: usize> {
 impl<const D: usize> ReferenceOnlineClusterer<D> {
     /// See [`crate::online::OnlineClusterer::new`].
     pub fn new(m: usize) -> Self {
-        Self::with_config(OnlineConfig::new(m))
-    }
-
-    /// See [`crate::online::OnlineClusterer::with_config`].
-    pub fn with_config(config: OnlineConfig) -> Self {
+        assert!(m > 0, "at least one micro-cluster is required");
         ReferenceOnlineClusterer {
-            clusters: Vec::with_capacity(config.max_clusters),
-            config,
+            m,
+            clusters: Vec::with_capacity(m),
             observed: 0,
         }
     }
@@ -313,7 +309,7 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
     /// `observed` untouched) plus the overflow merge.
     pub fn absorb_cluster(&mut self, cluster: ReferenceMicroCluster<D>) {
         self.clusters.push(cluster);
-        if self.clusters.len() > self.config.max_clusters {
+        if self.clusters.len() > self.m {
             self.merge_closest_pair();
         }
     }
@@ -339,15 +335,14 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("clusters is non-empty");
 
-        let threshold = (self.config.radius_factor * self.clusters[nearest_idx].radius())
-            .max(self.config.min_radius);
+        let threshold = (RADIUS_FACTOR * self.clusters[nearest_idx].radius()).max(MIN_RADIUS);
 
         if nearest_dist <= threshold {
             self.clusters[nearest_idx].absorb(coord, weight);
         } else {
             self.clusters
                 .push(ReferenceMicroCluster::from_access(coord, weight));
-            if self.clusters.len() > self.config.max_clusters {
+            if self.clusters.len() > self.m {
                 self.merge_closest_pair();
             }
         }

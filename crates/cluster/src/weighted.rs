@@ -7,7 +7,7 @@
 //! the *clients* are — not where the micro-clusters happen to be.
 //!
 //! The solve itself is delegated to the bounds-pruned Lloyd core in
-//! [`crate::kmeans`]; results are bit-for-bit identical to the plain
+//! [`crate::kmeans`](mod@crate::kmeans); results are bit-for-bit identical to the plain
 //! full-scan solver preserved in [`crate::reference`], so callers can
 //! treat this as the same algorithm, merely faster. The exactness argument
 //! lives in DESIGN.md ("The streaming layer").

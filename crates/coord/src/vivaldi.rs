@@ -17,41 +17,30 @@ use crate::LatencyEstimator;
 /// positions in *different* random directions.
 static INSTANCE_NONCE: AtomicU64 = AtomicU64::new(0x9E3779B97F4A7C15);
 
-/// Tuning constants for [`Vivaldi`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Adaptive timestep constant `c_c`: the fraction of the force applied per
+/// sample. The Vivaldi paper recommends `0.25`.
+const CC: f64 = 0.25;
+
+/// Error-smoothing constant `c_e`. The Vivaldi paper recommends `0.25`.
+const CE: f64 = 0.25;
+
+/// Lower bound applied to heights under the height-vector model, in
+/// milliseconds. Keeps the height from collapsing to zero, which would let
+/// the spring system fold nodes on top of each other.
+const MIN_HEIGHT: f64 = 0.1;
+
+/// Model choice for [`Vivaldi`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VivaldiConfig {
-    /// Adaptive timestep constant `c_c` (fraction of the force applied per
-    /// sample). The Vivaldi paper recommends `0.25`.
-    pub cc: f64,
-    /// Error-smoothing constant `c_e`. The Vivaldi paper recommends `0.25`.
-    pub ce: f64,
     /// Whether coordinates carry a height component modelling access-link
     /// delay. Heights generally improve wide-area accuracy.
     pub use_height: bool,
-    /// Lower bound applied to heights when `use_height` is set, in
-    /// milliseconds. Keeps the height from collapsing to zero, which would
-    /// let the spring system fold nodes on top of each other.
-    pub min_height: f64,
-}
-
-impl Default for VivaldiConfig {
-    fn default() -> Self {
-        VivaldiConfig {
-            cc: 0.25,
-            ce: 0.25,
-            use_height: false,
-            min_height: 0.1,
-        }
-    }
 }
 
 impl VivaldiConfig {
     /// Configuration with the height-vector model enabled.
     pub fn with_height() -> Self {
-        VivaldiConfig {
-            use_height: true,
-            ..Self::default()
-        }
+        VivaldiConfig { use_height: true }
     }
 }
 
@@ -92,7 +81,7 @@ impl<const D: usize> Vivaldi<D> {
         Self::with_config(VivaldiConfig::default())
     }
 
-    /// A fresh node with explicit tuning constants.
+    /// A fresh node with an explicit model choice.
     pub fn with_config(config: VivaldiConfig) -> Self {
         let nonce = INSTANCE_NONCE.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
         Self::seeded(config, nonce)
@@ -106,7 +95,7 @@ impl<const D: usize> Vivaldi<D> {
     /// the seed from a process-wide counter instead.
     pub fn seeded(config: VivaldiConfig, seed: u64) -> Self {
         let coord = if config.use_height {
-            Coord::origin().with_height(config.min_height)
+            Coord::origin().with_height(MIN_HEIGHT)
         } else {
             Coord::origin()
         };
@@ -124,11 +113,6 @@ impl<const D: usize> Vivaldi<D> {
     /// Number of samples incorporated so far.
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// The configuration this node runs with.
-    pub fn config(&self) -> &VivaldiConfig {
-        &self.config
     }
 
     fn random_unit(&mut self) -> [f64; D] {
@@ -186,11 +170,11 @@ impl<const D: usize> LatencyEstimator<D> for Vivaldi<D> {
         let sample_err = (predicted - rtt_ms).abs() / rtt_ms;
 
         // Exponentially smooth our error estimate toward the sample error.
-        let alpha = self.config.ce * w;
+        let alpha = CE * w;
         self.error = (sample_err * alpha + self.error * (1.0 - alpha)).clamp(1e-6, 2.0);
 
         // Apply the spring force.
-        let delta = self.config.cc * w;
+        let delta = CC * w;
         let force = rtt_ms - predicted; // >0 pushes us away from the peer
         let dir = match self.coord.direction_from(&peer) {
             Some(d) => d,
@@ -205,8 +189,8 @@ impl<const D: usize> LatencyEstimator<D> for Vivaldi<D> {
             let sep = predicted.max(f64::EPSILON);
             let h_frac = (self.coord.height() + peer.height()) / sep;
             next = next.displace_height(delta * force * h_frac);
-            if next.height() < self.config.min_height {
-                next = Coord::new(*next.pos()).with_height(self.config.min_height);
+            if next.height() < MIN_HEIGHT {
+                next = Coord::new(*next.pos()).with_height(MIN_HEIGHT);
             }
         }
 
@@ -303,7 +287,7 @@ mod tests {
         for _ in 0..100 {
             v.observe(peer, 0.2, 1.0); // tiny RTT pulls heights down
         }
-        assert!(v.coordinate().height() >= v.config().min_height);
+        assert!(v.coordinate().height() >= MIN_HEIGHT);
     }
 
     #[test]

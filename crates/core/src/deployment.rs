@@ -32,6 +32,8 @@ use georep_net::sim::{Network, SimDuration, SimTime};
 
 use crate::experiment::DIMS;
 use crate::hash::splitmix64_next;
+use crate::objective::{CoordDelay, CostTable, IncrementalEval};
+use crate::strategy::greedy::greedy_fill;
 
 /// Parameters of a deployment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,30 +189,17 @@ impl DeployNode {
         if known.len() < self.cfg.k {
             return None;
         }
-        let mut best_est = vec![f64::INFINITY; pseudo.len()];
-        let mut chosen: Vec<(NodeId, Coord<DIMS>)> = Vec::new();
-        for _ in 0..self.cfg.k {
-            let mut best: Option<(usize, f64)> = None;
-            for (idx, (id, coord)) in known.iter().enumerate() {
-                if chosen.iter().any(|(c, _)| c == id) {
-                    continue;
-                }
-                let total: f64 = pseudo
-                    .iter()
-                    .zip(&best_est)
-                    .map(|(p, &cur)| p.weight * cur.min(coord.distance(&p.coord)))
-                    .sum();
-                if best.is_none_or(|(_, bt)| total < bt) {
-                    best = Some((idx, total));
-                }
-            }
-            let (idx, _) = best?;
-            chosen.push(known[idx]);
-            for (p, slot) in pseudo.iter().zip(best_est.iter_mut()) {
-                *slot = slot.min(known[idx].1.distance(&p.coord));
-            }
-        }
-        Some(chosen)
+        // Adverts are unique per candidate (a duplicated id never gets its
+        // advert slot filled), so slot `i` is `known[i]`.
+        let sites: Vec<Coord<DIMS>> = known.iter().map(|&(_, coord)| coord).collect();
+        let points: Vec<Coord<DIMS>> = pseudo.iter().map(|p| p.coord).collect();
+        let weights: Vec<f64> = pseudo.iter().map(|p| p.weight).collect();
+        let slots: Vec<usize> = (0..known.len()).collect();
+        let oracle = CoordDelay::new(&sites, &points);
+        let table = CostTable::from_oracle(&oracle, &slots, sites.len(), points.len());
+        let mut eval = IncrementalEval::new(&table, &weights);
+        greedy_fill(&mut eval, self.cfg.k);
+        Some(eval.slots().iter().map(|&slot| known[slot]).collect())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Hierarchical failure domains: rack → DC → region trees with
 //! per-level correlated-failure probabilities.
 //!
-//! The flat [`FaultPlan`](georep_net::sim::FaultPlan) can crash any node
+//! The flat [`georep_net::sim::FaultPlan`] can crash any node
 //! set, but it has no notion of *why* nodes die together. Mills et al.
 //! (*Algorithms for Optimal Replica Placement Under Correlated Failure in
 //! Hierarchical Failure Domains*) model exactly that: infrastructure is a

@@ -558,7 +558,7 @@ impl Experiment {
                 mapping: self.mapping,
             }
             .place(&ctx)?,
-            StrategyKind::Optimal => Optimal::default().place(&ctx)?,
+            StrategyKind::Optimal => Optimal.place(&ctx)?,
             StrategyKind::Greedy => Greedy.place(&ctx)?,
             StrategyKind::HotZone => HotZone::default().place(&ctx)?,
             StrategyKind::SwapLocalSearch => SwapLocalSearch.place(&ctx)?,

@@ -7,7 +7,7 @@
 //! many objects — so this module shards the key space across the existing
 //! per-object machinery without changing a bit of it:
 //!
-//! * **tiering** ([`tier`]) — the hot Zipf head gets exact per-object
+//! * **tiering** (`fleet::tier`) — the hot Zipf head gets exact per-object
 //!   managers; the cold tail is hashed onto a bounded set of aggregated
 //!   placement groups, so memory is `O(owners)`, never `O(objects)`;
 //! * **shared read-only state** — all owners clone one
@@ -19,7 +19,7 @@
 //!   (reused across periods, so steady-state ingest allocates nothing),
 //!   then owners absorb their buckets in parallel across disjoint `&mut`
 //!   chunks;
-//! * **budgeted migration** ([`scheduler`]) — owners propose rebalances
+//! * **budgeted migration** (`fleet::scheduler`) — owners propose rebalances
 //!   independently, each on its recorded summaries ([`Plan::Recorded`]);
 //!   a deterministic greedy batch commits the best gain-per-dollar moves
 //!   under a global bandwidth budget and defers the rest. Forecast-driven

@@ -95,11 +95,6 @@ impl Tiering {
         self.cold_groups as usize
     }
 
-    /// `true` when `owner` is an exact hot-tier manager.
-    pub fn is_hot(&self, owner: usize) -> bool {
-        (owner as u64) < self.hot
-    }
-
     /// Size of the logical key space.
     pub fn objects(&self) -> u64 {
         self.objects
@@ -115,7 +110,6 @@ mod tests {
         let t = Tiering::new(1_000, 16, 4).unwrap();
         for object in 0..16 {
             assert_eq!(t.owner_of(object), object as usize);
-            assert!(t.is_hot(t.owner_of(object)));
         }
         assert_eq!(t.owner_count(), 20);
         assert_eq!(t.hot_owners(), 16);
@@ -128,7 +122,6 @@ mod tests {
         for object in 16..1_000 {
             let owner = t.owner_of(object);
             assert!((16..20).contains(&owner), "object {object} → owner {owner}");
-            assert!(!t.is_hot(owner));
             assert_eq!(t.owner_of(object), owner, "map must be stable");
         }
         // The hash must actually spread the tail: every group sees keys.

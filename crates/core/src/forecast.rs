@@ -34,13 +34,11 @@
 //! 1. the history is long enough to cover the seasonal structure
 //!    ([`ForecastConfig::min_history`]);
 //! 2. a backtest — fit on every period but the last, predict the held-out
-//!    last period — lands within [`ForecastConfig::max_backtest_error`]
-//!    relative L1 error;
+//!    last period — lands within [`MAX_BACKTEST_ERROR`] relative L1 error;
 //! 3. the predicted next period actually *differs* from the last observed
-//!    one by at least [`ForecastConfig::min_shift`] — on a stationary
-//!    workload the forecast matches the present, there is nothing to
-//!    pre-position, and the caller falls back to the reactive path
-//!    bit-for-bit.
+//!    one by at least [`MIN_SHIFT`] — on a stationary workload the forecast
+//!    matches the present, there is nothing to pre-position, and the caller
+//!    falls back to the reactive path bit-for-bit.
 //!
 //! # Determinism
 //!
@@ -69,8 +67,6 @@ pub enum ForecastError {
     },
     /// `season` was zero.
     ZeroSeason,
-    /// A configuration bound was non-finite or out of range.
-    BadParameter(&'static str),
 }
 
 impl fmt::Display for ForecastError {
@@ -82,65 +78,56 @@ impl fmt::Display for ForecastError {
                 write!(f, "history too short: have {have} periods, need {need}")
             }
             ForecastError::ZeroSeason => write!(f, "season length must be at least 1 period"),
-            ForecastError::BadParameter(p) => write!(f, "parameter {p} is out of range"),
         }
     }
 }
 
 impl Error for ForecastError {}
 
-/// Tuning of the forecaster and its confidence gate.
+/// Maximum relative L1 error of the held-out backtest; above it the
+/// forecast is not trusted and the gate declines.
+pub const MAX_BACKTEST_ERROR: f64 = 0.35;
+
+/// Minimum relative L1 difference between the predicted next period and the
+/// last observed one; below it the workload is stationary and the gate
+/// declines (there is nothing to pre-position).
+pub const MIN_SHIFT: f64 = 0.02;
+
+/// The forecaster's seasonal cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastConfig {
     /// Periods per seasonal cycle (24 for hourly periods of a diurnal
     /// workload; 1 disables seasonality and fits a pure trend).
     pub season: usize,
-    /// Minimum recorded periods before the gate may engage. Defaults to
-    /// two full seasons (and never below 4), so every phase has been seen
-    /// at least twice.
-    pub min_history: usize,
-    /// Maximum relative L1 error of the held-out backtest; above it the
-    /// forecast is not trusted and the gate declines.
-    pub max_backtest_error: f64,
-    /// Minimum relative L1 difference between the predicted next period
-    /// and the last observed one; below it the workload is stationary and
-    /// the gate declines (there is nothing to pre-position).
-    pub min_shift: f64,
 }
 
 impl ForecastConfig {
-    /// Default bounds for a `season`-period cycle.
+    /// The forecaster for a `season`-period cycle.
     ///
     /// # Errors
     ///
     /// [`ForecastError::ZeroSeason`] when `season` is zero.
     pub fn new(season: usize) -> Result<Self, ForecastError> {
-        if season == 0 {
-            return Err(ForecastError::ZeroSeason);
-        }
-        Ok(ForecastConfig {
-            season,
-            min_history: (2 * season).max(4),
-            max_backtest_error: 0.35,
-            min_shift: 0.02,
-        })
+        let cfg = ForecastConfig { season };
+        cfg.validate()?;
+        Ok(cfg)
     }
 
-    /// Validates the numeric bounds.
+    /// Minimum recorded periods before the gate may engage: two full
+    /// seasons (and never below 4), so every phase has been seen at least
+    /// twice.
+    pub fn min_history(&self) -> usize {
+        (2 * self.season).max(4)
+    }
+
+    /// Validates the season.
     ///
     /// # Errors
     ///
-    /// [`ForecastError::ZeroSeason`] / [`ForecastError::BadParameter`] on
-    /// a zero season or a non-finite / negative bound.
+    /// [`ForecastError::ZeroSeason`] on a zero season.
     pub fn validate(&self) -> Result<(), ForecastError> {
         if self.season == 0 {
             return Err(ForecastError::ZeroSeason);
-        }
-        if !self.max_backtest_error.is_finite() || self.max_backtest_error < 0.0 {
-            return Err(ForecastError::BadParameter("max_backtest_error"));
-        }
-        if !self.min_shift.is_finite() || self.min_shift < 0.0 {
-            return Err(ForecastError::BadParameter("min_shift"));
         }
         Ok(())
     }
@@ -238,7 +225,7 @@ pub enum GateDecision {
     ErrorTooHigh {
         /// Measured relative L1 backtest error.
         error: f64,
-        /// Configured bound.
+        /// The bound, [`MAX_BACKTEST_ERROR`].
         bound: f64,
     },
     /// The forecast matches the present — stationary workload, nothing to
@@ -246,7 +233,7 @@ pub enum GateDecision {
     Stationary {
         /// Measured relative L1 shift.
         shift: f64,
-        /// Configured minimum.
+        /// The minimum, [`MIN_SHIFT`].
         bound: f64,
     },
 }
@@ -449,7 +436,7 @@ fn relative_l1(a: &[f64], b: &[f64]) -> f64 {
 /// the three conditions). Never panics: any internal forecast error simply
 /// declines the gate with the matching reason.
 pub fn gate<const D: usize>(history: &DemandHistory<D>, cfg: &ForecastConfig) -> GateDecision {
-    let need = cfg.min_history.max(2);
+    let need = cfg.min_history();
     if history.periods() < need {
         return GateDecision::HistoryTooShort {
             have: history.periods(),
@@ -465,10 +452,10 @@ pub fn gate<const D: usize>(history: &DemandHistory<D>, cfg: &ForecastConfig) ->
             }
         }
     };
-    if error > cfg.max_backtest_error {
+    if error > MAX_BACKTEST_ERROR {
         return GateDecision::ErrorTooHigh {
             error,
-            bound: cfg.max_backtest_error,
+            bound: MAX_BACKTEST_ERROR,
         };
     }
     let shift = match history.predicted_shift(cfg.season) {
@@ -480,10 +467,10 @@ pub fn gate<const D: usize>(history: &DemandHistory<D>, cfg: &ForecastConfig) ->
             }
         }
     };
-    if shift < cfg.min_shift {
+    if shift < MIN_SHIFT {
         return GateDecision::Stationary {
             shift,
-            bound: cfg.min_shift,
+            bound: MIN_SHIFT,
         };
     }
     GateDecision::Engage
@@ -617,12 +604,10 @@ mod tests {
 
     #[test]
     fn unpredictable_noise_declines_on_backtest_error() {
-        let cfg = ForecastConfig {
-            max_backtest_error: 0.10,
-            ..ForecastConfig::new(2).unwrap()
-        };
+        let cfg = ForecastConfig::new(2).unwrap();
         // Flat history ending in an unforeseeable spike: the backtest
-        // (fit on the flat prefix, predict the spike) misses by ~95%.
+        // (fit on the flat prefix, predict the spike) misses by ~95%, far
+        // above MAX_BACKTEST_ERROR.
         let mut h = history_1d(&[0.0]);
         for _ in 0..8 {
             h.push_period(&[(Coord::new([0.0]), 1.0)]);
@@ -647,17 +632,11 @@ mod tests {
         );
         let mut cfg = ForecastConfig::new(4).unwrap();
         assert!(cfg.validate().is_ok());
-        cfg.max_backtest_error = f64::NAN;
-        assert_eq!(
-            cfg.validate().unwrap_err(),
-            ForecastError::BadParameter("max_backtest_error")
-        );
-        cfg = ForecastConfig::new(4).unwrap();
-        cfg.min_shift = -1.0;
-        assert_eq!(
-            cfg.validate().unwrap_err(),
-            ForecastError::BadParameter("min_shift")
-        );
+        assert_eq!(cfg.min_history(), 8);
+        cfg.season = 1;
+        assert_eq!(cfg.min_history(), 4, "never below 4 periods");
+        cfg.season = 0;
+        assert_eq!(cfg.validate().unwrap_err(), ForecastError::ZeroSeason);
     }
 
     #[test]

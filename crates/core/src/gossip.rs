@@ -23,9 +23,9 @@
 //!
 //! Under a [`FaultPlan`] messages can be dropped, so every ping carries a
 //! sequence number and arms a timeout with exponential backoff
-//! ([`GossipConfig::timeout`], [`GossipConfig::max_retries`]). A peer that
-//! misses [`GossipConfig::suspicion_threshold`] consecutive probes is
-//! *suspected* and excluded from routine peer selection; any message from
+//! (`PROBE_TIMEOUT` = 900 ms, doubling per retry, at most `MAX_RETRIES` = 2
+//! retries). A peer that misses `SUSPICION_THRESHOLD` = 3 consecutive probes
+//! is *suspected* and excluded from routine peer selection; any message from
 //! it clears the suspicion, and a probation probe every eighth ping tick
 //! gives suspected peers a path back. [`detected_failures`] turns the
 //! per-node suspicion vectors into a quorum verdict an observer can act on.
@@ -41,6 +41,19 @@ use georep_net::sim::{FaultPlan, Network, SimDuration, SimTime};
 use crate::experiment::DIMS;
 use crate::hash::splitmix64_next;
 
+/// How long a node waits for a pong before declaring the probe missed.
+/// Doubles per retry (exponential backoff). Must exceed the largest healthy
+/// RTT or healthy peers get suspected.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(900_000);
+
+/// How many times a missed probe is retried (with backoff) before the node
+/// gives up on that exchange.
+const MAX_RETRIES: u32 = 2;
+
+/// Consecutive missed probes after which a peer is suspected and excluded
+/// from routine peer selection.
+const SUSPICION_THRESHOLD: u32 = 3;
+
 /// Parameters of a gossip embedding run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
@@ -53,16 +66,6 @@ pub struct GossipConfig {
     pub jitter_sigma: f64,
     /// Seed for both the network jitter and the peer selection.
     pub seed: u64,
-    /// How long to wait for a pong before declaring the probe missed.
-    /// Doubles per retry (exponential backoff). Must exceed the largest
-    /// healthy RTT or healthy peers get suspected.
-    pub timeout: SimDuration,
-    /// How many times a missed probe is retried (with backoff) before the
-    /// node gives up on that exchange.
-    pub max_retries: u32,
-    /// Consecutive missed probes after which a peer is suspected and
-    /// excluded from routine peer selection.
-    pub suspicion_threshold: u32,
 }
 
 impl Default for GossipConfig {
@@ -72,9 +75,6 @@ impl Default for GossipConfig {
             duration: SimDuration::from_secs(60.0),
             jitter_sigma: 0.05,
             seed: 0x605517,
-            timeout: SimDuration::from_ms(900.0),
-            max_retries: 2,
-            suspicion_threshold: 3,
         }
     }
 }
@@ -109,9 +109,6 @@ struct GossipNode {
     estimator: Option<Rnp<DIMS>>,
     peers: usize,
     interval: SimDuration,
-    timeout: SimDuration,
-    max_retries: u32,
-    suspicion_threshold: u32,
     /// SplitMix64 state for peer selection (deterministic per node).
     rng_state: u64,
     pings_sent: u64,
@@ -133,9 +130,6 @@ impl GossipNode {
             estimator: estimator.then(Rnp::new),
             peers: n,
             interval: cfg.ping_interval,
-            timeout: cfg.timeout,
-            max_retries: cfg.max_retries,
-            suspicion_threshold: cfg.suspicion_threshold,
             rng_state: cfg.seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03),
             pings_sent: 0,
             pings_retried: 0,
@@ -185,7 +179,7 @@ impl GossipNode {
             },
         );
         // Exponential backoff: 1×, 2×, 4×, … the base timeout.
-        let wait = SimDuration::from_micros(self.timeout.as_micros() << attempt.min(16));
+        let wait = SimDuration::from_micros(PROBE_TIMEOUT.as_micros() << attempt.min(16));
         ctx.set_timer(wait, TIMER_TIMEOUT_BASE + seq);
     }
 
@@ -256,10 +250,10 @@ impl Process<GossipMsg> for GossipNode {
             let probe = self.outstanding.swap_remove(pos);
             self.timeouts += 1;
             self.misses[probe.peer] = self.misses[probe.peer].saturating_add(1);
-            if self.misses[probe.peer] >= self.suspicion_threshold {
+            if self.misses[probe.peer] >= SUSPICION_THRESHOLD {
                 self.suspected[probe.peer] = true;
             }
-            if probe.attempt < self.max_retries {
+            if probe.attempt < MAX_RETRIES {
                 self.pings_retried += 1;
                 self.send_ping(probe.peer, probe.attempt + 1, ctx);
             }
@@ -327,7 +321,6 @@ fn check_config(cfg: &GossipConfig) {
         cfg.duration > SimDuration::ZERO,
         "duration must be positive"
     );
-    assert!(cfg.timeout > SimDuration::ZERO, "timeout must be positive");
 }
 
 /// The one protocol runner: every node of `network` gossips for
@@ -374,7 +367,7 @@ fn coords(net: &ProcessNet<GossipNode, GossipMsg>) -> Vec<Coord<DIMS>> {
 ///
 /// # Panics
 ///
-/// Panics if `ping_interval`, `duration` or `timeout` is zero.
+/// Panics if `ping_interval` or `duration` is zero.
 pub fn embed_via_simulation(matrix: &RttMatrix, cfg: GossipConfig) -> GossipOutcome {
     let network = Network::with_jitter(matrix.clone(), cfg.jitter_sigma, cfg.seed);
     let net = run(network, &cfg, true);
@@ -396,7 +389,7 @@ pub fn embed_via_simulation(matrix: &RttMatrix, cfg: GossipConfig) -> GossipOutc
 ///
 /// # Panics
 ///
-/// Panics if `ping_interval`, `duration` or `timeout` is zero.
+/// Panics if `ping_interval` or `duration` is zero.
 pub fn detect_with_faults(
     matrix: &RttMatrix,
     cfg: GossipConfig,

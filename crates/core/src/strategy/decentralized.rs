@@ -98,6 +98,9 @@ fn wire_bytes(msg: &PlaceMsg) -> u64 {
     }
 }
 
+/// Gossip round cadence per node.
+const ROUND_INTERVAL: SimDuration = SimDuration::from_micros(250_000);
+
 /// Tuning of a decentralized placement run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecentralConfig {
@@ -105,8 +108,6 @@ pub struct DecentralConfig {
     pub k: usize,
     /// Peers contacted per gossip round.
     pub fanout: usize,
-    /// Gossip round cadence per node.
-    pub round_interval: SimDuration,
     /// Consecutive rounds without a view delta or an accepted move before
     /// a (complete-view) node declares convergence — the K of the
     /// quiescence rule.
@@ -133,7 +134,6 @@ impl DecentralConfig {
         DecentralConfig {
             k,
             fanout: 2,
-            round_interval: SimDuration::from_ms(250.0),
             quiet_rounds: 3,
             refine_round: 2,
             max_rounds: 64,
@@ -153,10 +153,6 @@ fn check_config(cfg: &DecentralConfig) {
     assert!(
         u64::from(cfg.max_rounds) > u64::from(cfg.refine_round) + u64::from(cfg.quiet_rounds),
         "round budget too small to ever reach quiescence"
-    );
-    assert!(
-        cfg.round_interval > SimDuration::ZERO,
-        "round interval must be positive"
     );
 }
 
@@ -375,7 +371,7 @@ impl Process<PlaceMsg> for PlaceNode {
                 );
             }
         }
-        ctx.set_timer(self.cfg.round_interval, TIMER_ROUND);
+        ctx.set_timer(ROUND_INTERVAL, TIMER_ROUND);
     }
 }
 
@@ -554,7 +550,7 @@ pub fn run_decentralized_with<R: Recorder>(
     } else {
         cfg.stagger_seed
     };
-    let interval_micros = cfg.round_interval.as_micros().max(1);
+    let interval_micros = ROUND_INTERVAL.as_micros();
     let costs = Rc::new(RefCell::new(WeightedCosts::empty()));
     let nodes: Vec<PlaceNode> = (0..m)
         .map(|slot| {

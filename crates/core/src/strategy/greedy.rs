@@ -146,7 +146,7 @@ mod tests {
         let m = RttMatrix::from_fn(6, |i, j| (j as f64 - i as f64) * 10.0).unwrap();
         let p = PlacementProblem::new(&m, vec![0, 3, 5], vec![1, 2, 4]).unwrap();
         let greedy = Greedy.place(&ctx(&p, 1)).unwrap();
-        let optimal = Optimal::default().place(&ctx(&p, 1)).unwrap();
+        let optimal = Optimal.place(&ctx(&p, 1)).unwrap();
         assert_eq!(greedy, optimal);
     }
 
@@ -169,9 +169,7 @@ mod tests {
         let p = PlacementProblem::new(&m, (0..8).collect(), (8..16).collect()).unwrap();
         let c = ctx(&p, 3);
         let greedy_delay = p.total_delay(&Greedy.place(&c).unwrap()).unwrap();
-        let optimal_delay = p
-            .total_delay(&Optimal::default().place(&c).unwrap())
-            .unwrap();
+        let optimal_delay = p.total_delay(&Optimal.place(&c).unwrap()).unwrap();
         assert!(greedy_delay >= optimal_delay - 1e-9);
         assert!(
             greedy_delay <= optimal_delay * 1.15,

@@ -16,6 +16,11 @@ use crate::combin::binomial;
 use super::greedy::Greedy;
 use super::{PlaceError, PlacementContext, Placer};
 
+/// Maximum number of combinations [`Optimal`] will evaluate. Generous: 20
+/// candidates at k = 7 is 77 520; even C(30, 5) = 142 506 stays comfortably
+/// below.
+const MAX_COMBINATIONS: u128 = 20_000_000;
+
 /// Evaluates the true objective for **every** `C(|C|, k)` combination of
 /// candidate data centers and returns the best.
 ///
@@ -23,27 +28,12 @@ use super::{PlaceError, PlacementContext, Placer};
 /// needs the true latency between every client and every candidate, and its
 /// cost explodes combinatorially. [`Optimal::search_space`] reports how
 /// many placements a context would enumerate so callers can bail out of
-/// infeasible configurations; [`Optimal::with_limit`] enforces a hard cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Optimal {
-    /// Maximum number of combinations this instance will evaluate.
-    limit: u128,
-}
-
-impl Default for Optimal {
-    fn default() -> Self {
-        // Generous default: 20 candidates at k = 7 is 77 520; even
-        // C(30, 5) = 142 506 stays comfortably below.
-        Optimal { limit: 20_000_000 }
-    }
-}
+/// infeasible configurations; a context past 20 million combinations is
+/// rejected before any enumeration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Optimal;
 
 impl Optimal {
-    /// An exhaustive search capped at `limit` combinations.
-    pub fn with_limit(limit: u128) -> Self {
-        Optimal { limit }
-    }
-
     /// Number of placements a context would enumerate.
     pub fn search_space<const D: usize>(ctx: &PlacementContext<'_, D>) -> u128 {
         binomial(ctx.problem.candidates().len(), ctx.k)
@@ -174,7 +164,7 @@ impl<const D: usize> Placer<D> for Optimal {
     fn place(&self, ctx: &PlacementContext<'_, D>) -> Result<Vec<usize>, PlaceError> {
         ctx.check_k()?;
         let space = Self::search_space(ctx);
-        if space > self.limit {
+        if space > MAX_COMBINATIONS {
             return Err(PlaceError::MissingData(
                 "a search space within the exhaustive-search limit",
             ));
@@ -263,7 +253,7 @@ mod tests {
         let m = RttMatrix::from_fn(6, |i, j| (j as f64 - i as f64) * 10.0).unwrap();
         let p = PlacementProblem::new(&m, vec![0, 3, 5], vec![1, 2, 4]).unwrap();
         // k = 1: candidate 3 minimizes 20+10+10 = 40 (vs 0: 70, 5: 70).
-        let placement = Optimal::default().place(&ctx(&p, 1)).unwrap();
+        let placement = Optimal.place(&ctx(&p, 1)).unwrap();
         assert_eq!(placement, vec![3]);
     }
 
@@ -272,7 +262,7 @@ mod tests {
         let m = RttMatrix::from_fn(12, |i, j| ((i * 7 + j * 13) % 90 + 5) as f64).unwrap();
         let p = PlacementProblem::new(&m, (0..6).collect(), (6..12).collect()).unwrap();
         let c = ctx(&p, 3);
-        let opt = Optimal::default().place(&c).unwrap();
+        let opt = Optimal.place(&c).unwrap();
         let opt_delay = p.total_delay(&opt).unwrap();
         for seed in 0..10 {
             let rnd = Placer::<1>::place(&Random, &PlacementContext { seed, ..c.clone() }).unwrap();
@@ -284,21 +274,23 @@ mod tests {
     fn k_equals_candidates_returns_all() {
         let m = RttMatrix::from_fn(5, |i, j| (i + j + 1) as f64).unwrap();
         let p = PlacementProblem::new(&m, vec![0, 1, 2], vec![3, 4]).unwrap();
-        let mut placement = Optimal::default().place(&ctx(&p, 3)).unwrap();
+        let mut placement = Optimal.place(&ctx(&p, 3)).unwrap();
         placement.sort_unstable();
         assert_eq!(placement, vec![0, 1, 2]);
     }
 
     #[test]
     fn limit_is_enforced() {
-        let m = RttMatrix::from_fn(30, |i, j| (i + j + 1) as f64).unwrap();
-        let p = PlacementProblem::new(&m, (0..25).collect(), (25..30).collect()).unwrap();
-        let tight = Optimal::with_limit(10);
+        // C(40, 8) = 76 904 685 is past the cap: rejected before any
+        // enumeration.
+        let m = RttMatrix::from_fn(45, |i, j| (i + j + 1) as f64).unwrap();
+        let p = PlacementProblem::new(&m, (0..40).collect(), (40..45).collect()).unwrap();
+        assert_eq!(Optimal::search_space(&ctx(&p, 8)), 76_904_685);
+        assert!(Optimal::search_space(&ctx(&p, 8)) > MAX_COMBINATIONS);
         assert!(matches!(
-            tight.place(&ctx(&p, 5)),
+            Optimal.place(&ctx(&p, 8)),
             Err(PlaceError::MissingData(_))
         ));
-        assert_eq!(Optimal::search_space(&ctx(&p, 5)), 53_130);
     }
 
     #[test]
@@ -316,6 +308,6 @@ mod tests {
             seed: 0,
         };
         // Client 2 (weight 100) is 10 from candidate 3, 20 from candidate 0.
-        assert_eq!(Optimal::default().place(&c).unwrap(), vec![3]);
+        assert_eq!(Optimal.place(&c).unwrap(), vec![3]);
     }
 }

@@ -94,7 +94,7 @@ pub struct ModeConfig {
     pub seed: u64,
     /// Required relative delay gain per migration dollar.
     pub gain_per_dollar: f64,
-    /// Forecaster tuning (season length, confidence gate bounds).
+    /// The forecaster's seasonal cycle.
     pub forecast: ForecastConfig,
 }
 

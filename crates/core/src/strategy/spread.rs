@@ -8,7 +8,7 @@
 //! a bounded amount of delay for survival:
 //!
 //! 1. run the deterministic delay-greedy baseline
-//!    ([`super::greedy::greedy_fill`]) to get the delay-optimal anchor;
+//!    ([`Greedy`](super::greedy::Greedy)) to get the delay-optimal anchor;
 //! 2. set the budget `baseline_total · (1 + delay_slack)`;
 //! 3. hill-climb over single-replica swaps, accepting the swap that most
 //!    increases the *exact analytic* survival probability
@@ -27,24 +27,21 @@ use super::PlaceError;
 use crate::domains::DomainTree;
 use crate::problem::PlacementProblem;
 
+/// Safety cap on hill-climb rounds (each round commits at most one swap;
+/// the climb stops earlier as soon as no swap improves survival).
+const MAX_ROUNDS: usize = 64;
+
 /// Parameters of the spread hill-climb.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpreadConfig {
     /// Fractional delay budget over the greedy baseline: the final
     /// placement's total delay is at most `baseline · (1 + delay_slack)`.
     pub delay_slack: f64,
-    /// Safety cap on hill-climb rounds (each round commits at most one
-    /// swap; the climb stops earlier as soon as no swap improves
-    /// survival).
-    pub max_rounds: usize,
 }
 
 impl Default for SpreadConfig {
     fn default() -> Self {
-        SpreadConfig {
-            delay_slack: 0.25,
-            max_rounds: 64,
-        }
+        SpreadConfig { delay_slack: 0.25 }
     }
 }
 
@@ -118,7 +115,7 @@ pub fn place_spread(
     let table = eval.table();
     let n_slots = table.n_candidates();
     let mut survival = baseline_survival;
-    for _ in 0..config.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let current = eval.placement();
         // Best swap this round: strictly better survival, then lower
         // total delay, then lowest (pos, slot) — a total deterministic
@@ -207,16 +204,7 @@ mod tests {
     fn zero_slack_keeps_the_greedy_baseline_delay() {
         let (m, cands, clients) = packed_world();
         let p = PlacementProblem::new(&m, cands, clients).unwrap();
-        let out = place_spread(
-            &p,
-            &tree24(),
-            3,
-            SpreadConfig {
-                delay_slack: 0.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = place_spread(&p, &tree24(), 3, SpreadConfig { delay_slack: 0.0 }).unwrap();
         // With zero slack only equal-delay swaps are allowed; survival can
         // only have improved if such a swap existed.
         assert!(out.delay_ms <= out.baseline_delay_ms + 1e-9);
@@ -227,16 +215,7 @@ mod tests {
     fn generous_slack_buys_strictly_better_survival() {
         let (m, cands, clients) = packed_world();
         let p = PlacementProblem::new(&m, cands, clients).unwrap();
-        let out = place_spread(
-            &p,
-            &tree24(),
-            3,
-            SpreadConfig {
-                delay_slack: 50.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = place_spread(&p, &tree24(), 3, SpreadConfig { delay_slack: 50.0 }).unwrap();
         // Greedy packs nodes 0..3 (one rack); the huge budget lets spread
         // reach nodes 8 and 16 in other regions.
         assert!(
@@ -260,10 +239,7 @@ mod tests {
         let (m, cands, clients) = packed_world();
         let p = PlacementProblem::new(&m, cands, clients).unwrap();
         for slack in [0.0, 0.1, 0.25, 1.0, 4.0] {
-            let cfg = SpreadConfig {
-                delay_slack: slack,
-                ..Default::default()
-            };
+            let cfg = SpreadConfig { delay_slack: slack };
             let a = place_spread(&p, &tree24(), 3, cfg).unwrap();
             let b = place_spread(&p, &tree24(), 3, cfg).unwrap();
             assert_eq!(a, b, "slack {slack}");
@@ -298,7 +274,6 @@ mod tests {
                 3,
                 SpreadConfig {
                     delay_slack: bad_slack,
-                    ..Default::default()
                 },
             )
             .unwrap_err();

@@ -70,9 +70,7 @@ mod tests {
         let m = fixture();
         let p = PlacementProblem::new(&m, (0..9).collect(), (9..18).collect()).unwrap();
         let c = ctx(&p, 3);
-        let optimal = p
-            .total_delay(&Optimal::default().place(&c).unwrap())
-            .unwrap();
+        let optimal = p.total_delay(&Optimal.place(&c).unwrap()).unwrap();
         let swapped = p.total_delay(&SwapLocalSearch.place(&c).unwrap()).unwrap();
         assert!(swapped >= optimal - 1e-9);
         assert!(

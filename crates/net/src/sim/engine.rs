@@ -32,7 +32,7 @@
 //! * **Self-tuning** — when occupancy drifts past 2× the target (or below
 //!   a small fraction of it) the queue rebuilds, re-deriving the
 //!   power-of-two `width` from the observed event-time span so each bucket
-//!   again holds ~[`TARGET_OCCUPANCY`] events per year. A batch per visited
+//!   again holds ~`TARGET_OCCUPANCY` events per year. A batch per visited
 //!   bucket keeps the ring cache-sized and lets the CPU overlap the arena
 //!   reads, and the power-of-two width makes the bucket hash a
 //!   shift-and-mask. The queue also rebuilds on a full fruitless rotation

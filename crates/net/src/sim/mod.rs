@@ -9,7 +9,7 @@
 //! * [`engine`] — the event loop: a calendar-queue (bucketed time-wheel)
 //!   scheduler executing closures in timestamp order against a
 //!   user-supplied world state;
-//! * [`reference`] — the original `BinaryHeap` event loop, kept as the
+//! * [`reference`](mod@reference) — the original `BinaryHeap` event loop, kept as the
 //!   trusted oracle the differential suite compares [`engine`] against;
 //! * [`network`] — message-delay sampling backed by an
 //!   [`crate::rtt::RttMatrix`], with optional per-message jitter;

@@ -58,24 +58,6 @@ impl SimTime {
                 .expect("`earlier` must not be later than `self`"),
         )
     }
-
-    /// Adds a duration, returning `None` instead of panicking when the sum
-    /// passes [`SimTime::MAX`]. Long-horizon drivers (multi-day runs with
-    /// µs granularity) should prefer this over `+` when the operands come
-    /// from workload data.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimTime> {
-        match self.0.checked_add(rhs.0) {
-            Some(t) => Some(SimTime(t)),
-            None => None,
-        }
-    }
-
-    /// Adds a duration, clamping at [`SimTime::MAX`] instead of
-    /// overflowing — the right choice for "far future" sentinels such as
-    /// a retry deadline derived from an unbounded backoff.
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
 }
 
 impl SimDuration {
@@ -132,20 +114,6 @@ impl SimDuration {
     /// Panics on overflow.
     pub fn mul(&self, factor: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(factor).expect("duration overflow"))
-    }
-
-    /// Adds two durations, returning `None` on overflow.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.0.checked_add(rhs.0) {
-            Some(d) => Some(SimDuration(d)),
-            None => None,
-        }
-    }
-
-    /// Multiplies by an integer factor, clamping at the maximum
-    /// representable duration instead of panicking.
-    pub const fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
     }
 }
 
@@ -263,20 +231,6 @@ mod tests {
         let brink = SimTime::from_micros(u64::MAX - 1);
         // Exact landing on MAX is representable.
         assert_eq!(brink + SimDuration::from_micros(1), SimTime::MAX);
-        assert_eq!(
-            brink.checked_add(SimDuration::from_micros(1)),
-            Some(SimTime::MAX)
-        );
-        // One microsecond past MAX: checked says None, saturating clamps.
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_micros(1)), None);
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_micros(1)),
-            SimTime::MAX
-        );
-        assert_eq!(
-            brink.saturating_add(SimDuration::from_micros(700)),
-            SimTime::MAX
-        );
         // Adding zero at the brink is exact on every path.
         assert_eq!(SimTime::MAX + SimDuration::ZERO, SimTime::MAX);
         assert_eq!(SimTime::MAX.since(brink).as_micros(), 1);
@@ -286,23 +240,6 @@ mod tests {
     #[should_panic(expected = "simulated clock overflow")]
     fn unchecked_add_past_max_panics_rather_than_wrapping() {
         let _ = SimTime::MAX + SimDuration::from_micros(1);
-    }
-
-    #[test]
-    fn duration_checked_and_saturating_ops() {
-        let big = SimDuration::from_micros(u64::MAX - 1);
-        assert_eq!(
-            big.checked_add(SimDuration::from_micros(1))
-                .unwrap()
-                .as_micros(),
-            u64::MAX
-        );
-        assert_eq!(big.checked_add(SimDuration::from_micros(2)), None);
-        assert_eq!(big.saturating_mul(3).as_micros(), u64::MAX);
-        assert_eq!(
-            SimDuration::from_micros(7).saturating_mul(3).as_micros(),
-            21
-        );
     }
 
     /// A multi-day horizon at microsecond granularity is far inside the

@@ -14,7 +14,7 @@
 //! * capacity is rounded up to a **power of two**, so position → slot is a
 //!   mask, not a modulo;
 //! * `head` and `tail` live on **separate cache lines**
-//!   ([`CachePadded`]), so the producer and consumer never false-share;
+//!   (`CachePadded`), so the producer and consumer never false-share;
 //! * both sides keep a **cached copy** of the opposite position and only
 //!   reload it when the cached value says the ring looks full (producer)
 //!   or empty (consumer), which removes almost all cross-core traffic in

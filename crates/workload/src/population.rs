@@ -3,11 +3,9 @@
 //! A [`Population`] assigns every client a non-negative activity weight and
 //! samples clients proportionally. Several constructors model the
 //! populations the paper's scenarios need: uniform activity, Zipf-skewed
-//! heavy users, region-concentrated demand (built from a
-//! [`georep_net::topology::Topology`]), and mixtures for modelling gradual
-//! drift between two demand patterns.
+//! heavy users, explicit per-client weights, and mixtures for modelling
+//! gradual drift between two demand patterns.
 
-use georep_net::topology::Topology;
 use rand::{Rng, RngExt};
 
 use crate::zipf::{AliasTable, Zipf};
@@ -63,29 +61,6 @@ impl Population {
         }
         let weights: Vec<f64> = (0..n).map(|i| zipf.probability(ranks[i])).collect();
         Self::from_weights(weights).expect("zipf weights are valid")
-    }
-
-    /// Activity proportional to a per-region multiplier: client `i` of the
-    /// topology gets the multiplier of its region. Unlisted regions get
-    /// weight zero. Useful for "all the demand is in Europe tonight"
-    /// scenarios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region_weights` is shorter than the topology's region
-    /// list, or if no client ends up with positive weight.
-    pub fn region_weighted(topology: &Topology, region_weights: &[f64]) -> Self {
-        assert!(
-            region_weights.len() >= topology.regions().len(),
-            "need a weight for each of the {} regions",
-            topology.regions().len()
-        );
-        let weights: Vec<f64> = topology
-            .nodes()
-            .iter()
-            .map(|n| region_weights[n.region].max(0.0))
-            .collect();
-        Self::from_weights(weights).expect("at least one region must have positive weight")
     }
 
     /// Builds a population from explicit weights.
@@ -214,22 +189,11 @@ impl Population {
     pub fn alias(&self) -> AliasTable {
         AliasTable::new(&self.weights).expect("population weights are a valid distribution")
     }
-
-    /// Indices of clients with positive weight.
-    pub fn active_clients(&self) -> Vec<usize> {
-        self.weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use georep_net::topology::{Region, Topology, TopologyConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -262,7 +226,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(pop.sample(&mut rng), 1);
         }
-        assert_eq!(pop.active_clients(), vec![1]);
     }
 
     #[test]
@@ -277,28 +240,6 @@ mod tests {
             "top-10 share {}",
             top / pop.total()
         );
-    }
-
-    #[test]
-    fn region_weighted_follows_topology() {
-        let regions = vec![
-            Region::new("hot", 0.0, 0.0, 1.0, 0.5),
-            Region::new("cold", 40.0, 40.0, 1.0, 0.5),
-        ];
-        let topo = Topology::generate(TopologyConfig {
-            nodes: 20,
-            regions,
-            ..Default::default()
-        })
-        .unwrap();
-        let pop = Population::region_weighted(&topo, &[1.0, 0.0]);
-        for (i, node) in topo.nodes().iter().enumerate() {
-            if node.region == 1 {
-                assert_eq!(pop.weight(i), 0.0);
-            } else {
-                assert!(pop.weight(i) > 0.0);
-            }
-        }
     }
 
     #[test]

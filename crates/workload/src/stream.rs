@@ -27,6 +27,18 @@ pub struct AccessEvent {
     pub object: u64,
 }
 
+/// Lognormal sigma of the per-access payload size.
+const SIZE_SIGMA: f64 = 0.8;
+
+/// One lognormal payload size around `median_kib` (Box–Muller over two
+/// uniform draws).
+fn payload_kib(rng: &mut StdRng, median_kib: f64) -> f64 {
+    let u1: f64 = rng.random::<f64>().max(1e-12);
+    let u2: f64 = rng.random();
+    let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    median_kib * (normal * SIZE_SIGMA).exp()
+}
+
 /// Arrival-process parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
@@ -34,8 +46,6 @@ pub struct StreamConfig {
     pub rate_per_ms: f64,
     /// Median payload size in KiB.
     pub median_kib: f64,
-    /// Lognormal sigma of the payload size (0 = constant size).
-    pub size_sigma: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -45,7 +55,6 @@ impl Default for StreamConfig {
         StreamConfig {
             rate_per_ms: 0.1,
             median_kib: 64.0,
-            size_sigma: 0.8,
             seed: 0xACCE55,
         }
     }
@@ -58,7 +67,7 @@ impl Default for StreamConfig {
 /// # Panics
 ///
 /// Panics if the configuration is out of range (non-positive rate or
-/// median, negative sigma, non-finite duration).
+/// median, non-finite duration).
 ///
 /// # Example
 ///
@@ -82,10 +91,6 @@ pub fn generate(pop: &Population, cfg: &StreamConfig, duration_ms: f64) -> Vec<A
         "median size must be positive"
     );
     assert!(
-        cfg.size_sigma.is_finite() && cfg.size_sigma >= 0.0,
-        "sigma must be non-negative"
-    );
-    assert!(
         duration_ms.is_finite() && duration_ms >= 0.0,
         "duration must be non-negative"
     );
@@ -101,14 +106,7 @@ pub fn generate(pop: &Population, cfg: &StreamConfig, duration_ms: f64) -> Vec<A
             break;
         }
         let client = pop.sample(&mut rng);
-        let bytes_kib = if cfg.size_sigma == 0.0 {
-            cfg.median_kib
-        } else {
-            let u1: f64 = rng.random::<f64>().max(1e-12);
-            let u2: f64 = rng.random();
-            let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            cfg.median_kib * (normal * cfg.size_sigma).exp()
-        };
+        let bytes_kib = payload_kib(&mut rng, cfg.median_kib);
         events.push(AccessEvent {
             at_ms: t,
             client,
@@ -183,10 +181,6 @@ impl ShardedStream {
             "median size must be positive"
         );
         assert!(
-            cfg.size_sigma.is_finite() && cfg.size_sigma >= 0.0,
-            "sigma must be non-negative"
-        );
-        assert!(
             duration_ms.is_finite() && duration_ms >= 0.0,
             "duration must be non-negative"
         );
@@ -208,12 +202,6 @@ impl ShardedStream {
     pub fn with_objects(mut self, objects: AliasTable) -> Self {
         self.objects = Some(objects);
         self
-    }
-
-    /// Number of distinct objects the stream can draw (1 when the object
-    /// dimension is disabled).
-    pub fn object_count(&self) -> usize {
-        self.objects.as_ref().map_or(1, AliasTable::len)
     }
 
     /// Number of shards (disjoint generation windows).
@@ -261,14 +249,7 @@ impl ShardedStream {
                 Some(table) => table.sample(&mut rng) as u64,
                 None => 0,
             };
-            let bytes_kib = if self.cfg.size_sigma == 0.0 {
-                self.cfg.median_kib
-            } else {
-                let u1: f64 = rng.random::<f64>().max(1e-12);
-                let u2: f64 = rng.random();
-                let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                self.cfg.median_kib * (normal * self.cfg.size_sigma).exp()
-            };
+            let bytes_kib = payload_kib(&mut rng, self.cfg.median_kib);
             events.push(AccessEvent {
                 at_ms: t,
                 client,
@@ -539,24 +520,11 @@ mod tests {
     }
 
     #[test]
-    fn constant_size_when_sigma_zero() {
-        let pop = Population::uniform(2);
-        let cfg = StreamConfig {
-            size_sigma: 0.0,
-            median_kib: 10.0,
-            ..Default::default()
-        };
-        let events = generate(&pop, &cfg, 2_000.0);
-        assert!(events.iter().all(|e| e.bytes_kib == 10.0));
-    }
-
-    #[test]
     fn median_size_approximately_respected() {
         let pop = Population::uniform(2);
         let cfg = StreamConfig {
             rate_per_ms: 1.0,
             median_kib: 100.0,
-            size_sigma: 0.5,
             seed: 5,
         };
         let mut sizes: Vec<f64> = generate(&pop, &cfg, 20_000.0)
@@ -809,7 +777,6 @@ mod tests {
             ..Default::default()
         };
         let stream = ShardedStream::new(&pop, &cfg, 2_000.0, 4);
-        assert_eq!(stream.object_count(), 1);
         assert!(stream.generate().iter().all(|e| e.object == 0));
         assert!(generate(&pop, &cfg, 2_000.0).iter().all(|e| e.object == 0));
     }
@@ -828,7 +795,6 @@ mod tests {
         let plain = ShardedStream::new(&pop, &cfg, 4_000.0, 4);
         let objects = crate::zipf::Zipf::new(32, 1.1).alias();
         let multi = plain.clone().with_objects(objects);
-        assert_eq!(multi.object_count(), 32);
         for s in 0..4 {
             let a = plain.shard_events(s);
             let b = multi.shard_events(s);

@@ -168,12 +168,6 @@ impl AliasTable {
         Some(AliasTable { prob, alias })
     }
 
-    /// Number of categories.
-    #[allow(clippy::len_without_is_empty)] // tables are non-empty
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
     /// Draws a category: one uniform column pick, one coin flip.
     pub fn sample<R>(&self, rng: &mut R) -> usize
     where

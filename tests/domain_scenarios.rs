@@ -238,16 +238,7 @@ fn spread_survival_never_regresses_for_any_slack() {
     let t = tree(48);
     let mut prev_survival = 0.0f64;
     for slack in [0.0, 0.1, 0.25, 0.5, 2.0] {
-        let out = place_spread(
-            &problem,
-            &t,
-            3,
-            SpreadConfig {
-                delay_slack: slack,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = place_spread(&problem, &t, 3, SpreadConfig { delay_slack: slack }).unwrap();
         assert!(out.survival >= out.baseline_survival, "slack {slack}");
         // A larger budget can only expand the reachable swap set.
         assert!(

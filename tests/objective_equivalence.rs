@@ -242,7 +242,7 @@ fn optimal_returns_the_seed_placement() {
         let m = fixture_matrix(seed, 32);
         let p = fixture_problem(&m, 10);
         for k in 1..=4 {
-            let got = Optimal::default().place(&ctx(&p, k)).unwrap();
+            let got = Optimal.place(&ctx(&p, k)).unwrap();
             let want = reference_optimal(&p, k);
             assert_eq!(got, want, "seed {seed}, k {k}");
         }
@@ -551,7 +551,7 @@ fn optimal_pruning_is_exact_under_adversarial_ties() {
         let m = RttMatrix::from_fn(n, |i, j| (((i + j) % 4) * 10 + 5) as f64).unwrap();
         let p = fixture_problem(&m, 8);
         for k in 1..=4 {
-            let got = Optimal::default().place(&ctx(&p, k)).unwrap();
+            let got = Optimal.place(&ctx(&p, k)).unwrap();
             let want = reference_optimal(&p, k);
             assert_eq!(got, want, "n {n}, k {k}");
         }

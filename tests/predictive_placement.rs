@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use georep::coord::rnp::Rnp;
 use georep::coord::{Coord, EmbeddingRunner};
 use georep::core::experiment::DIMS;
-use georep::core::forecast::gate;
+use georep::core::forecast::{gate, MAX_BACKTEST_ERROR, MIN_SHIFT};
 use georep::core::strategy::predictive::{
     run_mode, ModeConfig, ModeReport, PlacementMode, ALL_MODES,
 };
@@ -335,7 +335,7 @@ fn gate_declines_history_too_short_with_exact_counts() {
     let fx = fixture();
     let cfg = ForecastConfig::new(SEASON).expect("valid season");
     let need = (2 * SEASON).max(4);
-    assert_eq!(cfg.min_history, need);
+    assert_eq!(cfg.min_history(), need);
     // Every prefix below the requirement declines with the exact counts —
     // including the empty history.
     for have in 0..need {
@@ -357,14 +357,11 @@ fn gate_declines_history_too_short_when_the_forecast_itself_errors() {
     let fx = fixture();
     let mut cfg = ForecastConfig::new(SEASON).expect("valid season");
     cfg.season = 0;
-    let have = cfg.min_history;
+    let have = cfg.min_history();
     let history = scaled_history(fx, &erratic_factors(have));
     assert_eq!(
         gate(&history, &cfg),
-        GateDecision::HistoryTooShort {
-            have,
-            need: cfg.min_history
-        }
+        GateDecision::HistoryTooShort { have, need: have }
     );
 }
 
@@ -373,10 +370,10 @@ fn gate_declines_error_too_high_on_an_erratic_history() {
     let fx = fixture();
     let cfg = ForecastConfig::new(SEASON).expect("valid season");
     let history = scaled_history(fx, &erratic_factors(20));
-    assert!(history.periods() >= cfg.min_history);
+    assert!(history.periods() >= cfg.min_history());
     match gate(&history, &cfg) {
         GateDecision::ErrorTooHigh { error, bound } => {
-            assert_eq!(bound.to_bits(), cfg.max_backtest_error.to_bits());
+            assert_eq!(bound.to_bits(), MAX_BACKTEST_ERROR.to_bits());
             assert!(error > bound, "error {error} must exceed the bound {bound}");
             assert!(error.is_finite());
         }
@@ -388,10 +385,10 @@ fn gate_declines_error_too_high_on_an_erratic_history() {
 fn gate_declines_stationary_on_a_constant_history() {
     let fx = fixture();
     let cfg = ForecastConfig::new(SEASON).expect("valid season");
-    let history = scaled_history(fx, &vec![3.0; cfg.min_history + 2]);
+    let history = scaled_history(fx, &vec![3.0; cfg.min_history() + 2]);
     match gate(&history, &cfg) {
         GateDecision::Stationary { shift, bound } => {
-            assert_eq!(bound.to_bits(), cfg.min_shift.to_bits());
+            assert_eq!(bound.to_bits(), MIN_SHIFT.to_bits());
             assert!(
                 shift < bound,
                 "shift {shift} must sit below the bound {bound}"
@@ -408,7 +405,7 @@ fn short_history_workload_falls_back_bit_identical_to_reactive() {
     // declines HistoryTooShort, so the predictive run IS the reactive run.
     let fx = fixture();
     let short = &fx.diurnal[..4];
-    assert!(short.len() < ForecastConfig::new(SEASON).unwrap().min_history);
+    assert!(short.len() < ForecastConfig::new(SEASON).unwrap().min_history());
     let reactive = run(fx, short, PlacementMode::Reactive, SEASON);
     let predictive = run(fx, short, PlacementMode::Predictive, SEASON);
     assert_eq!(predictive.gate_engaged, 0, "{predictive:?}");
@@ -441,7 +438,7 @@ fn erratic_workload_falls_back_bit_identical_to_reactive() {
     let mut history = DemandHistory::new(fx.regions.clone()).expect("fixture regions");
     for (t, period) in periods.iter().enumerate() {
         history.push_period(period);
-        if t + 1 >= cfg.min_history {
+        if t + 1 >= cfg.min_history() {
             assert!(
                 matches!(gate(&history, &cfg), GateDecision::ErrorTooHigh { .. }),
                 "prefix of {} periods: {:?}",

@@ -14,7 +14,7 @@
 
 use georep_cluster::kmeans::{kmeans, ClusterError, KMeansConfig};
 use georep_cluster::micro::MicroCluster;
-use georep_cluster::online::{OnlineClusterer, OnlineConfig};
+use georep_cluster::online::OnlineClusterer;
 use georep_cluster::reference::{lloyd_reference, ReferenceMicroCluster, ReferenceOnlineClusterer};
 use georep_cluster::weighted::weighted_kmeans;
 use georep_cluster::WeightedPoint;
@@ -234,7 +234,7 @@ proptest! {
 /// overflow must still match.
 #[test]
 fn absorb_cluster_validates_and_counts_where_reference_did_not() {
-    let mut fast: OnlineClusterer<2> = OnlineClusterer::with_config(OnlineConfig::new(2));
+    let mut fast: OnlineClusterer<2> = OnlineClusterer::new(2);
     let mut slow: ReferenceOnlineClusterer<2> = ReferenceOnlineClusterer::new(2);
 
     // A micro-cluster whose coordinate sums overflowed to infinity (every
@@ -259,7 +259,7 @@ fn absorb_cluster_validates_and_counts_where_reference_did_not() {
 
     // Healthy clusters are absorbed identically, but the refactor also
     // credits their access counts to `observed`.
-    let mut fast = OnlineClusterer::<2>::with_config(OnlineConfig::new(2));
+    let mut fast = OnlineClusterer::<2>::new(2);
     let mk = |x: f64, n: u64| {
         let mut c = ReferenceMicroCluster::<2>::from_access(Coord::new([x, 0.0]), 1.0);
         for _ in 1..n {

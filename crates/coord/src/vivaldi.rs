@@ -78,13 +78,8 @@ impl<const D: usize> Default for Vivaldi<D> {
 impl<const D: usize> Vivaldi<D> {
     /// A fresh node at the origin with maximum uncertainty.
     pub fn new() -> Self {
-        Self::with_config(VivaldiConfig::default())
-    }
-
-    /// A fresh node with an explicit model choice.
-    pub fn with_config(config: VivaldiConfig) -> Self {
         let nonce = INSTANCE_NONCE.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        Self::seeded(config, nonce)
+        Self::seeded(VivaldiConfig::default(), nonce)
     }
 
     /// A fresh node with a caller-chosen tie-break seed.
@@ -282,7 +277,7 @@ mod tests {
 
     #[test]
     fn height_stays_above_minimum() {
-        let mut v: Vivaldi<2> = Vivaldi::with_config(VivaldiConfig::with_height());
+        let mut v: Vivaldi<2> = Vivaldi::seeded(VivaldiConfig::with_height(), 0);
         let peer = Coord::new([1.0, 0.0]).with_height(0.1);
         for _ in 0..100 {
             v.observe(peer, 0.2, 1.0); // tiny RTT pulls heights down

@@ -16,9 +16,9 @@
 //! 4. reports the demand-weighted mean access delay measured on the *true*
 //!    latency matrix.
 //!
-//! Seeds run in parallel (scoped threads). That is the process's one
-//! parallel level: everything a seed runs — ingest, clustering, every
-//! strategy's solve — stays on its seed worker's thread.
+//! Seeds run in parallel, self-scheduled over the workers. That is the
+//! process's one parallel level: everything a seed runs — ingest,
+//! clustering, every strategy's solve — stays on its seed worker's thread.
 
 use std::fmt;
 
@@ -44,6 +44,7 @@ use crate::strategy::optimal::Optimal;
 use crate::strategy::random::Random;
 use crate::strategy::swap::SwapLocalSearch;
 use crate::strategy::{CentroidMapping, PlaceError, PlacementContext, Placer};
+use crate::threads::fan_out;
 
 /// Coordinate dimensionality used by experiments. Seven dimensions (plus
 /// the height component) give the embedding enough freedom to express
@@ -452,27 +453,9 @@ impl Experiment {
         rec: &R,
     ) -> Result<RunSummary, ExperimentError> {
         let _span = crate::span!("experiment.run");
-        let threads = crate::threads::available_parallelism().min(self.seeds.len());
-        let per = self.seeds.len().div_ceil(threads);
-
-        // Each worker returns its chunk's outcomes from `join`; a worker
-        // panic resumes on this thread with its original payload.
-        let mut outcomes: Vec<SeedOutcome> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .seeds
-                .chunks(per)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let run = |&seed| self.run_seed(kind, seed);
-                        chunk.iter().map(run).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Result<_, _>>()
-        })?;
+        let threads = crate::threads::available_parallelism();
+        let outcomes = fan_out(threads, &self.seeds, |&seed| self.run_seed(kind, seed));
+        let mut outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         outcomes.sort_by_key(|o| o.seed);
 
         let delays: Vec<f64> = outcomes.iter().map(|o| o.mean_delay_ms).collect();

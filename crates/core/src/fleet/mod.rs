@@ -53,6 +53,7 @@ use crate::manager::{ManagerConfig, ManagerError, Plan, ReplicaManager};
 use crate::migration::MigrationDecision;
 use crate::objective::{CoordDelay, CostTable};
 use crate::telemetry::Recorder;
+use crate::threads::fan_out;
 
 /// Error produced by [`FleetManager`].
 #[derive(Debug, Clone, PartialEq)]
@@ -193,6 +194,7 @@ pub struct FleetManager<const D: usize> {
     /// Hot managers first (owner id = object id), then cold groups.
     owners: Vec<ReplicaManager<D>>,
     budget_usd: f64,
+    /// [`FleetConfig::threads`], with `0` resolved to the machine's count.
     threads: usize,
     /// Shared candidate-major delay table: built once from the common
     /// coordinate table, used by fleet-level routing for every key.
@@ -252,7 +254,10 @@ impl<const D: usize> FleetManager<D> {
             tiering,
             owners,
             budget_usd: config.migration_budget_usd,
-            threads: config.threads,
+            threads: match config.threads {
+                0 => crate::threads::available_parallelism(),
+                n => n,
+            },
             cost_table,
             stats: FleetStats::default(),
             buckets: Vec::new(),
@@ -269,53 +274,36 @@ impl<const D: usize> FleetManager<D> {
         cfg
     }
 
-    fn resolve_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            crate::threads::available_parallelism()
-        }
-    }
-
     /// Ingests one period of keyed accesses `(object, coordinate, weight)`
     /// on [`FleetConfig::threads`] workers, returning the number of accesses
-    /// each owner served (indexed by owner id). The result is bit-identical
-    /// at any thread count — threads only move wall-clock time.
+    /// each owner served (indexed by owner id). Owners are handed out one at
+    /// a time to whichever worker is free, so the Zipf head (the lowest
+    /// owner ids) spreads over every worker. The result is bit-identical
+    /// at any thread count and under any schedule — threads only move
+    /// wall-clock time.
     ///
     /// # Panics
     ///
     /// Panics when an object id is outside the fleet's key space.
     pub fn ingest_period(&mut self, accesses: &[(u64, Coord<D>, f64)]) -> Vec<u64> {
         let owner_count = self.owners.len();
-        let mut served = vec![0u64; owner_count];
         if accesses.is_empty() {
-            return served;
+            return vec![0; owner_count];
         }
-        let threads = self.resolve_threads().min(accesses.len());
+        let threads = self.threads.min(accesses.len());
 
-        // Phase 1: pure owner routing into the pooled assignment table,
-        // parallel for large batches (the map is stateless arithmetic).
+        // Phase 1: pure owner routing into the pooled assignment table, one
+        // shard per worker (the map is stateless arithmetic).
         self.assigned.clear();
         self.assigned.resize(accesses.len(), 0);
         let tiering = self.tiering;
-        if threads == 1 {
-            for (access, out) in accesses.iter().zip(self.assigned.iter_mut()) {
-                *out = tiering.owner_of(access.0) as u32;
+        let chunk = accesses.len().div_ceil(threads);
+        let shards = accesses.chunks(chunk).zip(self.assigned.chunks_mut(chunk));
+        fan_out(threads, shards, |(a_chunk, out_chunk)| {
+            for ((object, _, _), out) in a_chunk.iter().zip(out_chunk) {
+                *out = tiering.owner_of(*object) as u32;
             }
-        } else {
-            let chunk = accesses.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (a_chunk, out_chunk) in
-                    accesses.chunks(chunk).zip(self.assigned.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((object, _, _), out) in a_chunk.iter().zip(out_chunk.iter_mut()) {
-                            *out = tiering.owner_of(*object) as u32;
-                        }
-                    });
-                }
-            });
-        }
+        });
 
         // Phase 2: partition into the pooled per-owner buckets, preserving
         // stream order — each owner must see exactly the sub-trace an
@@ -335,44 +323,25 @@ impl<const D: usize> FleetManager<D> {
             self.buckets[owner as usize].push((coord, weight));
         }
 
-        // Phase 3: owners absorb their buckets — parallel across disjoint
-        // `&mut` owner chunks. Leftover threads go to *within*-owner
-        // parallelism of the hot tier, so a near-single-owner fleet still
-        // saturates; cold groups are fanned out *across* workers only
-        // (internal spawns are pure overhead at aggregation granularity).
+        // Phase 3: owners absorb their buckets, self-scheduled across the
+        // workers. Leftover threads go to *within*-owner parallelism of the
+        // hot tier, so a near-single-owner fleet still saturates; cold
+        // groups are fanned out *across* workers only (internal spawns are
+        // pure overhead at aggregation granularity).
         let active = self.buckets[..owner_count]
             .iter()
             .filter(|b| !b.is_empty())
             .count()
             .max(1);
-        let workers = threads.min(active).min(owner_count);
+        let workers = threads.min(active);
         let inner = (threads / workers).max(1);
-        let per = owner_count.div_ceil(workers);
-        let buckets = &self.buckets[..owner_count];
-        std::thread::scope(|scope| {
-            for (chunk, ((mgr_chunk, bucket_chunk), served_chunk)) in self
-                .owners
-                .chunks_mut(per)
-                .zip(buckets.chunks(per))
-                .zip(served.chunks_mut(per))
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    for (((mgr, bucket), out), owner) in mgr_chunk
-                        .iter_mut()
-                        .zip(bucket_chunk)
-                        .zip(served_chunk)
-                        .zip(chunk * per..)
-                    {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let threads = if owner < hot_owners { inner } else { 1 };
-                        let per_replica = mgr.ingest_period_with_threads(bucket, threads);
-                        *out = per_replica.iter().sum();
-                    }
-                });
+        let owners = self.owners.iter_mut().zip(&self.buckets[..owner_count]);
+        let served = fan_out(workers, owners.enumerate(), |(owner, (mgr, bucket))| {
+            if bucket.is_empty() {
+                return 0;
             }
+            let threads = if owner < hot_owners { inner } else { 1 };
+            mgr.ingest_period_with_threads(bucket, threads).iter().sum()
         });
 
         self.stats.accesses += accesses.len() as u64;
@@ -380,9 +349,10 @@ impl<const D: usize> FleetManager<D> {
         served
     }
 
-    /// One fleet rebalance round: every owner proposes in parallel, the
-    /// scheduler batches the proposals under the global migration budget,
-    /// and each owner commits or defers accordingly.
+    /// One fleet rebalance round: every owner proposes, handed out one at a
+    /// time to whichever of the [`FleetConfig::threads`] workers is free;
+    /// the scheduler batches the proposals under the global migration
+    /// budget, and each owner commits or defers accordingly.
     ///
     /// # Errors
     ///
@@ -390,27 +360,13 @@ impl<const D: usize> FleetManager<D> {
     /// error of the lowest-numbered failing owner is reported.
     pub fn rebalance(&mut self) -> Result<FleetRound, FleetError> {
         let owner_count = self.owners.len();
-        let threads = self.resolve_threads().min(owner_count).max(1);
 
-        // Propose in parallel: each proposal is exactly the decision the
-        // owner would take in isolation, so fan-out order is irrelevant.
-        let mut proposals: Vec<Option<Result<_, ManagerError>>> = Vec::new();
-        proposals.resize_with(owner_count, || None);
-        let per = owner_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (mgr_chunk, out_chunk) in self.owners.chunks_mut(per).zip(proposals.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for (mgr, out) in mgr_chunk.iter_mut().zip(out_chunk) {
-                        *out = Some(mgr.propose(Plan::Recorded));
-                    }
-                });
-            }
+        // Each proposal is exactly the decision the owner would take in
+        // isolation, so the schedule is irrelevant.
+        let proposals = fan_out(self.threads, &mut self.owners, |mgr| {
+            mgr.propose(Plan::Recorded)
         });
-        let mut pendings = Vec::with_capacity(owner_count);
-        for proposal in proposals {
-            pendings.push(proposal.expect("every owner proposed")?);
-        }
+        let pendings = proposals.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         // Batch under the budget, then finish every owner's period.
         let decision_refs: Vec<&MigrationDecision> = pendings.iter().map(|p| &p.decision).collect();

@@ -24,6 +24,7 @@ use georep_coord::Coord;
 
 use crate::migration::{moved_replicas, MigrationCostModel, MigrationDecision};
 use crate::strategy::nearest_distinct_candidates;
+use crate::threads::fan_out;
 
 /// Error produced by [`ReplicaManager`].
 #[derive(Debug, Clone, PartialEq)]
@@ -361,13 +362,9 @@ impl<const D: usize> ReplicaManager<D> {
     /// fleet's within-owner arm, which hands an owner the threads its
     /// owner-level fan-out left idle.
     ///
-    /// The result is thread-count-independent by construction. Routing is a
-    /// pure function of the (frozen) placement and coordinates, so phase 1
-    /// computes every access's serving slot in parallel shards. Phase 2
-    /// then lets each summarizer absorb *its own* accesses in the original
-    /// stream order — summarizers are independent, and per-slot order is
-    /// exactly what a serial [`ReplicaManager::record_access`] loop would
-    /// produce. Small batches (or one thread) simply run the serial loop.
+    /// The result is thread-count-independent by construction: routing is a
+    /// pure function of the (frozen) placement and coordinates, and each
+    /// summarizer absorbs its own accesses in stream order (`route_then_absorb`).
     pub(crate) fn ingest_period_with_threads(
         &mut self,
         accesses: &[(Coord<D>, f64)],
@@ -787,8 +784,8 @@ const INGEST_SERIAL_THRESHOLD: usize = 8192;
 /// (`sample_of`) in stream order; returns how many accesses each slot
 /// served. Bit-identical to the serial route-then-observe loop whatever
 /// the thread count: `slot_of` must be pure, so phase 1 routes in parallel
-/// shards, and phase 2 hands disjoint `&mut` groups of clusterers to the
-/// workers, each replaying the stream for its own slots.
+/// shards, and phase 2 hands the clusterers out one at a time to whichever
+/// worker is free, each replaying the stream for its own slot.
 pub(crate) fn route_then_absorb<const D: usize, T: Sync>(
     accesses: &[T],
     threads: usize,
@@ -800,8 +797,7 @@ pub(crate) fn route_then_absorb<const D: usize, T: Sync>(
     if accesses.is_empty() {
         return served;
     }
-    let threads = threads.max(1).min(accesses.len());
-    if threads == 1 || accesses.len() < INGEST_SERIAL_THRESHOLD {
+    if threads <= 1 || accesses.len() < INGEST_SERIAL_THRESHOLD {
         for access in accesses {
             let idx = slot_of(access);
             let (coord, weight) = sample_of(access);
@@ -813,37 +809,23 @@ pub(crate) fn route_then_absorb<const D: usize, T: Sync>(
 
     let mut assigned = vec![0u32; accesses.len()];
     let chunk = accesses.len().div_ceil(threads);
-    let (slot_of, sample_of) = (&slot_of, &sample_of);
-    std::thread::scope(|scope| {
-        for (a_chunk, out_chunk) in accesses.chunks(chunk).zip(assigned.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (access, out) in a_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *out = slot_of(access) as u32;
-                }
-            });
+    let shards = accesses.chunks(chunk).zip(assigned.chunks_mut(chunk));
+    fan_out(threads, shards, |(a_chunk, out_chunk)| {
+        for (access, out) in a_chunk.iter().zip(out_chunk) {
+            *out = slot_of(access) as u32;
         }
     });
     for &slot in &assigned {
         served[slot as usize] += 1;
     }
 
-    let mut refs: Vec<(u32, &mut OnlineClusterer<D>)> = clusterers
-        .iter_mut()
-        .enumerate()
-        .map(|(i, c)| (i as u32, c))
-        .collect();
-    let per = refs.len().div_ceil(threads.min(refs.len()));
-    let assigned = &assigned;
-    std::thread::scope(|scope| {
-        for group in refs.chunks_mut(per) {
-            scope.spawn(move || {
-                for (slot, clusterer) in group.iter_mut() {
-                    for (access, _) in accesses.iter().zip(assigned).filter(|(_, a)| *a == slot) {
-                        let (coord, weight) = sample_of(access);
-                        clusterer.observe(coord, weight);
-                    }
-                }
-            });
+    let clusterers = clusterers.iter_mut().enumerate();
+    fan_out(threads, clusterers, |(slot, clusterer)| {
+        for (access, &a) in accesses.iter().zip(&assigned) {
+            if a as usize == slot {
+                let (coord, weight) = sample_of(access);
+                clusterer.observe(coord, weight);
+            }
         }
     });
     served

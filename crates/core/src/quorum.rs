@@ -10,7 +10,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::objective::{DelayOracle, QuorumDelay};
 use crate::problem::{PlacementProblem, ProblemError};
 
 /// Error produced by quorum evaluation.
@@ -54,28 +53,6 @@ impl From<ProblemError> for QuorumError {
     fn from(e: ProblemError) -> Self {
         QuorumError::Problem(e)
     }
-}
-
-/// Delay for one client to assemble an `r`-quorum from `placement`
-/// (the `r`-th smallest true latency; replicas contacted in parallel).
-///
-/// # Panics
-///
-/// Panics if `r` is zero or exceeds `placement.len()` (the checked
-/// aggregate functions below return errors instead).
-pub fn quorum_client_delay(
-    problem: &PlacementProblem<'_>,
-    client: usize,
-    placement: &[usize],
-    r: usize,
-) -> f64 {
-    assert!(
-        r >= 1 && r <= placement.len(),
-        "invalid quorum {r} for {} replicas",
-        placement.len()
-    );
-    let clients = [client];
-    QuorumDelay::new(problem.matrix(), &clients, r).placement_delay(0, placement)
 }
 
 /// The quorum analogue of the paper's objective:
@@ -135,6 +112,7 @@ pub fn quorum_mean_delay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::{DelayOracle, QuorumDelay};
     use georep_net::rtt::RttMatrix;
 
     fn fixture() -> RttMatrix {
@@ -165,9 +143,11 @@ mod tests {
     #[test]
     fn r_equals_k_is_farthest_replica() {
         let m = fixture();
-        let p = PlacementProblem::new(&m, vec![0, 4], vec![1]).unwrap();
         // Client 1: 10 from replica 0, 30 from replica 4.
-        assert_eq!(quorum_client_delay(&p, 1, &[0, 4], 2), 30.0);
+        assert_eq!(
+            QuorumDelay::new(&m, &[1], 2).placement_delay(0, &[0, 4]),
+            30.0
+        );
     }
 
     #[test]

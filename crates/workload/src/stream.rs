@@ -96,7 +96,9 @@ pub fn generate(pop: &Population, cfg: &StreamConfig, duration_ms: f64) -> Vec<A
     );
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut events = Vec::with_capacity((cfg.rate_per_ms * duration_ms) as usize + 1);
+    // The expected count comes from caller input: reserve at most 2^20.
+    let expected = (cfg.rate_per_ms * duration_ms) as usize;
+    let mut events = Vec::with_capacity(expected.min(1 << 20) + 1);
     let mut t = 0.0;
     loop {
         // Exponential inter-arrival via inverse transform.

@@ -73,10 +73,11 @@ usage:
   georep place     --nodes N --dcs D --k K --strategy NAME [--seed S]
       place replicas with one strategy for one seed
   georep trace     --clients N [--rate R] [--duration MS] [--out FILE]
-      generate a synthetic access trace
+      generate a synthetic access trace (R × MS at most 10000000 accesses)
   georep simulate  --nodes N --dcs D --k K [--duration MS]
       run the fully-deployed system (gossip + accesses + migration) on the
-      discrete-event simulator and print per-period delays
+      discrete-event simulator and print per-period delays (MS at most
+      3600000, one simulated hour)
 
 strategies: random, offline, online, online-greedy, optimal, greedy, hotzone, swap";
 
@@ -156,6 +157,15 @@ fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
         )
     })
 }
+
+/// Most accesses `trace` may expect (`--rate × --duration`): the events
+/// are held in memory before the trace is printed or written.
+const MAX_TRACE_EVENTS: f64 = 1e7;
+
+/// Longest `simulate --duration` in ms, one simulated hour: wall time
+/// grows linearly with it (≈ 20 ms per simulated second at 226 nodes on a
+/// 2-core host).
+const MAX_SIMULATE_MS: f64 = 3_600_000.0;
 
 /// `--duration`, rejected unless finite, non-negative and within the
 /// simulated clock.
@@ -310,6 +320,11 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
         return Err("simulate needs --k of at least 1".into());
     }
     let duration = duration_ms(opts)?;
+    if duration > MAX_SIMULATE_MS {
+        return Err(format!(
+            "simulate --duration is at most {MAX_SIMULATE_MS} ms (one simulated hour), got {duration}"
+        ));
+    }
     let matrix = make_matrix(opts)?;
     let n = matrix.len();
     let step = (n / opts.dcs.max(1)).max(1);
@@ -360,6 +375,12 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
         ));
     }
     let duration = duration_ms(opts)?;
+    let expected = opts.rate * duration;
+    if expected > MAX_TRACE_EVENTS {
+        return Err(format!(
+            "--rate × --duration expects {expected} accesses, above the limit of {MAX_TRACE_EVENTS}"
+        ));
+    }
     let pop = Population::zipf_skewed(opts.clients, 1.0, opts.seed);
     let cfg = StreamConfig {
         rate_per_ms: opts.rate,
@@ -450,6 +471,20 @@ mod tests {
             let o = parse(&["--duration", duration, "--nodes", "40", "--dcs", "5"]).unwrap();
             assert!(cmd_simulate(&o).is_err(), "{duration}");
         }
+    }
+
+    #[test]
+    fn trace_rejects_an_expected_count_above_its_limit() {
+        let o = parse(&["--clients", "10", "--rate", "1", "--duration", "1e16"]).unwrap();
+        let err = cmd_trace(&o).unwrap_err();
+        assert!(err.contains("limit of 10000000"), "{err}");
+    }
+
+    #[test]
+    fn simulate_rejects_a_duration_above_one_simulated_hour() {
+        let o = parse(&["--nodes", "40", "--dcs", "5", "--duration", "1e15"]).unwrap();
+        let err = cmd_simulate(&o).unwrap_err();
+        assert!(err.contains("at most 3600000 ms"), "{err}");
     }
 
     #[test]

@@ -32,7 +32,6 @@ use georep_net::rtt::RttMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::manager::route_then_absorb;
 use crate::metrics::DelayStats;
 use crate::problem::{PlacementProblem, ProblemError};
 use crate::strategy::greedy::Greedy;
@@ -583,22 +582,16 @@ impl Experiment {
                 .iter()
                 .map(|_| OnlineClusterer::new(self.micro_clusters))
                 .collect();
-            let slot_of = |&(client, _): &(usize, f64)| {
-                let replica = problem.closest_replica(client, &placement);
-                placement
-                    .iter()
-                    .position(|&r| r == replica)
-                    .expect("closest_replica returns a member")
-            };
             // The seed fan-out is this process's one parallel level, so the
             // per-seed ingest runs on the seed worker's own thread.
-            route_then_absorb(
-                accesses,
-                1,
-                &mut clusterers,
-                slot_of,
-                |&(client, weight)| (self.coords[client], weight),
-            );
+            for &(client, weight) in accesses {
+                let replica = problem.closest_replica(client, &placement);
+                let slot = placement
+                    .iter()
+                    .position(|&r| r == replica)
+                    .expect("closest_replica returns a member");
+                clusterers[slot].observe(self.coords[client], weight);
+            }
 
             let summaries: Vec<AccessSummary> = placement
                 .iter()

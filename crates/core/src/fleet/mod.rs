@@ -17,8 +17,8 @@
 //! * **pooled ingest** ([`FleetManager::ingest_period`]) — accesses are
 //!   partitioned by owner *in stream order* into arena-pooled buckets
 //!   (reused across periods, so steady-state ingest allocates nothing),
-//!   then owners absorb their buckets in parallel across disjoint `&mut`
-//!   chunks;
+//!   then owners absorb their buckets in parallel, each owner serially on
+//!   whichever worker takes it;
 //! * **budgeted migration** (`fleet::scheduler`) — owners propose rebalances
 //!   independently, each on its recorded summaries ([`Plan::Recorded`]);
 //!   a deterministic greedy batch commits the best gain-per-dollar moves
@@ -34,8 +34,7 @@
 //! rebalance round. Sharding is an execution strategy, never a semantic:
 //! the `fleet_equivalence` suite pins this at `threads` 1/2/8, with
 //! faults injected mid-run. Fleet owners are the process's one parallel
-//! level; the only nested fan-out is the within-owner ingest arm, which
-//! gets only the threads the owner level leaves idle.
+//! level: nothing an owner runs fans out again.
 
 mod scheduler;
 mod tier;
@@ -203,8 +202,6 @@ pub struct FleetManager<const D: usize> {
     /// Arena-pooled per-owner ingest buckets: cleared, never shrunk, so
     /// steady-state ingest reuses the same slabs period after period.
     buckets: Vec<Vec<(Coord<D>, f64)>>,
-    /// Pooled access → owner assignment table (same discipline).
-    assigned: Vec<u32>,
 }
 
 impl<const D: usize> FleetManager<D> {
@@ -261,7 +258,6 @@ impl<const D: usize> FleetManager<D> {
             cost_table,
             stats: FleetStats::default(),
             buckets: Vec::new(),
-            assigned: Vec::new(),
         })
     }
 
@@ -290,24 +286,10 @@ impl<const D: usize> FleetManager<D> {
         if accesses.is_empty() {
             return vec![0; owner_count];
         }
-        let threads = self.threads.min(accesses.len());
 
-        // Phase 1: pure owner routing into the pooled assignment table, one
-        // shard per worker (the map is stateless arithmetic).
-        self.assigned.clear();
-        self.assigned.resize(accesses.len(), 0);
-        let tiering = self.tiering;
-        let chunk = accesses.len().div_ceil(threads);
-        let shards = accesses.chunks(chunk).zip(self.assigned.chunks_mut(chunk));
-        fan_out(threads, shards, |(a_chunk, out_chunk)| {
-            for ((object, _, _), out) in a_chunk.iter().zip(out_chunk) {
-                *out = tiering.owner_of(*object) as u32;
-            }
-        });
-
-        // Phase 2: partition into the pooled per-owner buckets, preserving
-        // stream order — each owner must see exactly the sub-trace an
-        // independent manager would.
+        // Partition into the pooled per-owner buckets, preserving stream
+        // order: each owner must see exactly the sub-trace an independent
+        // manager would.
         if self.buckets.len() < owner_count {
             self.buckets.resize_with(owner_count, Vec::new);
         }
@@ -316,32 +298,19 @@ impl<const D: usize> FleetManager<D> {
         }
         let hot_owners = self.tiering.hot_owners();
         let mut hot = 0u64;
-        for (&owner, &(_, coord, weight)) in self.assigned.iter().zip(accesses) {
-            if (owner as usize) < hot_owners {
+        for &(object, coord, weight) in accesses {
+            let owner = self.tiering.owner_of(object);
+            if owner < hot_owners {
                 hot += 1;
             }
-            self.buckets[owner as usize].push((coord, weight));
+            self.buckets[owner].push((coord, weight));
         }
 
-        // Phase 3: owners absorb their buckets, self-scheduled across the
-        // workers. Leftover threads go to *within*-owner parallelism of the
-        // hot tier, so a near-single-owner fleet still saturates; cold
-        // groups are fanned out *across* workers only (internal spawns are
-        // pure overhead at aggregation granularity).
-        let active = self.buckets[..owner_count]
-            .iter()
-            .filter(|b| !b.is_empty())
-            .count()
-            .max(1);
-        let workers = threads.min(active);
-        let inner = (threads / workers).max(1);
+        // Owners absorb their buckets, self-scheduled across the workers;
+        // each owner's ingest runs serially on its worker's thread.
         let owners = self.owners.iter_mut().zip(&self.buckets[..owner_count]);
-        let served = fan_out(workers, owners.enumerate(), |(owner, (mgr, bucket))| {
-            if bucket.is_empty() {
-                return 0;
-            }
-            let threads = if owner < hot_owners { inner } else { 1 };
-            mgr.ingest_period_with_threads(bucket, threads).iter().sum()
+        let served = fan_out(self.threads, owners, |(mgr, bucket)| {
+            mgr.ingest_period(bucket).iter().sum()
         });
 
         self.stats.accesses += accesses.len() as u64;
@@ -611,57 +580,65 @@ mod tests {
     }
 
     /// At 1, 2 and 8 fleet threads, every owner's served counts,
-    /// decisions, placement and stats equal an independent manager's.
+    /// decisions, placement and stats equal an independent manager's: on a
+    /// skewed stream over many owners, and on periods of 8 192 accesses
+    /// that all go to object 0, so one owner is the only one active.
     #[test]
     fn ingest_is_bit_identical_to_independent_managers() {
-        let accesses = keyed_stream(20_000, 100, 0xACCE55);
-        for threads in [1usize, 2, 8] {
-            let config = FleetConfig {
-                threads,
-                ..fleet_config(100, 4, 2)
-            };
-            let mut fleet =
-                FleetManager::new(line_coords(6), vec![0, 3, 5], vec![0, 3], config).unwrap();
-            let mut solo: Vec<ReplicaManager<1>> = (0..fleet.owner_count())
-                .map(|owner| {
-                    ReplicaManager::new(
-                        line_coords(6),
-                        vec![0, 3, 5],
-                        vec![0, 3],
-                        FleetManager::<1>::owner_config(&config, owner),
-                    )
-                    .unwrap()
-                })
-                .collect();
+        let skewed = keyed_stream(15_000, 100, 0xACCE55);
+        let single: Vec<(u64, Coord<1>, f64)> = keyed_stream(3 * 8_192, 100, 0x0BE)
+            .into_iter()
+            .map(|(_, coord, weight)| (0, coord, weight))
+            .collect();
+        for accesses in [skewed, single] {
+            let period = accesses.len() / 3;
+            for threads in [1usize, 2, 8] {
+                let config = FleetConfig {
+                    threads,
+                    ..fleet_config(100, 4, 2)
+                };
+                let mut fleet =
+                    FleetManager::new(line_coords(6), vec![0, 3, 5], vec![0, 3], config).unwrap();
+                let mut solo: Vec<ReplicaManager<1>> = (0..fleet.owner_count())
+                    .map(|owner| {
+                        ReplicaManager::new(
+                            line_coords(6),
+                            vec![0, 3, 5],
+                            vec![0, 3],
+                            FleetManager::<1>::owner_config(&config, owner),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
 
-            for round in 0..3 {
-                let chunk = &accesses[round * 5_000..(round + 1) * 5_000];
-                let served = fleet.ingest_period(chunk);
-                assert_eq!(served.iter().sum::<u64>(), chunk.len() as u64);
+                for (round, chunk) in accesses.chunks(period).enumerate() {
+                    let served = fleet.ingest_period(chunk);
+                    assert_eq!(served.iter().sum::<u64>(), chunk.len() as u64);
 
-                // Route the same chunk by owner and feed the independents.
-                let mut sub: Vec<Vec<(Coord<1>, f64)>> = vec![Vec::new(); solo.len()];
-                for &(object, coord, weight) in chunk {
-                    sub[fleet.owner_of(object)].push((coord, weight));
-                }
-                for (owner, (mgr, bucket)) in solo.iter_mut().zip(&sub).enumerate() {
-                    let solo_served: u64 = mgr.ingest_period(bucket).iter().sum();
-                    assert_eq!(served[owner], solo_served, "owner {owner} served count");
-                }
+                    // Route the same chunk by owner and feed the independents.
+                    let mut sub: Vec<Vec<(Coord<1>, f64)>> = vec![Vec::new(); solo.len()];
+                    for &(object, coord, weight) in chunk {
+                        sub[fleet.owner_of(object)].push((coord, weight));
+                    }
+                    for (owner, (mgr, bucket)) in solo.iter_mut().zip(&sub).enumerate() {
+                        let solo_served: u64 = mgr.ingest_period(bucket).iter().sum();
+                        assert_eq!(served[owner], solo_served, "owner {owner} served count");
+                    }
 
-                let fleet_round = fleet.rebalance().unwrap();
-                for (owner, mgr) in solo.iter_mut().enumerate() {
-                    let solo_decision = mgr.rebalance().unwrap();
-                    assert_eq!(
-                        fleet_round.decisions[owner], solo_decision,
-                        "threads={threads}: owner {owner} decision diverged in round {round}"
-                    );
-                    assert_eq!(fleet.owner(owner).placement(), mgr.placement());
-                    assert_eq!(fleet.owner(owner).stats(), mgr.stats());
+                    let fleet_round = fleet.rebalance().unwrap();
+                    for (owner, mgr) in solo.iter_mut().enumerate() {
+                        let solo_decision = mgr.rebalance().unwrap();
+                        assert_eq!(
+                            fleet_round.decisions[owner], solo_decision,
+                            "threads={threads}: owner {owner} decision diverged in round {round}"
+                        );
+                        assert_eq!(fleet.owner(owner).placement(), mgr.placement());
+                        assert_eq!(fleet.owner(owner).stats(), mgr.stats());
+                    }
                 }
+                assert!(fleet.stats().hot_fraction() > 0.0);
+                assert_eq!(fleet.stats().accesses, accesses.len() as u64);
             }
-            assert!(fleet.stats().hot_fraction() > 0.0);
-            assert_eq!(fleet.stats().accesses, 15_000);
         }
     }
 
@@ -749,7 +726,6 @@ mod tests {
         let accesses = keyed_stream(20_000, 100, 0x5AB);
         fleet.ingest_period(&accesses);
         let caps: Vec<usize> = fleet.buckets.iter().map(Vec::capacity).collect();
-        let assigned_cap = fleet.assigned.capacity();
         for _ in 0..5 {
             fleet.ingest_period(&accesses);
         }
@@ -758,7 +734,6 @@ mod tests {
             fleet.buckets.iter().map(Vec::capacity).collect::<Vec<_>>(),
             "steady-state ingest must reuse its slabs"
         );
-        assert_eq!(assigned_cap, fleet.assigned.capacity());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use georep_coord::Coord;
 
 use crate::migration::{moved_replicas, MigrationCostModel, MigrationDecision};
 use crate::strategy::nearest_distinct_candidates;
-use crate::threads::fan_out;
 
 /// Error produced by [`ReplicaManager`].
 #[derive(Debug, Clone, PartialEq)]
@@ -331,9 +330,20 @@ impl<const D: usize> ReplicaManager<D> {
         self.placement[self.slot_for(coord)]
     }
 
-    /// The clusterer slot (index into `placement`) serving `coord`.
+    /// The clusterer slot (index into `placement`) serving `coord`: the
+    /// nearest replica by coordinate distance. `total_cmp` with a strict
+    /// `Less` keeps the first of ties, exactly like `min_by`.
     fn slot_for(&self, coord: &Coord<D>) -> usize {
-        nearest_slot(&self.coords, &self.placement, coord)
+        let mut idx = 0usize;
+        let mut best = f64::INFINITY;
+        for (i, &r) in self.placement.iter().enumerate() {
+            let d = self.coords[r].distance(coord);
+            if d.total_cmp(&best) == std::cmp::Ordering::Less {
+                idx = i;
+                best = d;
+            }
+        }
+        idx
     }
 
     /// Routes an access and records it in the serving replica's summary.
@@ -347,37 +357,19 @@ impl<const D: usize> ReplicaManager<D> {
         replica
     }
 
-    /// Ingests one period's worth of accesses in bulk — semantically
-    /// identical to calling [`ReplicaManager::record_access`] once per
-    /// element, bit for bit, but parallelized for million-access periods.
+    /// Ingests one period's worth of accesses in stream order — exactly
+    /// [`ReplicaManager::record_access`] once per element, bit for bit.
     /// Returns the number of accesses each placement slot served.
     ///
-    /// Worker threads default to the machine's parallelism; the thread
-    /// count can never change the outcome (see `ingest_period_with_threads`).
+    /// Runs on the caller's thread: a fleet runs many owners' ingests at
+    /// once, and that is the process's one parallel level.
     pub fn ingest_period(&mut self, accesses: &[(Coord<D>, f64)]) -> Vec<u64> {
-        self.ingest_period_with_threads(accesses, crate::threads::available_parallelism())
-    }
-
-    /// [`ReplicaManager::ingest_period`] with an explicit worker count: the
-    /// fleet's within-owner arm, which hands an owner the threads its
-    /// owner-level fan-out left idle.
-    ///
-    /// The result is thread-count-independent by construction: routing is a
-    /// pure function of the (frozen) placement and coordinates, and each
-    /// summarizer absorbs its own accesses in stream order (`route_then_absorb`).
-    pub(crate) fn ingest_period_with_threads(
-        &mut self,
-        accesses: &[(Coord<D>, f64)],
-        threads: usize,
-    ) -> Vec<u64> {
-        let (coords, placement) = (&self.coords[..], &self.placement[..]);
-        let served = route_then_absorb(
-            accesses,
-            threads,
-            &mut self.clusterers,
-            |(coord, _)| nearest_slot(coords, placement, coord),
-            |&access| access,
-        );
+        let mut served = vec![0u64; self.clusterers.len()];
+        for &(coord, weight) in accesses {
+            let idx = self.slot_for(&coord);
+            self.clusterers[idx].observe(coord, weight);
+            served[idx] += 1;
+        }
         self.stats.accesses += accesses.len() as u64;
         served
     }
@@ -750,85 +742,6 @@ impl<const D: usize> ReplicaManager<D> {
         pending.decision.applied = false;
         self.commit_rebalance(pending)
     }
-}
-
-/// The index into `placement` of the replica nearest `coord` by coordinate
-/// distance. `total_cmp` with a strict `Less` keeps the first of ties,
-/// exactly like `min_by`. Pure, which is what lets [`route_then_absorb`]
-/// evaluate it for millions of accesses in parallel without changing any
-/// result.
-fn nearest_slot<const D: usize>(
-    coords: &[Coord<D>],
-    placement: &[usize],
-    coord: &Coord<D>,
-) -> usize {
-    let mut idx = 0usize;
-    let mut best = f64::INFINITY;
-    for (i, &r) in placement.iter().enumerate() {
-        let d = coords[r].distance(coord);
-        if d.total_cmp(&best) == std::cmp::Ordering::Less {
-            idx = i;
-            best = d;
-        }
-    }
-    idx
-}
-
-/// Batch size below which [`route_then_absorb`] stays serial: spawning
-/// scoped threads and allocating the assignment table costs more than
-/// routing a few thousand accesses does.
-const INGEST_SERIAL_THRESHOLD: usize = 8192;
-
-/// One batched summarization pass: routes every access to a clusterer slot
-/// (`slot_of`) and lets each clusterer observe its accesses' samples
-/// (`sample_of`) in stream order; returns how many accesses each slot
-/// served. Bit-identical to the serial route-then-observe loop whatever
-/// the thread count: `slot_of` must be pure, so phase 1 routes in parallel
-/// shards, and phase 2 hands the clusterers out one at a time to whichever
-/// worker is free, each replaying the stream for its own slot.
-pub(crate) fn route_then_absorb<const D: usize, T: Sync>(
-    accesses: &[T],
-    threads: usize,
-    clusterers: &mut [OnlineClusterer<D>],
-    slot_of: impl Fn(&T) -> usize + Sync,
-    sample_of: impl Fn(&T) -> (Coord<D>, f64) + Sync,
-) -> Vec<u64> {
-    let mut served = vec![0u64; clusterers.len()];
-    if accesses.is_empty() {
-        return served;
-    }
-    if threads <= 1 || accesses.len() < INGEST_SERIAL_THRESHOLD {
-        for access in accesses {
-            let idx = slot_of(access);
-            let (coord, weight) = sample_of(access);
-            clusterers[idx].observe(coord, weight);
-            served[idx] += 1;
-        }
-        return served;
-    }
-
-    let mut assigned = vec![0u32; accesses.len()];
-    let chunk = accesses.len().div_ceil(threads);
-    let shards = accesses.chunks(chunk).zip(assigned.chunks_mut(chunk));
-    fan_out(threads, shards, |(a_chunk, out_chunk)| {
-        for (access, out) in a_chunk.iter().zip(out_chunk) {
-            *out = slot_of(access) as u32;
-        }
-    });
-    for &slot in &assigned {
-        served[slot as usize] += 1;
-    }
-
-    let clusterers = clusterers.iter_mut().enumerate();
-    fan_out(threads, clusterers, |(slot, clusterer)| {
-        for (access, &a) in accesses.iter().zip(&assigned) {
-            if a as usize == slot {
-                let (coord, weight) = sample_of(access);
-                clusterer.observe(coord, weight);
-            }
-        }
-    });
-    served
 }
 
 #[cfg(test)]
@@ -1266,32 +1179,13 @@ mod tests {
         for &(coord, weight) in &accesses {
             serial.record_access(coord, weight);
         }
-        for threads in [1, 2, 4, 16] {
-            let mut batched = manager(2);
-            let served = batched.ingest_period_with_threads(&accesses, threads);
-            assert_eq!(served.iter().sum::<u64>(), accesses.len() as u64);
-            assert_eq!(
-                batched.summaries(),
-                serial.summaries(),
-                "threads={threads}: batched summaries diverged from serial"
-            );
-            assert_eq!(batched.stats().accesses, serial.stats().accesses);
-            assert_eq!(batched.stream_stats(), serial.stream_stats());
-        }
-    }
-
-    #[test]
-    fn ingest_period_small_batches_take_the_serial_path() {
-        let accesses = synthetic_accesses(100);
-        let mut a = manager(2);
-        let mut b = manager(2);
-        let served = a.ingest_period(&accesses);
-        for &(coord, weight) in &accesses {
-            b.record_access(coord, weight);
-        }
-        assert_eq!(served.iter().sum::<u64>(), 100);
-        assert_eq!(a.summaries(), b.summaries());
-        assert!(a.ingest_period(&[]).iter().all(|&c| c == 0));
+        let mut batched = manager(2);
+        let served = batched.ingest_period(&accesses);
+        assert_eq!(served.iter().sum::<u64>(), accesses.len() as u64);
+        assert_eq!(batched.summaries(), serial.summaries());
+        assert_eq!(batched.stats().accesses, serial.stats().accesses);
+        assert_eq!(batched.stream_stats(), serial.stream_stats());
+        assert!(batched.ingest_period(&[]).iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -1299,7 +1193,7 @@ mod tests {
         let mut mgr = manager(2);
         let accesses: Vec<(Coord<1>, f64)> =
             (0..10_000).map(|_| (Coord::new([48.0]), 1.0)).collect();
-        mgr.ingest_period_with_threads(&accesses, 4);
+        mgr.ingest_period(&accesses);
         let d = mgr.rebalance().unwrap();
         assert!(d.applied, "{d:?}");
         assert!(mgr.placement().contains(&5));

@@ -8,7 +8,7 @@
 //! bounded ring. The service side drains every ring into per-shard period
 //! buffers, reassembles the *global stamp order* behind a low watermark,
 //! and hands complete periods of `period_accesses` accesses to the
-//! three-phase [`FleetManager::ingest_period`], followed by a fleet
+//! two-phase [`FleetManager::ingest_period`], followed by a fleet
 //! rebalance — exactly the offline pipeline, fed online.
 //!
 //! # Determinism contract

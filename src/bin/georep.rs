@@ -11,9 +11,13 @@
 //!
 //! Every subcommand is deterministic given its seed. With
 //! `GEOREP_TRACE=out.jsonl` set, `compare` also streams each run's
-//! counters and events to that file.
+//! counters and events to that file. All output goes through one locked
+//! stdout handle; when its reader goes away (`georep … | head -1`) the
+//! command ends quietly with exit code 0.
 
+use std::error::Error;
 use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use georep::core::deployment::{run_deployment, DeploymentConfig};
@@ -37,21 +41,27 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let mut out = io::stdout().lock();
     let result = match command.as_str() {
-        "topology" => cmd_topology(&opts),
-        "embed" => cmd_embed(&opts),
-        "compare" => cmd_compare(&opts),
-        "place" => cmd_place(&opts),
-        "trace" => cmd_trace(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
+        "topology" => cmd_topology(&opts, &mut out),
+        "embed" => cmd_embed(&opts, &mut out),
+        "compare" => cmd_compare(&opts, &mut out),
+        "place" => cmd_place(&opts, &mut out),
+        "trace" => cmd_trace(&opts, &mut out),
+        "simulate" => cmd_simulate(&opts, &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(Into::into),
+        other => Err(format!("unknown command {other:?}").into()),
+    }
+    .and_then(|()| out.flush().map_err(Into::into));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed the pipe: nobody is left to tell.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -80,6 +90,9 @@ usage:
       3600000, one simulated hour)
 
 strategies: random, offline, online, online-greedy, optimal, greedy, hotzone, swap";
+
+/// What a subcommand returns: a bad input, a failed run or a failed write.
+type CmdResult = Result<(), Box<dyn Error>>;
 
 /// Bag of parsed `--key value` options.
 struct Options {
@@ -204,26 +217,28 @@ fn make_matrix(opts: &Options) -> Result<georep::net::RttMatrix, String> {
     .map_err(|e| e.to_string())
 }
 
-fn cmd_topology(opts: &Options) -> Result<(), String> {
+fn cmd_topology(opts: &Options, out: &mut impl Write) -> CmdResult {
     let matrix = make_matrix(opts)?;
     let stats = matrix.stats();
-    println!("nodes: {}", matrix.len());
-    println!(
+    writeln!(out, "nodes: {}", matrix.len())?;
+    writeln!(
+        out,
         "rtt min/median/mean/p90/max (ms): {:.1} / {:.1} / {:.1} / {:.1} / {:.1}",
         stats.min_ms, stats.median_ms, stats.mean_ms, stats.p90_ms, stats.max_ms
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "triangle-inequality violations: {:.2}%",
         matrix.triangle_violation_rate() * 100.0
-    );
+    )?;
     if let Some(path) = &opts.out {
-        std::fs::write(path, matrix.to_text()).map_err(|e| e.to_string())?;
-        println!("matrix written to {path}");
+        std::fs::write(path, matrix.to_text())?;
+        writeln!(out, "matrix written to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_embed(opts: &Options) -> Result<(), String> {
+fn cmd_embed(opts: &Options, out: &mut impl Write) -> CmdResult {
     let matrix = make_matrix(opts)?;
     let exp = Experiment::builder(matrix)
         .data_centers(opts.dcs.min(opts.nodes - 1).max(2))
@@ -234,23 +249,28 @@ fn cmd_embed(opts: &Options) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
     let r = exp.embedding_report();
-    println!(
+    writeln!(
+        out,
         "protocol: {}",
         match opts.protocol {
             CoordProtocol::Rnp => "rnp",
             CoordProtocol::Vivaldi => "vivaldi",
             CoordProtocol::Gnp => "gnp",
         }
-    );
-    println!("gossip rounds: {}", opts.rounds);
-    println!("median abs error: {:.1} ms", r.median_abs_err);
-    println!("p90 abs error: {:.1} ms", r.p90_abs_err);
-    println!("median rel error: {:.1}%", r.median_rel_err * 100.0);
-    println!("pairs within 10 ms: {:.0}%", r.frac_within_10ms * 100.0);
+    )?;
+    writeln!(out, "gossip rounds: {}", opts.rounds)?;
+    writeln!(out, "median abs error: {:.1} ms", r.median_abs_err)?;
+    writeln!(out, "p90 abs error: {:.1} ms", r.p90_abs_err)?;
+    writeln!(out, "median rel error: {:.1}%", r.median_rel_err * 100.0)?;
+    writeln!(
+        out,
+        "pairs within 10 ms: {:.0}%",
+        r.frac_within_10ms * 100.0
+    )?;
     Ok(())
 }
 
-fn cmd_compare(opts: &Options) -> Result<(), String> {
+fn cmd_compare(opts: &Options, out: &mut impl Write) -> CmdResult {
     let matrix = make_matrix(opts)?;
     let exp = Experiment::builder(matrix)
         .data_centers(opts.dcs)
@@ -258,10 +278,11 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         .seeds(0..opts.seeds)
         .build()
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "{} nodes, {} data centers, k = {}, {} seeds\n",
         opts.nodes, opts.dcs, opts.k, opts.seeds
-    );
+    )?;
     // `GEOREP_TRACE=out.jsonl` streams every run's counters and events.
     let trace = TraceWriter::from_env();
     let run = |kind| {
@@ -272,9 +293,9 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         .map_err(|e| e.to_string())
     };
     let random = run(StrategyKind::Random)?;
-    let mut out = String::new();
+    let mut table = String::new();
     let _ = writeln!(
-        out,
+        table,
         "{:<28} {:>12} {:>12}",
         "strategy", "delay (ms)", "vs random"
     );
@@ -282,18 +303,18 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         let summary = run(kind)?;
         let gain = improvement_pct(summary.mean_delay_ms, random.mean_delay_ms).unwrap_or(f64::NAN);
         let _ = writeln!(
-            out,
+            table,
             "{:<28} {:>12.1} {:>11.0}%",
             kind.name(),
             summary.mean_delay_ms,
             gain
         );
     }
-    print!("{out}");
+    write!(out, "{table}")?;
     Ok(())
 }
 
-fn cmd_place(opts: &Options) -> Result<(), String> {
+fn cmd_place(opts: &Options, out: &mut impl Write) -> CmdResult {
     let kind = opts.strategy.ok_or("place needs --strategy")?;
     let matrix = make_matrix(opts)?;
     let exp = Experiment::builder(matrix)
@@ -303,19 +324,20 @@ fn cmd_place(opts: &Options) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
     let outcome = exp.run_seed(kind, opts.seed).map_err(|e| e.to_string())?;
-    println!("strategy: {}", kind.name());
-    println!("placement (node ids): {:?}", outcome.placement);
-    println!("mean access delay: {:.1} ms", outcome.mean_delay_ms);
+    writeln!(out, "strategy: {}", kind.name())?;
+    writeln!(out, "placement (node ids): {:?}", outcome.placement)?;
+    writeln!(out, "mean access delay: {:.1} ms", outcome.mean_delay_ms)?;
     if outcome.summary_bytes > 0 {
-        println!(
+        writeln!(
+            out,
             "summary traffic: {:.1} KB",
             outcome.summary_bytes as f64 / 1024.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_simulate(opts: &Options) -> Result<(), String> {
+fn cmd_simulate(opts: &Options, out: &mut impl Write) -> CmdResult {
     if opts.k == 0 {
         return Err("simulate needs --k of at least 1".into());
     }
@@ -323,7 +345,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
     if duration > MAX_SIMULATE_MS {
         return Err(format!(
             "simulate --duration is at most {MAX_SIMULATE_MS} ms (one simulated hour), got {duration}"
-        ));
+        ).into());
     }
     let matrix = make_matrix(opts)?;
     let n = matrix.len();
@@ -338,48 +360,45 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
         seed: opts.seed,
         ..Default::default()
     };
-    println!(
+    writeln!(
+        out,
         "deploying: {n} nodes, {} data centers, k = {}, {:.0} s simulated",
         candidates.len(),
         opts.k,
         cfg.duration.as_ms() / 1_000.0
-    );
+    )?;
     let outcome = run_deployment(&matrix, &candidates, cfg);
-    println!(
+    writeln!(
+        out,
         "{} accesses, {} messages, {:.1} KB of summaries, {} placement rounds seen",
         outcome.accesses,
         outcome.messages,
         outcome.summary_bytes as f64 / 1024.0,
         outcome.placements_seen
-    );
-    println!(
-        "
-mean measured access delay per period (ms):"
-    );
+    )?;
+    writeln!(out, "\nmean measured access delay per period (ms):")?;
     for (i, d) in outcome.period_delay_ms.iter().enumerate() {
         if d.is_finite() {
-            println!("  period {i}: {d:.1}");
+            writeln!(out, "  period {i}: {d:.1}")?;
         }
     }
     Ok(())
 }
 
-fn cmd_trace(opts: &Options) -> Result<(), String> {
+fn cmd_trace(opts: &Options, out: &mut impl Write) -> CmdResult {
     if opts.clients == 0 {
         return Err("trace needs at least one client".into());
     }
     if !(opts.rate.is_finite() && opts.rate > 0.0) {
-        return Err(format!(
-            "--rate must be finite and positive, got {}",
-            opts.rate
-        ));
+        return Err(format!("--rate must be finite and positive, got {}", opts.rate).into());
     }
     let duration = duration_ms(opts)?;
     let expected = opts.rate * duration;
     if expected > MAX_TRACE_EVENTS {
         return Err(format!(
             "--rate × --duration expects {expected} accesses, above the limit of {MAX_TRACE_EVENTS}"
-        ));
+        )
+        .into());
     }
     let pop = Population::zipf_skewed(opts.clients, 1.0, opts.seed);
     let cfg = StreamConfig {
@@ -390,15 +409,19 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     let events = generate(&pop, &cfg, duration);
     let trace = Trace::from_events(events).map_err(|e| e.to_string())?;
     match trace.stats() {
-        Some(s) => println!(
+        Some(s) => writeln!(
+            out,
             "{} accesses by {} clients over {:.0} ms ({:.1} KiB total)",
             s.events, s.distinct_clients, s.span_ms, s.total_kib
-        ),
-        None => println!("empty trace (try a longer --duration or higher --rate)"),
+        )?,
+        None => writeln!(
+            out,
+            "empty trace (try a longer --duration or higher --rate)"
+        )?,
     }
     if let Some(path) = &opts.out {
-        std::fs::write(path, trace.to_text()).map_err(|e| e.to_string())?;
-        println!("trace written to {path}");
+        std::fs::write(path, trace.to_text())?;
+        writeln!(out, "trace written to {path}")?;
     }
     Ok(())
 }
@@ -455,36 +478,39 @@ mod tests {
     fn trace_rejects_unusable_rate_and_duration() {
         for rate in ["inf", "0", "-1", "NaN"] {
             let o = parse(&["--rate", rate]).unwrap();
-            assert!(cmd_trace(&o).is_err(), "--rate {rate}");
+            assert!(cmd_trace(&o, &mut io::sink()).is_err(), "--rate {rate}");
         }
         for duration in ["inf", "-5", "NaN"] {
             let o = parse(&["--duration", duration]).unwrap();
-            assert!(cmd_trace(&o).is_err(), "--duration {duration}");
+            assert!(
+                cmd_trace(&o, &mut io::sink()).is_err(),
+                "--duration {duration}"
+            );
         }
     }
 
     #[test]
     fn simulate_rejects_zero_k_and_unusable_duration() {
         let o = parse(&["--k", "0", "--nodes", "40", "--dcs", "5"]).unwrap();
-        assert!(cmd_simulate(&o).is_err());
+        assert!(cmd_simulate(&o, &mut io::sink()).is_err());
         for duration in ["inf", "1e20"] {
             let o = parse(&["--duration", duration, "--nodes", "40", "--dcs", "5"]).unwrap();
-            assert!(cmd_simulate(&o).is_err(), "{duration}");
+            assert!(cmd_simulate(&o, &mut io::sink()).is_err(), "{duration}");
         }
     }
 
     #[test]
     fn trace_rejects_an_expected_count_above_its_limit() {
         let o = parse(&["--clients", "10", "--rate", "1", "--duration", "1e16"]).unwrap();
-        let err = cmd_trace(&o).unwrap_err();
-        assert!(err.contains("limit of 10000000"), "{err}");
+        let err = cmd_trace(&o, &mut io::sink()).unwrap_err();
+        assert!(err.to_string().contains("limit of 10000000"), "{err}");
     }
 
     #[test]
     fn simulate_rejects_a_duration_above_one_simulated_hour() {
         let o = parse(&["--nodes", "40", "--dcs", "5", "--duration", "1e15"]).unwrap();
-        let err = cmd_simulate(&o).unwrap_err();
-        assert!(err.contains("at most 3600000 ms"), "{err}");
+        let err = cmd_simulate(&o, &mut io::sink()).unwrap_err();
+        assert!(err.to_string().contains("at most 3600000 ms"), "{err}");
     }
 
     #[test]

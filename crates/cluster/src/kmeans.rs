@@ -7,9 +7,10 @@
 //!
 //! The implementation is the fast half of the streaming layer: the
 //! assignment step keeps Hamerly-style per-point upper/lower bounds so most
-//! points skip the full centroid scan, and centroids live in a flat
-//! structure-of-arrays buffer reused across iterations. All of it is a
-//! *bit-for-bit* equivalence with the plain full-scan implementation
+//! points skip the full centroid scan, centroids live in a flat
+//! structure-of-arrays buffer, and every buffer the solver needs sits in
+//! one per-thread workspace reused across restarts and solves. All of it
+//! is a *bit-for-bit* equivalence with the plain full-scan implementation
 //! (preserved in [`crate::reference`]): identical assignments, SSE,
 //! iteration counts and winning restart. See DESIGN.md ("The streaming
 //! layer") for the exactness argument.
@@ -21,6 +22,7 @@
 //! spawn would, and its callers (a fleet round, an experiment's seed
 //! workers) already run many solves side by side.
 
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -261,35 +263,113 @@ fn validate(points: usize, cfg: &KMeansConfig) -> Result<(), ClusterError> {
 /// over *all* restarts, not just the winner. This layer never spawns: a
 /// caller that runs many solves side by side owns the fan-out (DESIGN.md
 /// §8, "Restarts").
+///
+/// Every buffer comes from the calling thread's [`Workspace`], so a warm
+/// solve allocates only the returned clustering's two vectors.
 pub(crate) fn lloyd<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
 ) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
     validate(points.len(), &cfg)?;
-    let mut stats = KMeansStats {
-        restarts: cfg.restarts as u64,
-        ..KMeansStats::default()
-    };
-    let mut best: Option<Clustering<D>> = None;
-    for r in 0..cfg.restarts {
-        let (run, counters) = lloyd_once(
-            points,
-            KMeansConfig {
-                seed: cfg.seed.wrapping_add(r as u64),
-                restarts: 1,
-                ..cfg
-            },
-        );
-        stats.iterations += run.iterations as u64;
-        stats.pruned_upper += counters.pruned_upper;
-        stats.pruned_tightened += counters.pruned_tightened;
-        stats.full_scans += counters.full_scans;
-        if best.as_ref().is_none_or(|b| run.sse < b.sse) {
-            stats.winner_restart = r as u64;
-            best = Some(run);
+    WORKSPACE.with(|ws| {
+        let ws = &mut *ws.borrow_mut();
+        let mut stats = KMeansStats {
+            restarts: cfg.restarts as u64,
+            ..KMeansStats::default()
+        };
+        let mut best: Option<Run> = None;
+        for r in 0..cfg.restarts {
+            let run = lloyd_once(
+                points,
+                KMeansConfig {
+                    seed: cfg.seed.wrapping_add(r as u64),
+                    restarts: 1,
+                    ..cfg
+                },
+                ws,
+            );
+            stats.iterations += run.iterations as u64;
+            stats.pruned_upper += run.counters.pruned_upper;
+            stats.pruned_tightened += run.counters.pruned_tightened;
+            stats.full_scans += run.counters.full_scans;
+            if best.as_ref().is_none_or(|b| run.sse < b.sse) {
+                stats.winner_restart = r as u64;
+                std::mem::swap(&mut ws.store, &mut ws.best);
+                std::mem::swap(&mut ws.assignments, &mut ws.best_assignments);
+                best = Some(run);
+            }
+        }
+        let best = best.expect("restarts ≥ 1");
+        let clustering = Clustering {
+            centroids: (0..ws.best.k()).map(|j| ws.best.get(j)).collect(),
+            assignments: ws.best_assignments.clone(),
+            sse: best.sse,
+            iterations: best.iterations,
+            converged: best.converged,
+        };
+        Ok((clustering, stats))
+    })
+}
+
+/// The solver's buffers, one set per thread, shared by every `D`: flat
+/// `f64`/`usize` slabs that each restart clears and resizes before use, so
+/// only their capacity outlives a solve (an early error or an unwind
+/// leaves nothing a later solve could read). A winning restart swaps its
+/// centroid store and assignments into the `best*` slabs, from which
+/// [`lloyd`] builds the returned [`Clustering`].
+///
+/// It is a thread-local rather than a parameter: solves run on whichever
+/// thread calls them (a fleet's fan-out workers, an experiment's seed
+/// workers), none of which carries per-worker state, so a worker's first
+/// solve sizes the slabs and every later solve on it reuses them.
+struct Workspace {
+    store: CentroidStore,
+    assignments: Vec<usize>,
+    // upper[i] ≥ distance(point i, its centroid); lower[i] ≤ distance to
+    // every other centroid. Conservative with respect to the *computed*
+    // floating-point distances, not just the real ones.
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+    delta: Vec<f64>,
+    // Flat accumulators for the update step.
+    sum_pos: Vec<f64>,
+    sum_h: Vec<f64>,
+    sum_w: Vec<f64>,
+    // k-means++ seeding: chosen point indices and squared distances.
+    seeds: Vec<usize>,
+    d2: Vec<f64>,
+    best: CentroidStore,
+    best_assignments: Vec<usize>,
+}
+
+impl Workspace {
+    const fn new() -> Self {
+        Workspace {
+            store: CentroidStore::empty(),
+            assignments: Vec::new(),
+            upper: Vec::new(),
+            lower: Vec::new(),
+            delta: Vec::new(),
+            sum_pos: Vec::new(),
+            sum_h: Vec::new(),
+            sum_w: Vec::new(),
+            seeds: Vec::new(),
+            d2: Vec::new(),
+            best: CentroidStore::empty(),
+            best_assignments: Vec::new(),
         }
     }
-    Ok((best.expect("restarts ≥ 1"), stats))
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
+}
+
+/// Empties `slab` and refills it with `len` copies of `value`, keeping its
+/// capacity.
+fn refill<T: Copy>(slab: &mut Vec<T>, len: usize, value: T) {
+    slab.clear();
+    slab.resize(len, value);
 }
 
 // ---- The bounds-pruned Lloyd core. ----
@@ -314,23 +394,30 @@ fn fp_guard(d: usize) -> f64 {
 }
 
 /// Flat structure-of-arrays centroid store, written in place each update
-/// step instead of reallocating `Vec<Coord>` per iteration.
-struct CentroidStore<const D: usize> {
+/// step instead of reallocating `Vec<Coord>` per iteration. The row width
+/// is the `D` of the coordinates it is read and written with, so one store
+/// serves every dimension.
+struct CentroidStore {
     pos: Vec<f64>, // k × D, row-major
     height: Vec<f64>,
 }
 
-impl<const D: usize> CentroidStore<D> {
-    fn new(centroids: &[Coord<D>]) -> Self {
-        let mut store = CentroidStore {
-            pos: Vec::with_capacity(centroids.len() * D),
-            height: Vec::with_capacity(centroids.len()),
-        };
-        for c in centroids {
-            store.pos.extend_from_slice(c.pos());
-            store.height.push(c.height());
+impl CentroidStore {
+    const fn empty() -> Self {
+        CentroidStore {
+            pos: Vec::new(),
+            height: Vec::new(),
         }
-        store
+    }
+
+    /// Replaces the contents with the seed points `points[seeds[j]]`.
+    fn fill<const D: usize>(&mut self, points: &[WeightedPoint<D>], seeds: &[usize]) {
+        self.pos.clear();
+        self.height.clear();
+        for &i in seeds {
+            self.pos.extend_from_slice(points[i].coord.pos());
+            self.height.push(points[i].coord.height());
+        }
     }
 
     fn k(&self) -> usize {
@@ -339,7 +426,7 @@ impl<const D: usize> CentroidStore<D> {
 
     /// `centroids[j].distance(&p)` — the assignment-scan orientation.
     /// Height addition is not associative, so both orientations exist.
-    fn dist_centroid_point(&self, j: usize, p: &Coord<D>) -> f64 {
+    fn dist_centroid_point<const D: usize>(&self, j: usize, p: &Coord<D>) -> f64 {
         let row = &self.pos[j * D..(j + 1) * D];
         let pp = p.pos();
         let mut s = 0.0;
@@ -351,7 +438,7 @@ impl<const D: usize> CentroidStore<D> {
     }
 
     /// `p.distance(&centroids[j])` — the empty-cluster-repair orientation.
-    fn dist_point_centroid(&self, p: &Coord<D>, j: usize) -> f64 {
+    fn dist_point_centroid<const D: usize>(&self, p: &Coord<D>, j: usize) -> f64 {
         let row = &self.pos[j * D..(j + 1) * D];
         let pp = p.pos();
         let mut s = 0.0;
@@ -363,7 +450,7 @@ impl<const D: usize> CentroidStore<D> {
     }
 
     /// First-wins strict-minimum scan, exactly the naive `nearest`.
-    fn nearest(&self, p: &Coord<D>) -> (usize, f64) {
+    fn nearest<const D: usize>(&self, p: &Coord<D>) -> (usize, f64) {
         let mut best = (0usize, f64::INFINITY);
         for j in 0..self.k() {
             let d = self.dist_centroid_point(j, p);
@@ -377,7 +464,7 @@ impl<const D: usize> CentroidStore<D> {
     /// Nearest centroid plus the distance to the closest *other* centroid
     /// (the lower bound seed). The `d < d1` branch keeps the first minimal
     /// index, matching [`CentroidStore::nearest`].
-    fn nearest_two(&self, p: &Coord<D>) -> (usize, f64, f64) {
+    fn nearest_two<const D: usize>(&self, p: &Coord<D>) -> (usize, f64, f64) {
         let mut a = 0usize;
         let mut d1 = f64::INFINITY;
         let mut d2 = f64::INFINITY;
@@ -397,7 +484,7 @@ impl<const D: usize> CentroidStore<D> {
     /// Overwrites centroid `c`, returning the Euclidean move (the exact
     /// `old.euclidean(&new)` the naive code adds to `movement`) and the
     /// absolute height change (which the distance bounds also need).
-    fn replace(&mut self, c: usize, new: &Coord<D>) -> (f64, f64) {
+    fn replace<const D: usize>(&mut self, c: usize, new: &Coord<D>) -> (f64, f64) {
         let row = &mut self.pos[c * D..(c + 1) * D];
         let np = new.pos();
         let mut s = 0.0;
@@ -412,14 +499,10 @@ impl<const D: usize> CentroidStore<D> {
         (euclid, dh)
     }
 
-    fn get(&self, j: usize) -> Coord<D> {
+    fn get<const D: usize>(&self, j: usize) -> Coord<D> {
         let mut pos = [0.0; D];
         pos.copy_from_slice(&self.pos[j * D..(j + 1) * D]);
         Coord::new(pos).with_height(self.height[j])
-    }
-
-    fn to_coords(&self) -> Vec<Coord<D>> {
-        (0..self.k()).map(|j| self.get(j)).collect()
     }
 }
 
@@ -451,14 +534,38 @@ struct LloydCounters {
     full_scans: u64,
 }
 
-/// One seeded Lloyd run plus its prune/scan tallies. Input is
-/// pre-validated by [`lloyd`]. The counters are integer increments
-/// on paths the solver already takes — no extra float arithmetic, no RNG
-/// draws — so they never influence the clustering.
+/// What one restart reports besides the centroids and assignments it
+/// leaves in the workspace's `store` and `assignments` slabs.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    sse: f64,
+    iterations: usize,
+    converged: bool,
+    counters: LloydCounters,
+}
+
+/// One seeded Lloyd run plus its prune/scan tallies, over the workspace's
+/// slabs. Input is pre-validated by [`lloyd`]. The counters are integer
+/// increments on paths the solver already takes — no extra float
+/// arithmetic, no RNG draws — so they never influence the clustering.
 fn lloyd_once<const D: usize>(
     points: &[WeightedPoint<D>],
     cfg: KMeansConfig,
-) -> (Clustering<D>, LloydCounters) {
+    ws: &mut Workspace,
+) -> Run {
+    let Workspace {
+        store,
+        assignments,
+        upper,
+        lower,
+        delta,
+        sum_pos,
+        sum_h,
+        sum_w,
+        seeds,
+        d2,
+        ..
+    } = ws;
     let mut counters = LloydCounters::default();
     let guard = fp_guard(D);
     let up = 1.0 + guard;
@@ -466,20 +573,16 @@ fn lloyd_once<const D: usize>(
     let n = points.len();
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = CentroidStore::new(&seed_plus_plus(points, k, &mut rng));
+    seed_plus_plus(points, k, &mut rng, seeds, d2);
+    store.fill(points, seeds);
 
-    let mut assignments = vec![0usize; n];
-    // upper[i] ≥ distance(point i, its centroid); lower[i] ≤ distance to
-    // every other centroid. Conservative with respect to the *computed*
-    // floating-point distances, not just the real ones.
-    let mut upper = vec![f64::INFINITY; n];
-    let mut lower = vec![f64::INFINITY; n];
-    let mut delta = vec![0.0f64; k];
-
-    // Flat accumulators for the update step, reused across iterations.
-    let mut sum_pos = vec![0.0f64; k * D];
-    let mut sum_h = vec![0.0f64; k];
-    let mut sum_w = vec![0.0f64; k];
+    refill(assignments, n, 0);
+    refill(upper, n, f64::INFINITY);
+    refill(lower, n, f64::INFINITY);
+    refill(delta, k, 0.0);
+    refill(sum_pos, k * D, 0.0);
+    refill(sum_h, k, 0.0);
+    refill(sum_w, k, 0.0);
 
     let mut iterations = 0;
     let mut converged = false;
@@ -503,7 +606,7 @@ fn lloyd_once<const D: usize>(
                 lower[i] = d2;
             }
         } else {
-            let (m1, am, m2) = top_two(&delta);
+            let (m1, am, m2) = top_two(delta);
             for (i, p) in points.iter().enumerate() {
                 let a = assignments[i];
                 // Inflate by the assigned centroid's movement; deflate the
@@ -574,7 +677,7 @@ fn lloyd_once<const D: usize>(
         sum_pos.fill(0.0);
         sum_h.fill(0.0);
         sum_w.fill(0.0);
-        for (p, &a) in points.iter().zip(&assignments) {
+        for (p, &a) in points.iter().zip(assignments.iter()) {
             let row = &mut sum_pos[a * D..(a + 1) * D];
             let pp = p.coord.pos();
             for i in 0..D {
@@ -601,7 +704,7 @@ fn lloyd_once<const D: usize>(
                 // replaced, the rest not — exactly the mixed state the
                 // naive in-place loop exposed.
                 repaired = true;
-                farthest_point(points, &store, &assignments)
+                farthest_point(points, store, assignments)
             };
             let (euclid, dh) = store.replace(c, &next);
             movement += euclid;
@@ -626,28 +729,30 @@ fn lloyd_once<const D: usize>(
         sse += p.weight * dist * dist;
     }
 
-    (
-        Clustering {
-            centroids: store.to_coords(),
-            assignments,
-            sse,
-            iterations,
-            converged,
-        },
+    Run {
+        sse,
+        iterations,
+        converged,
         counters,
-    )
+    }
 }
 
 /// k-means++ seeding: the first centroid is weight-proportional random, each
 /// further centroid is chosen with probability proportional to
 /// `weight × D(x)²` where `D(x)` is the distance to the closest centroid
 /// chosen so far.
+///
+/// Writes the chosen centroids as indices into `points` to `seeds`, and
+/// uses `d2` as scratch for the squared distances; both are cleared first,
+/// so any caller-owned buffers will do.
 pub(crate) fn seed_plus_plus<const D: usize>(
     points: &[WeightedPoint<D>],
     k: usize,
     rng: &mut StdRng,
-) -> Vec<Coord<D>> {
-    let mut centroids = Vec::with_capacity(k);
+    seeds: &mut Vec<usize>,
+    d2: &mut Vec<f64>,
+) {
+    seeds.clear();
     let total_w: f64 = points.iter().map(|p| p.weight).sum();
     let mut pick = rng.random::<f64>() * total_w;
     let mut first = 0;
@@ -658,29 +763,32 @@ pub(crate) fn seed_plus_plus<const D: usize>(
             break;
         }
     }
-    centroids.push(points[first].coord);
+    seeds.push(first);
 
-    let mut d2: Vec<f64> = points
-        .iter()
-        .map(|p| {
-            let d = p.coord.distance(&centroids[0]);
-            d * d
-        })
-        .collect();
+    let c0 = points[first].coord;
+    d2.clear();
+    d2.extend(points.iter().map(|p| {
+        let d = p.coord.distance(&c0);
+        d * d
+    }));
 
-    while centroids.len() < k {
-        let total: f64 = points.iter().zip(&d2).map(|(p, &d)| p.weight * d).sum();
+    while seeds.len() < k {
+        let total: f64 = points
+            .iter()
+            .zip(d2.iter())
+            .map(|(p, &d)| p.weight * d)
+            .sum();
         let next = if total <= 0.0 {
             // All remaining points coincide with existing centroids; pick
             // the first point not yet used as a centroid.
             points
                 .iter()
-                .position(|p| !centroids.contains(&p.coord))
+                .position(|p| !seeds.iter().any(|&s| points[s].coord == p.coord))
                 .unwrap_or(0)
         } else {
             let mut pick = rng.random::<f64>() * total;
             let mut chosen = points.len() - 1;
-            for (i, (p, &d)) in points.iter().zip(&d2).enumerate() {
+            for (i, (p, &d)) in points.iter().zip(d2.iter()).enumerate() {
                 pick -= p.weight * d;
                 if pick <= 0.0 {
                     chosen = i;
@@ -689,20 +797,19 @@ pub(crate) fn seed_plus_plus<const D: usize>(
             }
             chosen
         };
+        seeds.push(next);
         let c = points[next].coord;
-        centroids.push(c);
         for (p, slot) in points.iter().zip(d2.iter_mut()) {
             let d = p.coord.distance(&c);
             *slot = slot.min(d * d);
         }
     }
-    centroids
 }
 
 /// The point with the largest weighted distance to its assigned centroid.
 fn farthest_point<const D: usize>(
     points: &[WeightedPoint<D>],
-    store: &CentroidStore<D>,
+    store: &CentroidStore,
     assignments: &[usize],
 ) -> Coord<D> {
     let mut best = (points[0].coord, -1.0);
@@ -863,6 +970,64 @@ mod tests {
     fn empty_stats_have_a_zero_prune_rate() {
         assert_eq!(KMeansStats::default().prune_rate(), 0.0);
         assert_eq!(KMeansStats::default().point_updates(), 0);
+    }
+
+    /// `n` deterministic weighted points in `D` dimensions, with heights.
+    fn scattered<const D: usize>(n: usize, seed: u64) -> Vec<WeightedPoint<D>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| {
+                let mut pos = [0.0; D];
+                for x in &mut pos {
+                    *x = next() * 300.0;
+                }
+                let coord = Coord::new(pos).with_height(next() * 5.0);
+                WeightedPoint::new(coord, 0.5 + next() * 3.0)
+            })
+            .collect()
+    }
+
+    /// One solve on the thread's warm workspace, checked against the
+    /// preserved full-scan reference and against the same call on an
+    /// empty workspace — the state a freshly spawned thread starts in.
+    fn solve_matches_a_fresh_workspace<const D: usize>(
+        points: &[WeightedPoint<D>],
+        cfg: KMeansConfig,
+    ) -> Result<(Clustering<D>, KMeansStats), ClusterError> {
+        let warm = lloyd(points, cfg);
+        let kept = WORKSPACE.with(|ws| ws.replace(Workspace::new()));
+        let fresh = lloyd(points, cfg);
+        WORKSPACE.with(|ws| ws.replace(kept));
+        assert_eq!(warm, fresh, "a reused workspace changed the solve");
+        assert_eq!(
+            warm.clone().map(|(clustering, _)| clustering),
+            crate::reference::lloyd_reference(points, cfg)
+        );
+        warm
+    }
+
+    #[test]
+    fn reusing_the_workspace_changes_nothing() {
+        let big7 = scattered::<7>(24, 1);
+        let big2 = scattered::<2>(24, 2);
+        let cfg = KMeansConfig::new(3).with_seed(11);
+        solve_matches_a_fresh_workspace(&big7, cfg).unwrap();
+        solve_matches_a_fresh_workspace(&scattered::<2>(1, 3), KMeansConfig::new(1)).unwrap();
+        solve_matches_a_fresh_workspace(&big7, cfg).unwrap();
+        assert_eq!(
+            solve_matches_a_fresh_workspace(&scattered::<7>(2, 4), cfg),
+            Err(ClusterError::KTooLarge { k: 3, points: 2 })
+        );
+        solve_matches_a_fresh_workspace(&big2, cfg.with_seed(5)).unwrap();
+        solve_matches_a_fresh_workspace(&scattered::<7>(1, 6), KMeansConfig::new(1)).unwrap();
+        solve_matches_a_fresh_workspace(&big7, cfg.with_seed(7)).unwrap();
+        solve_matches_a_fresh_workspace(&big2, cfg.with_seed(5)).unwrap();
     }
 
     proptest! {

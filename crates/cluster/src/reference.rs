@@ -67,7 +67,9 @@ fn lloyd_once_reference<const D: usize>(
     }
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut centroids = seed_plus_plus(points, cfg.k, &mut rng);
+    let (mut seeds, mut d2) = (Vec::new(), Vec::new());
+    seed_plus_plus(points, cfg.k, &mut rng, &mut seeds, &mut d2);
+    let mut centroids: Vec<Coord<D>> = seeds.iter().map(|&i| points[i].coord).collect();
     let mut assignments = vec![0usize; points.len()];
     let mut iterations = 0;
     let mut converged = false;

@@ -211,8 +211,9 @@ impl<const D: usize> FleetManager<D> {
     ///
     /// # Errors
     ///
-    /// [`FleetError::InvalidSetup`] for an inconsistent tiering,
-    /// [`FleetError::Manager`] when the per-owner construction fails.
+    /// [`FleetError::InvalidSetup`] for an inconsistent tiering or a NaN or
+    /// negative migration budget, [`FleetError::Manager`] when the
+    /// per-owner construction fails.
     pub fn new(
         coords: Vec<Coord<D>>,
         candidates: Vec<usize>,
@@ -235,6 +236,13 @@ impl<const D: usize> FleetManager<D> {
     ) -> Result<Self, FleetError> {
         let tiering = Tiering::new(config.objects, config.hot_objects, config.cold_groups)
             .map_err(FleetError::InvalidSetup)?;
+        // A NaN or negative budget would defer every same-size migration
+        // forever instead of failing; `+∞` (no batching) stays valid.
+        if config.migration_budget_usd.is_nan() || config.migration_budget_usd < 0.0 {
+            return Err(FleetError::InvalidSetup(
+                "migration budget must be non-negative (or +∞)",
+            ));
+        }
         let owner_count = tiering.owner_count();
         let mut owners = Vec::with_capacity(owner_count);
         for owner in 0..owner_count {
@@ -531,6 +539,24 @@ mod tests {
             fleet_config(100, 4, 2),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_nan_or_negative_budget_is_rejected() {
+        let build = |budget: f64| {
+            let mut cfg = fleet_config(100, 4, 2);
+            cfg.migration_budget_usd = budget;
+            FleetManager::<1>::new(line_coords(6), vec![0, 3, 5], vec![0, 3], cfg)
+        };
+        for bad in [f64::NAN, -0.5, f64::NEG_INFINITY] {
+            assert!(
+                matches!(build(bad), Err(FleetError::InvalidSetup(_))),
+                "budget {bad} must be rejected"
+            );
+        }
+        for good in [0.0, 100.0, f64::INFINITY] {
+            assert!(build(good).is_ok(), "budget {good} must be accepted");
+        }
     }
 
     /// A deterministic keyed access stream skewed toward low object ids.

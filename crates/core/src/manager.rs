@@ -220,7 +220,9 @@ impl<const D: usize> ReplicaManager<D> {
     ///
     /// [`ManagerError::InvalidSetup`] when the placement is empty, exceeds
     /// `k`, contains non-candidates, or any candidate index is out of
-    /// range.
+    /// range; or when `gain_per_dollar`, `demand_per_replica`,
+    /// `period_decay` or a migration cost field is NaN, infinite or
+    /// negative.
     pub fn new(
         coords: Vec<Coord<D>>,
         candidates: Vec<usize>,
@@ -265,6 +267,24 @@ impl<const D: usize> ReplicaManager<D> {
         if initial_placement.iter().any(|r| !candidates.contains(r)) {
             return Err(ManagerError::InvalidSetup(
                 "placement must be a subset of candidates",
+            ));
+        }
+        // A NaN in any of these makes every comparison against it false,
+        // which silently disables migration, adaptation or the period
+        // reset instead of failing.
+        if [
+            config.gain_per_dollar,
+            config.demand_per_replica,
+            config.period_decay,
+            config.cost.object_size_gb,
+            config.cost.cost_per_gb,
+        ]
+        .iter()
+        .any(|x| !(x.is_finite() && *x >= 0.0))
+        {
+            return Err(ManagerError::InvalidSetup(
+                "gain_per_dollar, demand_per_replica, period_decay and the migration cost \
+                 must be finite and non-negative",
             ));
         }
         let clusterers = initial_placement
@@ -622,11 +642,19 @@ impl<const D: usize> ReplicaManager<D> {
                 .filter(|&&(_, w)| w > 0.0)
                 .map(|&(coord, w)| WeightedPoint::new(coord, w))
                 .collect(),
-            Plan::Recorded | Plan::Placement(_) => self
-                .clusterers
-                .iter()
-                .flat_map(|c| c.pseudo_points())
-                .collect(),
+            // Each micro-cluster's pseudo point, gathered straight from
+            // the summarizers into one vector sized up front.
+            Plan::Recorded | Plan::Placement(_) => {
+                let mut points =
+                    Vec::with_capacity(self.clusterers.iter().map(|c| c.clusters().len()).sum());
+                points.extend(
+                    self.clusterers
+                        .iter()
+                        .flat_map(|c| c.clusters())
+                        .map(|mc| WeightedPoint::new(mc.centroid(), mc.weight())),
+                );
+                points
+            }
         };
         if demand.is_empty() {
             return Ok(PendingRebalance {
@@ -789,6 +817,39 @@ mod tests {
             err(ManagerConfig::new(1, 4), vec![0, 3], vec![1]),
             ManagerError::InvalidSetup(_)
         ));
+    }
+
+    #[test]
+    fn non_finite_or_negative_money_and_rates_are_rejected() {
+        type Set = fn(&mut ManagerConfig, f64);
+        let fields: [(&str, Set); 5] = [
+            ("gain_per_dollar", |c, x| c.gain_per_dollar = x),
+            ("demand_per_replica", |c, x| c.demand_per_replica = x),
+            ("period_decay", |c, x| c.period_decay = x),
+            ("object_size_gb", |c, x| c.cost.object_size_gb = x),
+            ("cost_per_gb", |c, x| c.cost.cost_per_gb = x),
+        ];
+        for (name, set) in fields {
+            for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut cfg = ManagerConfig::new(2, 4);
+                set(&mut cfg, bad);
+                assert!(
+                    matches!(
+                        ReplicaManager::<1>::new(line_coords(), vec![0, 3, 5], vec![0, 3], cfg),
+                        Err(ManagerError::InvalidSetup(_))
+                    ),
+                    "{name} = {bad} must be rejected"
+                );
+            }
+            for good in [0.0, 0.5] {
+                let mut cfg = ManagerConfig::new(2, 4);
+                set(&mut cfg, good);
+                assert!(
+                    ReplicaManager::<1>::new(line_coords(), vec![0, 3, 5], vec![0, 3], cfg).is_ok(),
+                    "{name} = {good} must be accepted"
+                );
+            }
+        }
     }
 
     #[test]

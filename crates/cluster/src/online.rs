@@ -21,6 +21,17 @@
 //! their centroid and radius precomputed (see [`MicroCluster`]), and a
 //! `PairCache` keeps per-cluster nearest-forward-neighbor records so the
 //! overflow merge is an amortized update instead of a fresh O(m²) sweep.
+//!
+//! Most overflowing accesses end with the newcomer merged straight into its
+//! nearest micro-cluster, and that merge is bitwise an absorb there (a
+//! single-access cluster's accumulators are the access itself, and the
+//! newcomer sits last, so the swap-remove relocates nothing). `observe`
+//! absorbs directly whenever the reference would pick that pair: when every
+//! existing pair is farther apart than the newcomer is from its nearest
+//! cluster, or exactly as far with a later first index. A lower bound on the
+//! existing pairs' distances, drifted down as centroids move, usually
+//! settles this without refreshing the `PairCache` at all; see
+//! [`OnlineClusterer::observe`] for the rounding argument.
 
 use georep_coord::Coord;
 
@@ -62,6 +73,39 @@ impl StreamStats {
 
 /// Witness index meaning "no forward neighbor" (only the last row).
 const NO_FORWARD: usize = usize::MAX;
+
+/// Relative slack of the pair-distance bound (see
+/// [`OnlineClusterer::observe`]): far above the rounding error of one
+/// computed distance, `(D + 5)·2⁻⁵³`.
+const MU: f64 = 1e-9;
+
+/// Converts a computed distance into a bound on exact distances and back.
+const SHRINK: f64 = 1.0 - MU;
+
+/// Scales a computed centroid drift into a bound on the exact drift.
+const GROW: f64 = 1.0 + MU;
+
+/// Cap on the pair-distance bound, far below the ~1.3e154 at which a
+/// squared coordinate difference overflows: a pair whose computed distance
+/// overflowed to `+∞` is still at least this far apart.
+const BOUND_CAP: f64 = 1e150;
+
+/// The bound that a computed distance `d` certifies for the exact distance
+/// it rounds.
+fn exact_bound(d: f64) -> f64 {
+    d.min(BOUND_CAP) * SHRINK
+}
+
+/// Which way an overflowing access went; tallied by the tests only.
+#[derive(Debug, Clone, Copy)]
+enum Overflow {
+    /// Absorbed into the nearest cluster on the bound, no refresh.
+    BoundSkip,
+    /// Absorbed into the nearest cluster after a refresh.
+    Refreshed,
+    /// Pushed, then the existing closest pair merged.
+    Slow,
+}
 
 /// Incremental closest-pair bookkeeping over the micro-cluster list.
 ///
@@ -179,12 +223,12 @@ impl PairCache {
         self.moved.fill(false);
     }
 
-    /// The closest pair `(i, j)`, `i < j`. Requires a preceding
-    /// [`PairCache::refresh`]. The ascending fold with a strict `<` over
-    /// per-row minima returns the lexicographically-first minimal pair,
-    /// exactly like the original double loop (including its `(0, 1)`
-    /// fallback when every distance is infinite).
-    fn closest(&self) -> (usize, usize) {
+    /// The closest pair `(i, j)`, `i < j`, and its distance. Requires a
+    /// preceding [`PairCache::refresh`]. The ascending fold with a strict
+    /// `<` over per-row minima returns the lexicographically-first minimal
+    /// pair, exactly like the original double loop (including its `(0, 1)`
+    /// fallback, at distance `+∞`, when no distance is finite).
+    fn closest(&self) -> (usize, usize, f64) {
         let mut best = (0usize, 1usize, f64::INFINITY);
         for (i, row) in self.rows.iter().enumerate() {
             if let Some((j, d)) = *row {
@@ -193,7 +237,7 @@ impl PairCache {
                 }
             }
         }
-        (best.0, best.1)
+        best
     }
 
     /// Records that cluster `removed` was swap-removed after merging into
@@ -289,6 +333,12 @@ pub struct OnlineClusterer<const D: usize> {
     /// Scratch buffer for the per-access distance scan, reused so `observe`
     /// allocates nothing in steady state.
     scan: Vec<f64>,
+    /// A lower bound on the exact distance of every pair of current
+    /// clusters (`+∞` while there is no pair, `−∞` or NaN when unknown).
+    pair_bound: f64,
+    /// Overflowing accesses per [`Overflow`] branch.
+    #[cfg(test)]
+    overflows: [u64; 3],
 }
 
 // The pair cache, scan buffer and stream stats are derived state; two
@@ -315,6 +365,9 @@ impl<const D: usize> OnlineClusterer<D> {
             stats: StreamStats::default(),
             pairs: PairCache::new(m),
             scan: Vec::with_capacity(m.saturating_add(1)),
+            pair_bound: f64::INFINITY,
+            #[cfg(test)]
+            overflows: [0; 3],
         }
     }
 
@@ -370,6 +423,7 @@ impl<const D: usize> OnlineClusterer<D> {
     pub fn clear(&mut self) {
         self.clusters.clear();
         self.pairs.reset(0);
+        self.pair_bound = f64::INFINITY;
     }
 
     /// Ages every micro-cluster by `factor` (see
@@ -387,6 +441,7 @@ impl<const D: usize> OnlineClusterer<D> {
         // denominator together) but indices may have shifted; decay is a
         // rare period-boundary event, so a lazy full rebuild is fine.
         self.pairs.reset(self.clusters.len());
+        self.pair_bound = f64::NEG_INFINITY;
     }
 
     /// Inserts a whole micro-cluster (e.g. history handed over from another
@@ -418,8 +473,12 @@ impl<const D: usize> OnlineClusterer<D> {
         }
         self.clusters.push(cluster);
         self.pairs.push_with_distances(&self.scan);
+        self.pair_bound = f64::NEG_INFINITY;
         if self.clusters.len() > self.m {
-            self.merge_closest_pair();
+            self.stats.merged += 1;
+            self.pairs.refresh(&self.clusters);
+            let (i, j, _) = self.pairs.closest();
+            self.merge_pair(i, j);
         }
     }
 
@@ -428,6 +487,32 @@ impl<const D: usize> OnlineClusterer<D> {
     ///
     /// Non-finite coordinates or non-positive weights are ignored (a live
     /// system cannot afford to crash on one bad sample).
+    ///
+    /// An access that opens a cluster while `m` already exist would be
+    /// pushed at index `m` and then the lexicographically first closest pair
+    /// merged. With `D_N` the distance to its nearest cluster `n` (the first
+    /// at that distance) and `(a, b)` the existing clusters' first closest
+    /// pair at distance `P`, that pair is `(n, newcomer)` iff `P > D_N`, or
+    /// `P == D_N` and `a > n`; the merge is then bitwise
+    /// `clusters[n].absorb(coord, weight)`, which is what runs.
+    ///
+    /// `pair_bound` often decides `P > D_N` without a refresh. It bounds the
+    /// *exact* distance `d(i, j) = ‖c_i − c_j‖ + h_i + h_j` of every pair of
+    /// current centroids from below:
+    ///
+    /// - Every term of a computed distance is non-negative (heights are, as
+    ///   [`Coord::with_height`] requires), so it is within a relative
+    ///   `γ ≤ (D + 5)·2⁻⁵³` of the exact one (far below `µ = 1e-9`):
+    ///   a computed `P` or `D_N` certifies `min(·, BOUND_CAP)·(1 − µ)`.
+    ///   It is set from `P` after a refresh and lowered to `D_N`'s on a
+    ///   create below `m`.
+    /// - `d` obeys the triangle inequality, so a centroid move by
+    ///   `δ = ‖u − u′‖ + |h_u − h_u′|` lowers it by at most `δ`. An absorb
+    ///   subtracts the computed `δ·(1 + µ)` and steps one float down, so
+    ///   the subtraction's own rounding cannot lift it.
+    /// - If `bound·(1 − µ) > D_N`, every computed existing pair distance
+    ///   exceeds `D_N`. Equality always takes the exact path, and a slow
+    ///   merge, `decay` or `absorb_cluster` forgets the bound (`−∞`).
     pub fn observe(&mut self, coord: Coord<D>, weight: f64) {
         if !(coord.is_finite() && weight.is_finite() && weight > 0.0) {
             return;
@@ -461,36 +546,82 @@ impl<const D: usize> OnlineClusterer<D> {
 
         if nearest_dist <= threshold {
             self.stats.absorbed += 1;
-            self.clusters[nearest_idx].absorb(coord, weight);
-            self.pairs.mark_moved(nearest_idx);
-        } else {
-            self.stats.created += 1;
+            self.absorb_into(nearest_idx, coord, weight);
+            return;
+        }
+        self.stats.created += 1;
+        if self.clusters.len() < self.m {
             self.clusters.push(MicroCluster::from_access(coord, weight));
             self.pairs.push_with_distances(&self.scan);
-            if self.clusters.len() > self.m {
-                self.merge_closest_pair();
+            // Every new pair is at least `nearest_dist` apart. (`<` keeps a
+            // NaN bound unknown.)
+            let bound = exact_bound(nearest_dist);
+            if bound < self.pair_bound {
+                self.pair_bound = bound;
             }
+            return;
+        }
+
+        self.stats.merged += 1;
+        if self.pair_bound * SHRINK > nearest_dist {
+            self.note(Overflow::BoundSkip);
+            self.absorb_into(nearest_idx, coord, weight);
+            return;
+        }
+        self.pairs.refresh(&self.clusters);
+        let (a, b, closest) = self.pairs.closest();
+        if closest > nearest_dist || (closest == nearest_dist && a > nearest_idx) {
+            self.note(Overflow::Refreshed);
+            self.pair_bound = exact_bound(closest);
+            self.absorb_into(nearest_idx, coord, weight);
+        } else {
+            // The cache is exact and the newcomer's row changes no winner,
+            // so `(a, b)` is still the closest pair after the push.
+            self.note(Overflow::Slow);
+            self.clusters.push(MicroCluster::from_access(coord, weight));
+            self.pairs.push_with_distances(&self.scan);
+            self.merge_pair(a, b);
         }
     }
 
-    /// Merges the two clusters whose centroids are closest, reducing the
-    /// cluster count by one. Pair selection comes from the incremental
-    /// cache; the merge itself (swap-remove `j`, fold into `i`) is the
-    /// original arithmetic.
-    fn merge_closest_pair(&mut self) {
-        debug_assert!(self.clusters.len() >= 2);
-        self.stats.merged += 1;
-        self.pairs.refresh(&self.clusters);
-        let (i, j) = self.pairs.closest();
+    /// Absorbs one access into cluster `i`, lowering the pair bound by the
+    /// centroid's drift.
+    fn absorb_into(&mut self, i: usize, coord: Coord<D>, weight: f64) {
+        let before = self.clusters[i].centroid();
+        self.clusters[i].absorb(coord, weight);
+        self.pairs.mark_moved(i);
+        // An infinite bound means no pair (it stays so); an unknown one
+        // stays unknown.
+        if self.pair_bound.is_finite() {
+            let after = self.clusters[i].centroid();
+            let drift = before.euclidean(&after) + (before.height() - after.height()).abs();
+            self.pair_bound = (self.pair_bound - drift * GROW).next_down();
+        }
+    }
+
+    /// Merges cluster `j` into cluster `i` (`i < j`), which must be a pair
+    /// of an exact cache: swap-remove `j`, fold it into `i` (the original
+    /// arithmetic).
+    fn merge_pair(&mut self, i: usize, j: usize) {
         let absorbed = self.clusters.swap_remove(j);
         self.clusters[i].merge(&absorbed);
         self.pairs.merged(i, j, &self.clusters);
+        self.pair_bound = f64::NEG_INFINITY;
+    }
+
+    /// Tallies an overflow branch (a no-op outside tests).
+    fn note(&mut self, _branch: Overflow) {
+        #[cfg(test)]
+        {
+            self.overflows[_branch as usize] += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{ReferenceMicroCluster, ReferenceOnlineClusterer};
     use proptest::prelude::*;
 
     #[test]
@@ -719,6 +850,162 @@ mod tests {
         );
     }
 
+    /// One step of a differential stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Step<const D: usize> {
+        Observe(Coord<D>, f64),
+        AbsorbCluster(ReferenceMicroCluster<D>),
+        Decay(f64),
+        Clear,
+    }
+
+    /// Runs `steps` through the summarizer and the reference side by side,
+    /// checking after every step that the accumulators, `observed` and the
+    /// stream stats agree. Returns the overflow tally (bound skips,
+    /// refreshed shortcuts, slow merges).
+    fn run_against_reference<const D: usize>(m: usize, steps: &[Step<D>]) -> [u64; 3] {
+        let mut fast: OnlineClusterer<D> = OnlineClusterer::new(m);
+        let mut slow: ReferenceOnlineClusterer<D> = ReferenceOnlineClusterer::new(m);
+        // The reference leaves a handed-over cluster's count out of `observed`.
+        let mut handed_over = 0;
+        for (t, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Observe(coord, weight) => {
+                    fast.observe(coord, weight);
+                    slow.observe(coord, weight);
+                }
+                Step::AbsorbCluster(cluster) => {
+                    handed_over += cluster.count;
+                    fast.absorb_cluster(cluster.to_micro());
+                    slow.absorb_cluster(cluster);
+                }
+                Step::Decay(factor) => {
+                    fast.decay(factor);
+                    slow.decay(factor);
+                }
+                Step::Clear => {
+                    fast.clear();
+                    slow.clear();
+                }
+            }
+            assert_eq!(fast.len(), slow.clusters().len(), "step {t}: {step:?}");
+            for (f, r) in fast.clusters().iter().zip(slow.clusters()) {
+                assert!(r.same_accumulators(f), "step {t}: {f:?} vs {r:?}");
+            }
+            assert_eq!(fast.observed(), slow.observed() + handed_over, "step {t}");
+            assert_eq!(fast.stream_stats(), slow.stream_stats(), "step {t}");
+        }
+        fast.overflows
+    }
+
+    fn at(x: f64, h: f64) -> Step<1> {
+        Step::Observe(Coord::new([x]).with_height(h), 1.0)
+    }
+
+    // In the tie cases every distance is an exact integer: `|Δx| + h + h′`.
+
+    #[test]
+    fn a_tie_with_a_later_existing_pair_merges_the_newcomer() {
+        // Existing pairs (0,1) 101, (0,2) 109, (1,2) 8; the newcomer is 8
+        // from cluster 0, and (0, newcomer) precedes (1, 2).
+        let steps = [at(0.0, 1.0), at(100.0, 0.0), at(107.0, 1.0), at(-7.0, 0.0)];
+        assert_eq!(run_against_reference(3, &steps), [0, 1, 0]);
+    }
+
+    #[test]
+    fn a_tie_with_an_earlier_existing_pair_merges_that_pair() {
+        // (0,1) is 8 apart and precedes (2, newcomer), also 8.
+        let steps = [at(0.0, 1.0), at(7.0, 0.0), at(300.0, 2.0), at(306.0, 0.0)];
+        assert_eq!(run_against_reference(3, &steps), [0, 0, 1]);
+    }
+
+    #[test]
+    fn a_tie_on_the_nearest_clusters_own_pair_merges_that_pair() {
+        // (0,1) and (0, newcomer) are both 8: the existing pair precedes.
+        let steps = [at(0.0, 1.0), at(7.0, 0.0), at(300.0, 2.0), at(-7.0, 0.0)];
+        assert_eq!(run_against_reference(3, &steps), [0, 0, 1]);
+    }
+
+    #[test]
+    fn an_equidistant_newcomer_joins_the_first_nearest_cluster() {
+        // 10 from both clusters 0 and 1, which are 20 apart.
+        let steps = [at(0.0, 0.0), at(20.0, 0.0), at(200.0, 0.0), at(10.0, 0.0)];
+        assert_eq!(run_against_reference(3, &steps), [1, 0, 0]);
+    }
+
+    #[test]
+    fn a_slow_merge_forgets_the_bound() {
+        let at2 = |x: f64, y: f64| Step::Observe(Coord::new([x, y]), 1.0);
+        // (0,1) merges into (0, 0), which is then 11 from (0, 11): closer
+        // than any pair before the merge. The last access is 11.5 from
+        // the merged cluster, so the new closest pair must win.
+        let steps = [
+            at2(-6.0, 0.0),
+            at2(6.0, 0.0),
+            at2(0.0, 11.0),
+            at2(100.0, 0.0),
+            at2(-11.5, 0.0),
+        ];
+        assert_eq!(run_against_reference(3, &steps), [0, 0, 2]);
+    }
+
+    #[test]
+    fn a_far_pair_bound_skips_the_refresh() {
+        let steps = [at(0.0, 0.0), at(1000.0, 0.0), at(10.0, 0.0), at(990.0, 1.0)];
+        assert_eq!(run_against_reference(2, &steps), [2, 0, 0]);
+    }
+
+    #[test]
+    fn one_cluster_absorbs_every_newcomer_on_the_bound() {
+        let steps: Vec<Step<1>> = (0..40)
+            .map(|i| at(((i * 37) % 23) as f64 * 9.0, (i % 3) as f64))
+            .collect();
+        let [skips, refreshed, slow] = run_against_reference(1, &steps);
+        assert_eq!((refreshed, slow), (0, 0));
+        assert!(skips > 0);
+    }
+
+    /// A deterministic stream on an integer grid with integer heights and
+    /// weights, dense enough in ties; every 50th step hands over a cluster,
+    /// decays or clears.
+    fn grid_stream(len: usize, seed: u64) -> Vec<Step<2>> {
+        let mut state = seed | 1;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        (0..len)
+            .map(|t| {
+                let x = next(25) as f64 * 4.0;
+                let y = next(25) as f64 * 4.0;
+                let coord = Coord::new([x, y]).with_height(next(3) as f64);
+                match (t % 50, next(3)) {
+                    (49, 0) => {
+                        let mut mc = ReferenceMicroCluster::from_access(coord, 2.0);
+                        mc.absorb(Coord::new([x + 3.0, y]), 1.0);
+                        Step::AbsorbCluster(mc)
+                    }
+                    (49, 1) => Step::Decay(0.5),
+                    (49, _) => Step::Clear,
+                    _ => Step::Observe(coord, 1.0 + next(4) as f64),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_overflow_branch_fires_and_matches_the_reference() {
+        for m in [2, 3, 5, 8] {
+            let [skips, refreshed, slow] = run_against_reference(m, &grid_stream(3_000, m as u64));
+            assert!(
+                skips > 0 && refreshed > 0 && slow > 0,
+                "m {m}: {skips} bound skips, {refreshed} refreshed, {slow} slow"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_counts_are_conserved(
@@ -733,6 +1020,30 @@ mod tests {
             prop_assert!((oc.total_weight() - xs.len() as f64).abs() < 1e-6);
             prop_assert!(oc.len() <= m);
             prop_assert!(!oc.is_empty());
+        }
+
+        #[test]
+        fn prop_grid_streams_match_the_reference(
+            steps in prop::collection::vec((0u8..40, 0u8..12, 0u8..12, 0u8..3, 1u8..4), 1..250),
+            m in 1usize..7,
+        ) {
+            let steps: Vec<Step<2>> = steps
+                .iter()
+                .map(|&(kind, x, y, h, w)| {
+                    let coord = Coord::new([f64::from(x) * 3.0, f64::from(y) * 3.0])
+                        .with_height(f64::from(h));
+                    match kind {
+                        0 => Step::AbsorbCluster(ReferenceMicroCluster::from_access(
+                            coord,
+                            f64::from(w),
+                        )),
+                        1 => Step::Decay(0.5),
+                        2 => Step::Clear,
+                        _ => Step::Observe(coord, f64::from(w)),
+                    }
+                })
+                .collect();
+            run_against_reference(m, &steps);
         }
 
         #[test]

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 use crate::kmeans::{seed_plus_plus, ClusterError, Clustering, KMeansConfig, TOLERANCE};
 use crate::micro::MicroCluster;
-use crate::online::{MIN_RADIUS, RADIUS_FACTOR};
+use crate::online::{StreamStats, MIN_RADIUS, RADIUS_FACTOR};
 use crate::point::WeightedPoint;
 
 // ---- Weighted k-means: serial restarts, full-scan Lloyd. ----
@@ -260,12 +260,14 @@ impl<const D: usize> ReferenceMicroCluster<D> {
 
 /// The original [`crate::online::OnlineClusterer`]: same absorb/scatter
 /// logic, but centroids recomputed per candidate per access and a fresh
-/// O(m²) closest-pair sweep on every overflow.
+/// O(m²) closest-pair sweep on every overflow. It tallies the same
+/// [`StreamStats`], which decide nothing here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceOnlineClusterer<const D: usize> {
     m: usize,
     clusters: Vec<ReferenceMicroCluster<D>>,
     observed: u64,
+    stats: StreamStats,
 }
 
 impl<const D: usize> ReferenceOnlineClusterer<D> {
@@ -276,6 +278,7 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
             m,
             clusters: Vec::with_capacity(m),
             observed: 0,
+            stats: StreamStats::default(),
         }
     }
 
@@ -287,6 +290,12 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
     /// Accesses observed since creation.
     pub fn observed(&self) -> u64 {
         self.observed
+    }
+
+    /// Absorb / create / merge tallies, counted as
+    /// [`crate::online::OnlineClusterer::stream_stats`] defines them.
+    pub fn stream_stats(&self) -> StreamStats {
+        self.stats
     }
 
     /// The micro-clusters as weighted pseudo-points.
@@ -310,6 +319,7 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
     /// The original `absorb_cluster`: unconditional push (no validation,
     /// `observed` untouched) plus the overflow merge.
     pub fn absorb_cluster(&mut self, cluster: ReferenceMicroCluster<D>) {
+        self.stats.created += 1;
         self.clusters.push(cluster);
         if self.clusters.len() > self.m {
             self.merge_closest_pair();
@@ -324,6 +334,7 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
         self.observed += 1;
 
         if self.clusters.is_empty() {
+            self.stats.created += 1;
             self.clusters
                 .push(ReferenceMicroCluster::from_access(coord, weight));
             return;
@@ -340,8 +351,10 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
         let threshold = (RADIUS_FACTOR * self.clusters[nearest_idx].radius()).max(MIN_RADIUS);
 
         if nearest_dist <= threshold {
+            self.stats.absorbed += 1;
             self.clusters[nearest_idx].absorb(coord, weight);
         } else {
+            self.stats.created += 1;
             self.clusters
                 .push(ReferenceMicroCluster::from_access(coord, weight));
             if self.clusters.len() > self.m {
@@ -352,6 +365,7 @@ impl<const D: usize> ReferenceOnlineClusterer<D> {
 
     fn merge_closest_pair(&mut self) {
         debug_assert!(self.clusters.len() >= 2);
+        self.stats.merged += 1;
         let mut best = (0usize, 1usize, f64::INFINITY);
         for i in 0..self.clusters.len() {
             let ci = self.clusters[i].centroid();

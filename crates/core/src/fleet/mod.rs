@@ -542,6 +542,20 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_candidate_is_rejected() {
+        let built = FleetManager::<1>::new(
+            line_coords(6),
+            vec![0, 3, 0],
+            vec![0, 3],
+            fleet_config(100, 4, 2),
+        );
+        assert!(matches!(
+            built,
+            Err(FleetError::Manager(ManagerError::InvalidSetup(_)))
+        ));
+    }
+
+    #[test]
     fn a_nan_or_negative_budget_is_rejected() {
         let build = |budget: f64| {
             let mut cfg = fleet_config(100, 4, 2);

@@ -23,6 +23,7 @@ use georep_cluster::weighted::weighted_kmeans_with_stats;
 use georep_coord::Coord;
 
 use crate::migration::{moved_replicas, MigrationCostModel, MigrationDecision};
+use crate::problem::repeated_node;
 use crate::strategy::nearest_distinct_candidates;
 
 /// Error produced by [`ReplicaManager`].
@@ -220,7 +221,7 @@ impl<const D: usize> ReplicaManager<D> {
     ///
     /// [`ManagerError::InvalidSetup`] when the placement is empty, exceeds
     /// `k`, contains non-candidates, or any candidate index is out of
-    /// range; or when `gain_per_dollar`, `demand_per_replica`,
+    /// range or repeated; or when `gain_per_dollar`, `demand_per_replica`,
     /// `period_decay` or a migration cost field is NaN, infinite or
     /// negative.
     pub fn new(
@@ -258,6 +259,11 @@ impl<const D: usize> ReplicaManager<D> {
             return Err(ManagerError::InvalidSetup(
                 "candidate index out of coordinate range",
             ));
+        }
+        // A repeated candidate would let the snapping put two replicas on
+        // one node.
+        if repeated_node(&candidates).is_some() {
+            return Err(ManagerError::InvalidSetup("candidates must be distinct"));
         }
         if initial_placement.is_empty() || initial_placement.len() > candidates.len() {
             return Err(ManagerError::InvalidSetup(
@@ -817,6 +823,18 @@ mod tests {
             err(ManagerConfig::new(1, 4), vec![0, 3], vec![1]),
             ManagerError::InvalidSetup(_)
         ));
+    }
+
+    #[test]
+    fn a_repeated_candidate_is_rejected() {
+        // Accepted, this put both replicas on node 0 once demand sat there.
+        let built = ReplicaManager::<1>::new(
+            line_coords(),
+            vec![0, 0, 5],
+            vec![5],
+            ManagerConfig::new(2, 4),
+        );
+        assert!(matches!(built, Err(ManagerError::InvalidSetup(_))));
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub enum ProblemError {
         /// Number of nodes in the matrix.
         nodes: usize,
     },
+    /// A candidate node was listed more than once.
+    DuplicateCandidate(usize),
     /// Per-client weights had the wrong arity or invalid values.
     BadWeights,
     /// The evaluated placement was empty or contained a non-candidate.
@@ -49,6 +51,9 @@ impl fmt::Display for ProblemError {
             ProblemError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node {node} out of range for a {nodes}-node matrix")
             }
+            ProblemError::DuplicateCandidate(node) => {
+                write!(f, "candidate {node} is listed more than once")
+            }
             ProblemError::BadWeights => {
                 write!(f, "weights must be one positive finite value per client")
             }
@@ -60,6 +65,13 @@ impl fmt::Display for ProblemError {
 }
 
 impl Error for ProblemError {}
+
+/// A node that `nodes` lists more than once, if any.
+pub(crate) fn repeated_node(nodes: &[usize]) -> Option<usize> {
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
 
 /// A concrete instance of the replica placement problem.
 #[derive(Debug, Clone)]
@@ -124,6 +136,9 @@ impl<'a> PlacementProblem<'a> {
         let nodes = matrix.len();
         if let Some(&node) = candidates.iter().chain(&clients).find(|&&x| x >= nodes) {
             return Err(ProblemError::NodeOutOfRange { node, nodes });
+        }
+        if let Some(node) = repeated_node(&candidates) {
+            return Err(ProblemError::DuplicateCandidate(node));
         }
         if weights.len() != clients.len() || weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
             return Err(ProblemError::BadWeights);
@@ -320,6 +335,10 @@ mod tests {
         assert_eq!(
             PlacementProblem::new(&m, vec![9], vec![1]),
             Err(ProblemError::NodeOutOfRange { node: 9, nodes: 6 })
+        );
+        assert_eq!(
+            PlacementProblem::new(&m, vec![5, 0, 5], vec![1]),
+            Err(ProblemError::DuplicateCandidate(5))
         );
         assert_eq!(
             PlacementProblem::with_weights(&m, vec![0], vec![1], vec![0.0]),

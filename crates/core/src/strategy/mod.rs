@@ -213,6 +213,9 @@ pub trait Placer<const D: usize> {
 /// This is lines 3–5 of the paper's Algorithm 1, made total: the paper does
 /// not say what happens when two macro-clusters share a nearest data
 /// center, and a valid placement needs `k` *distinct* locations.
+///
+/// `candidates` must be distinct (every constructor that feeds it checks),
+/// so a candidate is free exactly when `chosen` does not hold it.
 pub(crate) fn nearest_distinct_candidates<const D: usize>(
     targets: &[Coord<D>],
     candidates: &[usize],
@@ -220,31 +223,29 @@ pub(crate) fn nearest_distinct_candidates<const D: usize>(
     k: usize,
 ) -> Vec<usize> {
     debug_assert!(k <= candidates.len());
-    let mut used = vec![false; candidates.len()];
     let mut chosen = Vec::with_capacity(k);
 
     for target in targets.iter().take(k) {
         let mut best: Option<(usize, f64)> = None;
-        for (ci, &cand) in candidates.iter().enumerate() {
-            if used[ci] {
+        for &cand in candidates {
+            if chosen.contains(&cand) {
                 continue;
             }
             let d = coords[cand].distance(target);
             if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((ci, d));
+                best = Some((cand, d));
             }
         }
-        if let Some((ci, _)) = best {
-            used[ci] = true;
-            chosen.push(candidates[ci]);
+        if let Some((cand, _)) = best {
+            chosen.push(cand);
         }
     }
 
     // Top up if fewer targets than k (or targets exhausted the same DCs).
     while chosen.len() < k {
         let mut best: Option<(usize, f64)> = None;
-        for (ci, &cand) in candidates.iter().enumerate() {
-            if used[ci] {
+        for &cand in candidates {
+            if chosen.contains(&cand) {
                 continue;
             }
             let d = targets
@@ -252,12 +253,11 @@ pub(crate) fn nearest_distinct_candidates<const D: usize>(
                 .map(|t| coords[cand].distance(t))
                 .fold(f64::INFINITY, f64::min);
             if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((ci, d));
+                best = Some((cand, d));
             }
         }
-        let (ci, _) = best.expect("k ≤ candidates guarantees a free candidate");
-        used[ci] = true;
-        chosen.push(candidates[ci]);
+        let (cand, _) = best.expect("k ≤ candidates guarantees a free candidate");
+        chosen.push(cand);
     }
     chosen
 }
@@ -312,12 +312,13 @@ pub(crate) fn best_serving_candidates<const D: usize>(
         .collect();
     order.sort_by(|&a, &b| demand[b].total_cmp(&demand[a]));
 
-    let mut used = vec![false; candidates.len()];
+    // Candidates are distinct, so a slot is free exactly when `chosen` does
+    // not hold its node.
     let mut chosen = Vec::with_capacity(k);
     for &ci in order.iter().take(k) {
         let mut best: Option<(usize, f64)> = None;
-        for (slot, &is_used) in used.iter().enumerate() {
-            if is_used {
+        for (slot, cand) in candidates.iter().enumerate() {
+            if chosen.contains(cand) {
                 continue;
             }
             let est = est_for(slot, ranges[ci].clone());
@@ -326,7 +327,6 @@ pub(crate) fn best_serving_candidates<const D: usize>(
             }
         }
         if let Some((slot, _)) = best {
-            used[slot] = true;
             chosen.push(candidates[slot]);
         }
     }
@@ -335,8 +335,8 @@ pub(crate) fn best_serving_candidates<const D: usize>(
     // candidate that best serves *all* demand not yet chosen.
     while chosen.len() < k {
         let mut best: Option<(usize, f64)> = None;
-        for (slot, &is_used) in used.iter().enumerate() {
-            if is_used {
+        for (slot, cand) in candidates.iter().enumerate() {
+            if chosen.contains(cand) {
                 continue;
             }
             let est = est_for(slot, 0..points.len());
@@ -345,7 +345,6 @@ pub(crate) fn best_serving_candidates<const D: usize>(
             }
         }
         let (slot, _) = best.expect("k ≤ candidates guarantees a free candidate");
-        used[slot] = true;
         chosen.push(candidates[slot]);
     }
     chosen

@@ -143,8 +143,7 @@ fn a_warm_propose_allocates_a_fixed_handful() {
     let cold = mgr.propose(Plan::Recorded).unwrap();
     let (warm, allocations) = allocations_in(|| mgr.propose(Plan::Recorded));
     assert_eq!(warm.unwrap(), cold);
-    // The demand vector, the clustering's two vectors, the candidate
-    // snapping's `used` mask and proposed placement, and the decision's
-    // copy of the old placement.
-    assert_eq!(allocations, 6);
+    // The demand vector, the clustering's two vectors, the proposed
+    // placement, and the decision's copy of the old placement.
+    assert_eq!(allocations, 5);
 }
